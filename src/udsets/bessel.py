@@ -44,6 +44,9 @@ __all__ = [
     "j0_envelope",
     "j0_values",
     "j1_values",
+    "j0_combination",
+    "j0_combination_error",
+    "j0_combination_envelope",
     "J0_ABS_ERROR",
     "J1_ABS_ERROR",
     "SERIES_CUTOFF",
@@ -63,7 +66,6 @@ HAVE_EXTENDED_PRECISION = np.finfo(_LD).eps < 1e-18
 def _series_coeffs_j0(n):
     # J0(x) = sum_k (-1)^k u^k / (k!)^2,  u = (x/2)^2
     out = [_LD(1)]
-    c = 1.0
     for k in range(1, n):
         out.append(out[-1] / _LD(k * k) * _LD(-1))
     return np.array(out, dtype=_LD)
@@ -243,3 +245,30 @@ def j0_values(x) -> np.ndarray:
 def j1_values(x) -> np.ndarray:
     """Vectorized J1; absolute error <= J1_ABS_ERROR elementwise."""
     return _values(x, _J1_COEFFS, _asymptotic_j1, odd_prefactor=True)
+
+
+# ---------------------------------------------------------------------------
+# finite J0 combinations  const + sum_i c_i J0(r_i t)
+# ---------------------------------------------------------------------------
+
+def j0_combination(radii, coeffs, t, const=0.0):
+    """const + sum_i coeffs[i] * J0(radii[i] * t) for scalar or array t.
+
+    Terms are added in the given order, one ``j0_values`` call per radius;
+    the absolute error is at most ``j0_combination_error(coeffs)``.
+    """
+    t = np.asarray(t, dtype=float)
+    acc = np.full(t.shape, const, dtype=float)
+    for r, c in zip(radii, coeffs):
+        acc += c * j0_values(r * t)
+    return float(acc) if t.ndim == 0 else acc
+
+
+def j0_combination_error(coeffs) -> float:
+    """Certified evaluation error of ``j0_combination``: J0_ABS_ERROR sum |c|."""
+    return J0_ABS_ERROR * float(np.abs(coeffs).sum())
+
+
+def j0_combination_envelope(radii, coeffs, t: float) -> float:
+    """sum_i |c_i| j0_envelope(r_i t): bounds |sum_i c_i J0(r_i s)| for s >= t."""
+    return float(sum(abs(c) * j0_envelope(r * t) for r, c in zip(radii, coeffs)))

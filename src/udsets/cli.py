@@ -10,16 +10,13 @@ Exit codes: 0 success / certified, 2 failed certificate, 3 infeasible LP,
 4 input error, 5 search timeout.
 
 ``--config FILE`` supplies a JSON object whose entries override the parsed
-flags; the only environment variable honored is UDSETS_WORKERS, which is
-recorded in the manifest (all kernels here are single-threaded and
-deterministic).
+flags.  All kernels here are single-threaded and deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -59,7 +56,6 @@ def _manifest(out: Path, command: str, args, seeds, outputs):
         "seeds": list(seeds),
         "tool_version": TOOL_VERSION,
         "prng": PRNG_NAME,
-        "workers_env": os.environ.get("UDSETS_WORKERS"),
         "outputs": sorted(str(p.name) for p in outputs),
     }
     path = out / "manifest.json"

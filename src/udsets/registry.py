@@ -17,9 +17,11 @@ geometrically (edges unit within 1e-9) and combinatorially (declared alpha
 re-derived by brute force for graphs with at most 20 vertices).  The shipped
 registry contains the Moser spindle, hub vertex at the origin, as both kinds.
 
-Profiles are exposed as (radius, coefficient) term lists so callers can group
-equal radii before Bessel evaluation; every profile value is a finite sum of
-J0 terms with evaluation error <= n_terms * J0_ABS_ERROR.
+Profiles are exposed as (radius, coefficient) term lists with equal radii
+merged; every profile value is a finite sum of J0 terms, evaluated by
+``bessel.j0_combination`` with error <= J0_ABS_ERROR * sum |coefficient|.
+The profile-vs-kappa checks (graph rows and CT rows) and their rigor formula
+live here too.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bessel import J0_ABS_ERROR, j0_values
+from .bessel import j0_combination, j0_combination_error
 from .errors import AlphaMismatchError, GeometryError, SchemaError
-from .torus import Spectrum
+from .torus import Spectrum, pair_correlation
 
 __all__ = [
     "ConstraintGraph",
@@ -49,6 +51,7 @@ __all__ = [
     "profile_terms",
     "ct_profile_terms",
     "constraint_rhs_check",
+    "ct_constraint_check",
     "CheckResult",
     "UNIT_EDGE_TOL",
 ]
@@ -257,7 +260,8 @@ def _grouped(radii, coeffs):
     """Collapse radii equal to 12 decimals (far below UNIT_EDGE_TOL).
 
     The quantization moves each radius by < 5e-13, shifting J0(r t) by at
-    most 0.3e-12 t; callers absorb that in their evaluation-error margins.
+    most 0.3e-12 t.  No caller charges that shift yet: it is an open error
+    source of the certified margins (ROADMAP item 2(d)).
     """
     out = {}
     for r, c in zip(radii, coeffs):
@@ -295,38 +299,20 @@ def ct_profile_terms(p: CTPair):
     return _grouped(radii, coeffs)
 
 
-def _eval_terms(radii, coeffs, t):
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    tt = t[None] if scalar else t
-    acc = np.zeros_like(tt)
-    for r, c in zip(radii, coeffs):
-        acc = acc + c * j0_values(r * tt)
-    return float(acc[0]) if scalar else acc
-
-
 def m_profile(g: ConstraintGraph, t):
     if g.kind != "vertex_sum":
         raise SchemaError("m_profile requires a vertex_sum graph")
-    return _eval_terms(*profile_terms(g), t)
+    return j0_combination(*profile_terms(g), t)
 
 
 def t_profile(g: ConstraintGraph, t):
     if g.kind != "subgraph":
         raise SchemaError("t_profile requires a subgraph graph")
-    return _eval_terms(*profile_terms(g), t)
+    return j0_combination(*profile_terms(g), t)
 
 
 def ct_profile(p: CTPair, t):
-    radii, coeffs = ct_profile_terms(p)
-    if len(radii) == 0:
-        t = np.asarray(t, dtype=float)
-        return 0.0 if t.ndim == 0 else np.zeros_like(t)
-    return _eval_terms(radii, coeffs, t)
-
-
-def graph_profile(g: ConstraintGraph, t):
-    return _eval_terms(*profile_terms(g), t)
+    return j0_combination(*ct_profile_terms(p), t)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +328,22 @@ class CheckResult:
     ok: bool
 
 
+def _profile_pairing(S: Spectrum, radii, coeffs):
+    """(sum_m kappa(m) profile(|xi_m|), rigor) for a profile's J0 terms.
+
+    The rigor charges the truncated spectral mass against sup |profile| <=
+    sum |c|, and the Bessel error of every evaluated profile value.
+    """
+    vals = j0_combination(radii, coeffs, S.frequency(S.ms))
+    lhs = float(vals @ S.kappas)
+    rigor = (
+        S.tail_mass * float(np.abs(coeffs).sum())
+        + j0_combination_error(coeffs) * float(S.kappas.sum())
+        + 1e-10
+    )
+    return lhs, rigor
+
+
 def constraint_rhs_check(S: Spectrum, g: ConstraintGraph) -> CheckResult:
     """The graph constraint sum_t kappa(t) profile_G(t) <= rhs.
 
@@ -349,23 +351,19 @@ def constraint_rhs_check(S: Spectrum, g: ConstraintGraph) -> CheckResult:
     unconditionally.  Vertex-sum profiles drop the subtraction, so the edge
     mass |E| f(1) is added back on the right; it vanishes for 1-avoiding sets.
     """
-    from .torus import pair_correlation  # local import avoids cycle at load
-
-    radii, coeffs = profile_terms(g)
-    ts = S.frequency(S.ms)
-    vals = np.zeros_like(ts)
-    for r, c in zip(radii, coeffs):
-        vals += c * j0_values(r * ts)
-    lhs = float(vals @ S.kappas)
-    profile_sup = float(np.abs(coeffs).sum())
-    rigor = (
-        S.tail_mass * profile_sup
-        + J0_ABS_ERROR * len(radii) * float(S.kappas.sum())
-        + 1e-10
-    )
+    lhs, rigor = _profile_pairing(S, *profile_terms(g))
     rhs = g.alpha * S.density
     if g.kind == "vertex_sum" and g.n_edges:
         f1 = pair_correlation(S, 1.0)
         rhs += g.n_edges * max(f1.value, 0.0)
         rigor += g.n_edges * f1.rigor_bound
     return CheckResult(g.name, lhs, rhs, rigor, bool(lhs <= rhs + rigor))
+
+
+def ct_constraint_check(S: Spectrum, p: CTPair) -> CheckResult:
+    """The CT constraint sum_t kappa(t) CT-profile(t) >= 5 delta - 1 - c_ct f(1)."""
+    lhs, rigor = _profile_pairing(S, *ct_profile_terms(p))
+    f1 = pair_correlation(S, 1.0)
+    rhs = 5.0 * S.density - 1.0 - p.c_ct * f1.value
+    rigor += p.c_ct * f1.rigor_bound
+    return CheckResult(f"CT {p.name}", lhs, rhs, rigor, bool(lhs >= rhs - rigor))

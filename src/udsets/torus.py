@@ -15,6 +15,11 @@ Two independent pipelines compute the pair correlation f(r):
   1D cell autocorrelation is the unit triangle), angle-averaged by seeded
   stratified sampling.
 
+The pair-count array (``DirectCorrelator.counts``, one real FFT round trip)
+is computed in one place: it feeds both the direct correlation here and the
+internal edge counts of ``udgraph``, which read it at the graph's neighbor
+offsets.
+
 The spectral path produces certified `PairCorrEval`s; the direct path is the
 cross-validation oracle.  Both are deterministic given their inputs.
 """
@@ -34,12 +39,10 @@ __all__ = [
     "Spectrum",
     "PairCorrEval",
     "DirectCorrelator",
-    "density",
     "spectrum",
     "spectrum_auto",
     "pair_correlation",
     "pair_correlation_direct",
-    "autocorrelation",
     "s",
     "checkerboard",
     "linf_unit_pair_density",
@@ -128,10 +131,6 @@ class PairCorrEval:
     r: float
     value: float
     rigor_bound: float
-
-
-def density(A: GridSet) -> float:
-    return A.density
 
 
 def _power_spectrum_lookup(A: GridSet):
@@ -244,8 +243,8 @@ class DirectCorrelator:
     def __init__(self, A: GridSet):
         self.A = A
         self.S = A.side
-        F = np.fft.fft2(A.cells.astype(np.float64))
-        counts = np.fft.ifft2(np.abs(F) ** 2).real
+        F = np.fft.rfft2(A.cells.astype(np.float64))
+        counts = np.fft.irfft2(np.abs(F) ** 2, s=(self.S, self.S))
         self.counts = np.rint(counts)
         if not np.all(np.abs(counts - self.counts) < 0.4):
             raise AssertionError("pair-count FFT roundtrip lost integrality")
@@ -275,10 +274,6 @@ class DirectCorrelator:
     def autocorrelation(self, x, y) -> np.ndarray:
         """delta(A ∩ (A - (x, y))) for shifts given in torus length units."""
         return self.shift_value(np.asarray(x) * self.A.N, np.asarray(y) * self.A.N)
-
-
-def autocorrelation(A: GridSet, x: float, y: float) -> float:
-    return float(DirectCorrelator(A).autocorrelation(x, y))
 
 
 def pair_correlation_direct(

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DomainError
-from .torus import GridSet
+from .torus import DirectCorrelator, GridSet
 
 __all__ = [
     "UDGraph",
@@ -183,10 +183,9 @@ def _as_grid_bool(G: UDGraph, F) -> np.ndarray:
 
 
 def internal_edge_count(G: UDGraph, F) -> int:
-    grid = _as_grid_bool(G, F)
-    total = 0
-    for dj, dk in G.offsets:
-        total += int(np.count_nonzero(grid & np.roll(grid, (dj, dk), (0, 1))))
+    """Edges of G inside F: half the ordered pair counts at G's offsets."""
+    counts = DirectCorrelator(GridSet(G.K, G.N, _as_grid_bool(G, F))).counts
+    total = int(counts[G.offsets[:, 0], G.offsets[:, 1]].sum())
     assert total % 2 == 0
     return total // 2
 
@@ -418,23 +417,23 @@ def block_decomposition(A) -> BlockReport:
     if not grid.any():
         return BlockReport([], True, 0, 0.0, float("inf"))
 
+    # union-find over component labels; each branch below sizes ``parent``
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
     if N >= 3:
         # 8-adjacent cells always satisfy dmax < 1; label then torus-merge
         lab, n_lab = ndimage.label(grid, structure=np.ones((3, 3), dtype=int))
         lab = lab.copy()
         parent = list(range(n_lab + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
         for shift in (-1, 0, 1):
             row_pairs = grid[-1, :] & np.roll(grid[0, :], -shift)
             for k in np.nonzero(row_pairs)[0]:
@@ -442,24 +441,12 @@ def block_decomposition(A) -> BlockReport:
             col_pairs = grid[:, -1] & np.roll(grid[:, 0], -shift)
             for j in np.nonzero(col_pairs)[0]:
                 union(int(lab[j, -1]), int(lab[(j + shift) % S, 0]))
-        groups = {}
         js, ks = np.nonzero(grid)
         roots = np.array([find(int(lab[j, k])) for j, k in zip(js, ks)])
     else:
         js, ks = np.nonzero(grid)
         roots = np.arange(len(js))
         parent = list(range(len(js) + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
 
     comp = {}
     for idx, r in enumerate(roots):

@@ -41,12 +41,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .bessel import J0_ABS_ERROR, j0_envelope, j0_values
+from .bessel import j0_combination, j0_combination_envelope, j0_combination_error
 from .errors import DomainError, FeasibilityError, SchemaError
 from .registry import (
     CheckResult,
     Registry,
+    _grouped,
     constraint_rhs_check,
+    ct_constraint_check,
     ct_profile_terms,
     profile_terms,
 )
@@ -174,38 +176,29 @@ def witness_terms(c: WitnessCoefficients):
     """(constant, radii, coefficients) of W with equal radii merged."""
     x = _coeff_vector(c)
     const = 0.0
-    acc = {}
+    all_radii = []
+    all_coeffs = []
     for xi, (c0, radii, coeffs) in zip(x, _var_terms(c.registry)):
         if xi == 0.0:
             continue
         const += xi * c0
-        for r, co in zip(radii, coeffs):
-            key = round(float(r), 12)
-            acc[key] = acc.get(key, 0.0) + xi * float(co)
-    items = sorted(acc.items())
-    radii = np.array([r for r, _ in items])
-    coeffs = np.array([co for _, co in items])
-    return const, radii, coeffs
+        all_radii.extend(radii)
+        all_coeffs.extend(xi * float(co) for co in coeffs)
+    return (const, *_grouped(all_radii, all_coeffs))
 
 
 def witness_eval(c: WitnessCoefficients, t):
     """W(t) for scalar or array t (t >= 0)."""
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    tt = t_arr[None] if scalar else t_arr
-    if np.any(tt < 0):
+    if np.any(np.asarray(t) < 0):
         raise DomainError("witness arguments must be >= 0")
     const, radii, coeffs = witness_terms(c)
-    acc = np.full_like(tt, const)
-    for r, co in zip(radii, coeffs):
-        acc = acc + co * j0_values(r * tt)
-    return float(acc[0]) if scalar else acc
+    return j0_combination(radii, coeffs, t, const)
 
 
 def _eval_error(c: WitnessCoefficients) -> float:
     # constant part is exact; each J0 term carries its certified bound
-    _, radii, coeffs = witness_terms(c)
-    return J0_ABS_ERROR * float(np.abs(coeffs).sum())
+    _, _, coeffs = witness_terms(c)
+    return j0_combination_error(coeffs)
 
 
 def witness_lipschitz(c: WitnessCoefficients, r_max: float = DEFAULT_RMAX) -> float:
@@ -368,16 +361,18 @@ _CHUNK = 1 << 20
 
 
 def _grid_min(c: WitnessCoefficients, grid_step: float, tail_start: float):
+    """(min, argmin) of W over i * grid_step, i <= floor(tail_start / grid_step),
+    plus tail_start itself when that grid misses it: no gap before the tail
+    exceeds one grid step."""
     n_pts = int(math.floor(tail_start / grid_step)) + 1
     const, radii, coeffs = witness_terms(c)
     best = math.inf
     best_t = 0.0
     for start in range(0, n_pts, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n_pts), dtype=np.int64)
-        ts = idx * grid_step
-        acc = np.full_like(ts, const, dtype=float)
-        for r, co in zip(radii, coeffs):
-            acc += co * j0_values(r * ts)
+        ts = np.arange(start, min(start + _CHUNK, n_pts), dtype=np.int64) * grid_step
+        if start + _CHUNK >= n_pts and ts[-1] < tail_start:
+            ts = np.append(ts, tail_start)
+        acc = j0_combination(radii, coeffs, ts, const)
         i = int(np.argmin(acc))
         if acc[i] < best:
             best = float(acc[i])
@@ -392,10 +387,7 @@ def _tail_bound(c: WitnessCoefficients, tail_start: float):
     envelope is nonincreasing, so the value at tail_start floors the tail.
     """
     const, radii, coeffs = witness_terms(c)
-    osc = float(
-        sum(abs(co) * j0_envelope(r * tail_start) for r, co in zip(radii, coeffs))
-    )
-    return const, osc
+    return const, j0_combination_envelope(radii, coeffs, tail_start)
 
 
 def verify_witness(
@@ -526,13 +518,9 @@ def solve_feasibility(
     nm, nt, nc = len(registry.m_graphs), len(registry.t_graphs), len(registry.ct_pairs)
 
     def profile_matrix(ts):
-        cols = []
-        for const, radii, coeffs in var_terms:
-            acc = np.full_like(ts, const, dtype=float)
-            for r, co in zip(radii, coeffs):
-                acc += co * j0_values(r * ts)
-            cols.append(acc)
-        return np.column_stack(cols)
+        return np.column_stack(
+            [j0_combination(radii, coeffs, ts, const) for const, radii, coeffs in var_terms]
+        )
 
     rows = []
     rhs = []
@@ -568,10 +556,7 @@ def solve_feasibility(
         T = float(tail_constraint_at)
         trow = np.zeros(n)
         for i, (const, radii, coeffs) in enumerate(var_terms):
-            env = float(
-                sum(abs(co) * j0_envelope(r * T) for r, co in zip(radii, coeffs))
-            )
-            trow[i] = env - const
+            trow[i] = j0_combination_envelope(radii, coeffs, T) - const
         rows.append(trow[None, :])
         rhs.append(np.array([-tail_margin]))
 
@@ -746,23 +731,7 @@ def kappa_constraint_audit(
     for g in registry.graphs:
         items.append(constraint_rhs_check(S, g))
     for p in registry.ct_pairs:
-        radii, coeffs = ct_profile_terms(p)
-        ts = S.frequency(S.ms)
-        vals = np.zeros_like(ts)
-        for r, co in zip(radii, coeffs):
-            vals += co * j0_values(r * ts)
-        lhs = float(vals @ S.kappas)
-        f1 = pair_correlation(S, 1.0)
-        rhs = 5.0 * dens - 1.0 - p.c_ct * f1.value
-        rigor = (
-            S.tail_mass * float(np.abs(coeffs).sum())
-            + p.c_ct * f1.rigor_bound
-            + J0_ABS_ERROR * len(radii) * float(S.kappas.sum())
-            + 1e-10
-        )
-        items.append(
-            CheckResult(f"CT {p.name}", lhs, rhs, rigor, bool(lhs >= rhs - rigor))
-        )
+        items.append(ct_constraint_check(S, p))
     return AuditReport(tuple(items), all(i.ok for i in items))
 
 

@@ -114,3 +114,45 @@ def test_envelope_dominates_and_monotone():
     assert bessel.j0_envelope(1e6) <= 1e-2
     with pytest.raises(DomainError):
         bessel.j0_envelope(0.0)
+
+
+def _explicit_combination(radii, coeffs, t, const):
+    acc = np.full(np.shape(t), const, dtype=float)
+    for r, c in zip(radii, coeffs):
+        acc = acc + c * bessel.j0_values(r * np.asarray(t, dtype=float))
+    return acc
+
+
+COMBO_RADII = np.array([0.0, 1.0, 1.7320508075688772, 1.96])
+COMBO_COEFFS = np.array([3.0, -2.5, 1.25, -0.375])
+
+
+def test_j0_combination_bitwise_equals_term_loop_on_arrays():
+    t = np.linspace(0.0, 40.0, 2001)
+    for const in (0.0, 0.75):
+        got = bessel.j0_combination(COMBO_RADII, COMBO_COEFFS, t, const)
+        want = _explicit_combination(COMBO_RADII, COMBO_COEFFS, t, const)
+        assert got.shape == t.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_j0_combination_scalar_and_empty():
+    for t in (0.0, 1.3, 27.5):
+        got = bessel.j0_combination(COMBO_RADII, COMBO_COEFFS, t, -1.5)
+        assert isinstance(got, float)
+        assert got == float(_explicit_combination(COMBO_RADII, COMBO_COEFFS, t, -1.5))
+    assert bessel.j0_combination([], [], 2.0) == 0.0
+    assert bessel.j0_combination(np.array([]), np.array([]), 2.0, 0.25) == 0.25
+    t = np.array([0.0, 1.0, 5.0])
+    assert np.array_equal(bessel.j0_combination([], [], t, 0.25), np.full(3, 0.25))
+
+
+def test_j0_combination_error_and_envelope():
+    assert bessel.j0_combination_error(COMBO_COEFFS) == bessel.J0_ABS_ERROR * 7.125
+    assert bessel.j0_combination_error([]) == 0.0
+    T = 20.0
+    want = sum(abs(c) * bessel.j0_envelope(r * T) for r, c in zip(COMBO_RADII[1:], COMBO_COEFFS[1:]))
+    assert bessel.j0_combination_envelope(COMBO_RADII[1:], COMBO_COEFFS[1:], T) == want
+    s = np.linspace(T, 200.0, 5001)
+    osc = bessel.j0_combination(COMBO_RADII[1:], COMBO_COEFFS[1:], s)
+    assert np.all(np.abs(osc) <= want)

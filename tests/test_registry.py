@@ -2,15 +2,18 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from udsets.bessel import J0_ABS_ERROR
 from udsets.errors import AlphaMismatchError, GeometryError, SchemaError
 from udsets.registry import (
     CTPair,
     builtin_registry,
     constraint_rhs_check,
+    ct_constraint_check,
     ct_profile,
     ct_profile_terms,
     load_registry,
@@ -18,7 +21,7 @@ from udsets.registry import (
     profile_terms,
     t_profile,
 )
-from udsets.torus import GridSet, random_gridset, spectrum
+from udsets.torus import GridSet, pair_correlation, random_gridset, spectrum
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +191,28 @@ def test_constraint_check_random_sets_theorem_audit(reg):
         for g in reg.graphs:
             res = constraint_rhs_check(S, g)
             assert res.ok, (seed, res)
+
+
+def test_profile_checks_charge_bessel_error_per_unit_coefficient(reg):
+    # with no tail mass, the Bessel term of the rigor is the only part that
+    # scales with the profile: it must be J0_ABS_ERROR * sum|c| * sum kappa,
+    # not J0_ABS_ERROR * (number of merged radii) * sum kappa
+    S = replace(spectrum(random_gridset(8, 4, p=0.4, seed=7), 4000), tail_mass=0.0)
+    kappa_sum = float(S.kappas.sum())
+    f1 = pair_correlation(S, 1.0)
+    t = reg.t_graphs[0]
+    coeff_sum = float(np.abs(profile_terms(t)[1]).sum())
+    assert coeff_sum == 10.0 and len(profile_terms(t)[0]) == 3
+    bessel_part = constraint_rhs_check(S, t).rigor - 1e-10
+    assert bessel_part == pytest.approx(J0_ABS_ERROR * coeff_sum * kappa_sum, rel=1e-6, abs=0.0)
+    m = reg.m_graphs[0]
+    assert float(np.abs(profile_terms(m)[1]).sum()) == 7.0
+    bessel_part = constraint_rhs_check(S, m).rigor - m.n_edges * f1.rigor_bound - 1e-10
+    assert bessel_part == pytest.approx(J0_ABS_ERROR * 7.0 * kappa_sum, rel=1e-6, abs=0.0)
+    h = math.sqrt(3.0) / 2.0
+    p = CTPair("tri", 0.0, np.array([[0.0, 0.0], [1.0, 0.0], [0.5, h]]),
+               np.array([[0.0, 0.0]]), 0.0)
+    radii, coeffs = ct_profile_terms(p)
+    assert len(radii) == 2 and float(np.abs(coeffs).sum()) == 4.0
+    bessel_part = ct_constraint_check(S, p).rigor - 1e-10
+    assert bessel_part == pytest.approx(J0_ABS_ERROR * 4.0 * kappa_sum, rel=1e-6, abs=0.0)

@@ -101,6 +101,27 @@ def test_subset_stats_trivials():
     assert subset_stats(G, empty).internal_edges == 0
 
 
+def roll_edge_count(G, F):
+    """Independent oracle: one cyclic shift of the subset per neighbor offset."""
+    grid = np.asarray(F, dtype=bool).reshape(G.side, G.side)
+    total = 0
+    for dj, dk in G.offsets:
+        total += int(np.count_nonzero(grid & np.roll(grid, (dj, dk), (0, 1))))
+    assert total % 2 == 0
+    return total // 2
+
+
+@pytest.mark.parametrize("N,K", [(8, 4), (2, 5), (40, 10)])
+def test_internal_edge_count_matches_roll_oracle(N, K):
+    G = build(N, K)
+    rng = np.random.default_rng(N * 100 + K)
+    for p in (0.05, 0.5, 0.9):
+        F = rng.random(G.n_vertices) < p
+        assert internal_edge_count(G, F) == roll_edge_count(G, F)
+    mis = greedy_mis(G, seed=3)
+    assert internal_edge_count(G, mis) == roll_edge_count(G, mis.members) == 0
+
+
 def test_raster_has_zero_internal_edges_small():
     A = rasterize(hex_disk_packing(), 32, 8, beta=0.01)
     G = build(32, 8)

@@ -189,6 +189,15 @@ def test_verify_pure_j0_fails(reg):
     assert 3.6 < rep.argmin_t < 4.0
 
 
+def test_verify_grid_ends_at_tail_start(reg):
+    # 0.5 + J0 decreases on [0, 2], so the grid minimum sits at tail_start
+    # itself; a grid stopping one step short would report 1.99999
+    c = WitnessCoefficients(0.5, 1.0, 0.0, (0.0,), (0.0,), (), reg)
+    rep = verify_witness(c, 1e-5, 3e-3, 2.0)
+    assert rep.argmin_t == 2.0
+    assert rep.min_grid_value == witness_eval(c, 2.0)
+
+
 def test_verify_grid_step_precondition(reg):
     with pytest.raises(DomainError):
         verify_witness(coeffs(reg, v1=1.0), grid_step=0.5, margin=1e-3)
