@@ -27,7 +27,7 @@ def main():
     reg = builtin_registry()
     print(f"registry: {[g.name for g in reg.graphs]} (hash {reg.registry_hash[:12]}…)")
 
-    out = certify_bound(reg, bisect_tol=1e-3, verify_step=1e-4)
+    out = certify_bound(reg)
     rep = out.report
     c = out.coefficients
     print(f"\nbisection over the density target took {len(out.attempts)} attempts")
@@ -35,7 +35,7 @@ def main():
     print(f"witness: v0={c.v0:.5f} v1={c.v1:.5f} v196={c.v196:.5f} "
           f"w_m={tuple(round(w, 5) for w in c.w_m)} w_t={tuple(round(w, 5) for w in c.w_t)}")
     print(f"W(0) = {rep.w_at_zero:.9f}, grid min {rep.min_grid_value:.5f} at "
-          f"t = {rep.argmin_t:.4f}, |W'| <= {rep.lipschitz_bound:.3f}")
+          f"t = {rep.argmin_t:.4f} (step {rep.grid_step}), |W'| <= {rep.lipschitz_bound:.3f}")
     print(f"tail for t > {rep.tail_start}: constant {rep.tail_const:.4f} minus "
           f"envelope {rep.tail_osc:.4f} -> floor {rep.tail_floor:.4f} > 0")
     a, b, qc = rep.quadratic

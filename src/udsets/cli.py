@@ -245,9 +245,10 @@ def cmd_certify(args) -> int:
                 print("Farkas certificate attached to stderr", file=sys.stderr)
             return EXIT_INFEASIBLE
         coeffs = res.coefficients
-        report = witness.verify_witness(
-            coeffs, args.verify_step, args.margin, args.tail_start
-        )
+        step = args.verify_step
+        if step is None:
+            step = witness.verification_step(coeffs, args.margin)
+        report = witness.verify_witness(coeffs, step, args.margin, args.tail_start)
     else:
         try:
             outcome = witness.certify_bound(
@@ -359,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-plus", type=float, default=None)
     p.add_argument("--budget", type=float, default=witness.DEFAULT_BUDGET)
     p.add_argument("--margin", type=float, default=witness.DEFAULT_MARGIN)
-    p.add_argument("--verify-step", type=float, default=witness.DEFAULT_GRID_STEP)
+    p.add_argument("--verify-step", type=float, default=None,
+                   help="dense verification step (default: derived from the witness)")
     p.add_argument("--tail-start", type=float, default=witness.DEFAULT_TAIL_START)
     p.add_argument("--out", default="runs/certify")
     p.set_defaults(func=cmd_certify)

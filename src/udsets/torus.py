@@ -66,7 +66,9 @@ class GridSet:
         if self.K < 1 or self.N < 1:
             raise DomainError("K and N must be positive integers")
         S = self.N * self.K
-        cells = np.ascontiguousarray(self.cells, dtype=bool)
+        # freeze a view: ascontiguousarray returns the caller's own array
+        # when it is already a contiguous bool array
+        cells = np.ascontiguousarray(self.cells, dtype=bool).view()
         if cells.shape != (S, S):
             raise DomainError(f"cells must have shape ({S}, {S})")
         cells.setflags(write=False)

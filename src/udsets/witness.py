@@ -24,12 +24,14 @@ certified bound delta_star, and gamma_extract recovers the largest
 admissible gamma.
 
 Verification is two-grid and never trusts the solver: W is evaluated on a
-dense grid (default step 1e-5) with a Lipschitz bound covering the gaps, the
-tail t > tail_start is certified analytically by the witness's constant part
-minus envelope-bounded oscillatory terms, and every Bessel evaluation error is
-charged against the margin.  The LP itself runs on a coarse grid (step 0.05)
-in 80-bit floats with reserved slack so the rounded float64 coefficients still
-verify.
+dense grid with a Lipschitz bound covering the gaps, the tail t > tail_start
+is certified analytically by the witness's constant part minus
+envelope-bounded oscillatory terms, and every Bessel evaluation error is
+charged against the margin.  The dense step is derived from the witness
+(``verification_step``: the largest power of two <= margin / L, so every grid
+point i * step is exact in float64) unless the caller fixes it.  The LP itself
+runs on a coarse grid (step 0.05) in 80-bit floats with reserved slack so the
+rounded float64 coefficients still verify.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ __all__ = [
     "witness_eval",
     "witness_lipschitz",
     "witness_terms",
+    "verification_step",
     "verify_witness",
     "spot_audit",
     "quadratic_root",
@@ -84,7 +87,6 @@ CROFT_TARGET_DENSITY = 0.2293647316297585
 
 DEFAULT_BUDGET = 15.0
 DEFAULT_MARGIN = 3e-3
-DEFAULT_GRID_STEP = 1e-5
 DEFAULT_TAIL_START = 20.0
 DEFAULT_RMAX = 4.0
 
@@ -215,6 +217,25 @@ def witness_lipschitz(c: WitnessCoefficients, r_max: float = DEFAULT_RMAX) -> fl
     return 0.6 * float(np.sum(np.abs(coeffs) * radii))
 
 
+# step used when W has no J0 terms (L = 0): W is constant, any step verifies
+_FLAT_STEP = 2.0**-4
+
+
+def verification_step(c: WitnessCoefficients, margin: float = DEFAULT_MARGIN) -> float:
+    """Largest power of two <= margin / witness_lipschitz(c).
+
+    The coarsest dense-grid step ``verify_witness`` accepts for ``c``; a
+    power of two keeps every grid point i * step exact in float64.
+    """
+    if not margin > 0.0:
+        raise DomainError("margin must be > 0")
+    L = witness_lipschitz(c)
+    if L == 0.0:
+        return _FLAT_STEP
+    _, exp = math.frexp(margin / L)  # margin / L = m * 2**exp, 0.5 <= m < 1
+    return math.ldexp(1.0, exp - 1)
+
+
 # ---------------------------------------------------------------------------
 # quadratic and gamma
 # ---------------------------------------------------------------------------
@@ -285,22 +306,13 @@ def _quadratic_interval_max(a, b, qc, lo, hi):
     return max(vals)
 
 
-def gamma_extract(
-    c: WitnessCoefficients,
-    epsilon: float,
-    target_density: float = CROFT_TARGET_DENSITY,
-) -> float:
-    """Largest gamma (by bisection) keeping the perturbed quadratic negative
-    on [delta_star + epsilon, 1].
-
-    Precondition: delta_star + epsilon < target_density, so the bound still
-    separates from the benchmark construction.
-    """
+def _gamma_search(c: WitnessCoefficients, epsilon: float, target_density: float):
+    """(gamma, None) on success, (0.0, reason) when no gamma is extractable."""
     if epsilon <= 0.0:
         raise DomainError("epsilon must be > 0")
     delta_star, (a, b, qc) = quadratic_root(c)
     if delta_star + epsilon >= target_density:
-        raise FeasibilityError(
+        return 0.0, (
             f"delta_star + epsilon = {delta_star + epsilon} reaches the target "
             f"density {target_density}; no clumpiness constant extractable"
         )
@@ -311,14 +323,14 @@ def gamma_extract(
         return _quadratic_interval_max(a, b, qc, lo_d, hi_d) + gamma * Gamma < 0.0
 
     if not admissible(0.0):
-        raise FeasibilityError("quadratic not negative beyond delta_star + epsilon")
+        return 0.0, "quadratic not negative beyond delta_star + epsilon"
     if Gamma == 0.0:
-        return 1.0  # no gamma sensitivity at all; any gamma <= 1 works
+        return 1.0, None  # no gamma sensitivity at all; any gamma <= 1 works
     lo, hi = 0.0, 1.0
     while admissible(hi):
         lo, hi = hi, 2.0 * hi
         if hi > 1e6:
-            return lo
+            return lo, None
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if admissible(mid):
@@ -326,8 +338,25 @@ def gamma_extract(
         else:
             hi = mid
     if lo <= 0.0:
-        raise FeasibilityError("no positive gamma admissible at this epsilon")
-    return lo
+        return 0.0, "no positive gamma admissible at this epsilon"
+    return lo, None
+
+
+def gamma_extract(
+    c: WitnessCoefficients,
+    epsilon: float,
+    target_density: float = CROFT_TARGET_DENSITY,
+) -> float:
+    """Largest gamma (by bisection) keeping the perturbed quadratic negative
+    on [delta_star + epsilon, 1].
+
+    Precondition: delta_star + epsilon < target_density, so the bound still
+    separates from the benchmark construction; FeasibilityError otherwise.
+    """
+    gamma, reason = _gamma_search(c, epsilon, target_density)
+    if reason is not None:
+        raise FeasibilityError(reason)
+    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +421,7 @@ def _tail_bound(c: WitnessCoefficients, tail_start: float):
 
 def verify_witness(
     c: WitnessCoefficients,
-    grid_step: float = DEFAULT_GRID_STEP,
+    grid_step: float,
     margin: float = DEFAULT_MARGIN,
     tail_start: float = DEFAULT_TAIL_START,
     gamma_epsilon: float = 1e-3,
@@ -400,7 +429,9 @@ def verify_witness(
 ) -> CertificateReport:
     """Grid + Lipschitz + tail-envelope verification of W >= 0 and W(0) >= 1.
 
-    Mathematical failures come back as a failed verdict, never exceptions.
+    ``grid_step`` must be <= margin / L; ``verification_step(c, margin)``
+    gives the coarsest such power of two.  Mathematical failures come back
+    as a failed verdict, never exceptions.
     """
     L = witness_lipschitz(c)
     if L > 0 and grid_step > margin / L:
@@ -435,10 +466,7 @@ def verify_witness(
 
     verdict = "certified" if not reasons else "failed: " + "; ".join(reasons)
     if verdict == "certified":
-        try:
-            gamma = gamma_extract(c, gamma_epsilon, gamma_target)
-        except FeasibilityError:
-            gamma = 0.0
+        gamma, _ = _gamma_search(c, gamma_epsilon, gamma_target)
     return CertificateReport(
         w_at_zero=w0,
         min_grid_value=min_grid,
@@ -500,7 +528,8 @@ def solve_feasibility(
     the weighted coefficient budget, the quadratic inequality at
     delta_plus, and (optionally) an envelope tail row at tail_constraint_at.
     The grid slack deliberately exceeds the verification margin so the
-    rounded-down float64 solution still verifies at a 200x finer step.
+    rounded float64 solution still verifies on the dense verification grid
+    (step <= margin / L, e.g. 2**-8 for the builtin witness).
 
     With minimize_quadratic the solver minimizes the quadratic row instead of
     stopping at the first feasible vertex, driving delta_star below the
@@ -591,8 +620,28 @@ class CertifyResult:
     attempts: tuple  # (delta_plus, tail_start, outcome) log
 
 
+# attempt-log outcome when the Farkas ray puts no weight on the tail row
+LP_INFEASIBLE_WITHOUT_TAIL = "lp-infeasible: Farkas ray ignores the tail row; stop escalating"
+
+
+def _tail_independent(res: FeasibilityResult) -> bool:
+    """True when the Farkas ray proves infeasibility without the tail row.
+
+    The tail row is the last LP row.  Escalating T only appends solve-grid
+    rows (the grid at min(2T, 40) extends the one at min(T, 40)) and moves
+    the tail row, so a ray with zero tail weight, padded with zeros, also
+    refutes every larger T.
+    """
+    return res.farkas_valid and res.farkas[-1] == 0.0
+
+
 def _attempt(registry, delta_plus, *, budget, margin, verify_step, tail_start, max_tail):
-    """Solve + verify at one delta_plus; escalate the tail start as needed."""
+    """Solve + verify at one delta_plus; escalate the tail start as needed.
+
+    Escalation stops early when the LP is infeasible for a reason the tail
+    row plays no part in.  ``verify_step=None`` derives the dense-grid step
+    from each candidate witness.
+    """
     T = tail_start
     log = []
     while T <= max_tail:
@@ -609,10 +658,16 @@ def _attempt(registry, delta_plus, *, budget, margin, verify_step, tail_start, m
             tail_margin=2.0 * margin,
         )
         if res.status != "feasible":
+            if _tail_independent(res):
+                log.append((delta_plus, T, LP_INFEASIBLE_WITHOUT_TAIL))
+                break
             log.append((delta_plus, T, "lp-infeasible"))
             T *= 2.0
             continue
-        report = verify_witness(res.coefficients, verify_step, margin, T)
+        step = verify_step
+        if step is None:
+            step = verification_step(res.coefficients, margin)
+        report = verify_witness(res.coefficients, step, margin, T)
         log.append((delta_plus, T, report.verdict))
         if report.certified:
             return res.coefficients, report, log
@@ -626,7 +681,7 @@ def certify_bound(
     *,
     budget: float = DEFAULT_BUDGET,
     margin: float = DEFAULT_MARGIN,
-    verify_step: float = DEFAULT_GRID_STEP,
+    verify_step: float | None = None,
     tail_start: float = DEFAULT_TAIL_START,
     max_tail: float = 640.0,
     bisect_tol: float = 2e-4,
@@ -635,6 +690,7 @@ def certify_bound(
 
     Runs a bisection over delta_plus (seeded by delta_grid when given);
     every accepted point is a complete solve + independent verification.
+    ``verify_step=None`` verifies each witness at ``verification_step``.
     """
     if delta_grid is None:
         lo, hi = 0.05, 0.95

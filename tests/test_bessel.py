@@ -156,3 +156,28 @@ def test_j0_combination_error_and_envelope():
     s = np.linspace(T, 200.0, 5001)
     osc = bessel.j0_combination(COMBO_RADII[1:], COMBO_COEFFS[1:], s)
     assert np.all(np.abs(osc) <= want)
+
+
+def test_float64_fallback_bound_covers_series_running_error():
+    # Without 80-bit longdouble the series runs in float64.  Its running-error
+    # bound grows with u (all weights are positive), so it peaks at the
+    # cutoff u = (15/2)^2 = 56.25; the fallback flat bound must cover it.
+    u = np.array([(bessel.SERIES_CUTOFF / 2.0) ** 2])
+    assert u[0] == 56.25
+    eps = np.finfo(np.float64).eps
+    j0_running = 2.5 * eps * float(bessel._horner_ld(bessel._J0_ERRW.astype(float), u)[0])
+    j1_running = (
+        0.5 * bessel.SERIES_CUTOFF * 2.5 * eps
+        * float(bessel._horner_ld(bessel._J1_ERRW.astype(float), u)[0])
+    )
+    assert 1e-9 < j0_running < bessel._ABS_ERROR_FLOAT64
+    assert 1e-9 < j1_running < bessel._ABS_ERROR_FLOAT64
+    # the 80-bit charge would not cover it; the flag picks the right one
+    assert j0_running > bessel._ABS_ERROR_EXTENDED
+    want = (
+        bessel._ABS_ERROR_EXTENDED
+        if bessel.HAVE_EXTENDED_PRECISION
+        else bessel._ABS_ERROR_FLOAT64
+    )
+    assert bessel.J0_ABS_ERROR == want
+    assert bessel.J1_ABS_ERROR == want

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, manifests, byte-identical reruns."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,16 @@ def test_certify_verify_gamma_cycle(tmp_path):
     doc["coefficients"]["v0"] = -doc["coefficients"]["v0"] - 0.2
     cert.write_text(json.dumps(doc))
     assert run("verify", "--certificate", cert) == 2
+
+
+def test_certify_derives_the_verify_step(tmp_path):
+    out = tmp_path / "derived"
+    assert run("certify", "--delta-plus", 0.30, "--tail-start", 40, "--out", out) == 0
+    cert = out / "certificate.json"
+    step = json.loads(cert.read_text())["grid_step"]
+    mantissa, _ = math.frexp(step)
+    assert mantissa == 0.5 and 1e-4 < step < 1e-2  # a power of two near margin/L
+    assert run("verify", "--certificate", cert) == 0
 
 
 def test_certify_infeasible_exit(tmp_path):

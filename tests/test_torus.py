@@ -51,6 +51,16 @@ def direct_fourier_mass(A, cutoff_m):
     return out
 
 
+def test_gridset_freezes_a_view_not_the_callers_array():
+    a = np.zeros((8, 8), dtype=bool)
+    A = GridSet(2, 4, a)
+    assert a.flags.writeable
+    assert not A.cells.flags.writeable
+    with pytest.raises(ValueError):
+        A.cells[0, 0] = True
+    a[0, 0] = True  # the caller's array stays usable
+
+
 def test_density_trivials():
     assert GridSet.empty(4, 2).density == 0.0
     assert GridSet.full(4, 2).density == 1.0

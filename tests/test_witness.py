@@ -11,6 +11,9 @@ from udsets.registry import CTPair, Registry, builtin_registry
 from udsets.torus import random_gridset, spectrum, spectrum_auto
 from udsets.witness import (
     CROFT_TARGET_DENSITY,
+    DEFAULT_BUDGET,
+    DEFAULT_MARGIN,
+    LP_INFEASIBLE_WITHOUT_TAIL,
     WitnessCoefficients,
     certify_bound,
     default_solve_grid,
@@ -20,6 +23,7 @@ from udsets.witness import (
     quadratic_root,
     solve_feasibility,
     spot_audit,
+    verification_step,
     verify_certificate_file,
     verify_witness,
     witness_eval,
@@ -226,6 +230,87 @@ def test_certify_bound_monotone_under_registry_growth(reg):
     out_full = certify_bound(reg, bisect_tol=5e-3, verify_step=1e-4)
     assert out_full.best_delta <= out_empty.best_delta + 5e-3
     assert out_full.report.certified
+
+
+def _is_power_of_two(x):
+    m, _ = math.frexp(x)
+    return x > 0.0 and m == 0.5
+
+
+def test_verification_step_is_largest_power_of_two_below_margin_over_L(reg, certified):
+    rng = np.random.default_rng(7)
+    witnesses = [certified.coefficients] + [
+        coeffs(reg, v0=1.0, v1=rng.uniform(0, 3), v196=rng.uniform(0, 3),
+               w_m=(rng.uniform(0, 1),), w_t=(rng.uniform(0, 1),))
+        for _ in range(5)
+    ]
+    for c in witnesses:
+        for margin in (DEFAULT_MARGIN, 1e-2, 1.7e-4):
+            step = verification_step(c, margin)
+            bound = margin / witness_lipschitz(c)
+            assert _is_power_of_two(step)
+            assert step <= bound < 2.0 * step
+    # the builtin certificate: L = 0.6 (v1 + 1.96 v196), step 2**-8
+    assert verification_step(certified.coefficients) == 2.0**-8
+    assert certified.report.grid_step == 2.0**-8
+    # no J0 terms: L = 0, a fixed power of two, and the witness verifies
+    flat = coeffs(reg, v0=1.0)
+    step = verification_step(flat)
+    assert _is_power_of_two(step)
+    assert verify_witness(flat, step).certified
+    with pytest.raises(DomainError):
+        verification_step(flat, 0.0)
+
+
+def test_solve_grid_only_grows_with_the_tail_start():
+    # escalation appends solve-grid rows and never moves the old ones, which
+    # is what lets a tail-free Farkas ray refute every larger tail start
+    short = default_solve_grid(20.0)
+    long_ = default_solve_grid(40.0)
+    assert long_[: len(short)].tobytes() == short.tobytes()
+
+
+def test_builtin_infeasibility_does_not_depend_on_the_tail(reg):
+    # at delta = 0.25 (below the certified 0.2581) the LP at T = 20 is
+    # infeasible, and its Farkas ray puts zero weight on the tail row ...
+    results = {}
+    for T in (20.0, 40.0, 80.0):
+        results[T] = solve_feasibility(
+            reg, 0.25, default_solve_grid(min(T, 40.0)), DEFAULT_BUDGET,
+            tail_constraint_at=T, tail_margin=2.0 * DEFAULT_MARGIN,
+        )
+    first = results[20.0]
+    assert first.status == "infeasible"
+    assert first.farkas_valid and first.farkas[-1] == 0.0
+    # ... so the escalated LPs are infeasible as well
+    assert results[40.0].status == "infeasible"
+    assert results[80.0].status == "infeasible"
+
+
+def test_certify_bound_stops_futile_escalation(certified):
+    assert certified.best_delta == 0.2580810546875
+    attempts = certified.attempts
+    assert len(attempts) == 14
+    deltas = [d for d, _, _ in attempts]
+    stopped = [d for d, _, v in attempts if v == LP_INFEASIBLE_WITHOUT_TAIL]
+    assert len(stopped) == 7
+    # a delta refuted without the tail row is never tried at a larger T
+    for d in stopped:
+        assert deltas.count(d) == 1
+    assert sum(1 for *_, v in attempts if v == "certified") == 7
+
+
+def test_step_1e5_certificate_still_reproduces(certified, reg, tmp_path):
+    # certificates written with the former fixed step keep their stored step
+    c = certified.coefficients
+    rep = verify_witness(c, 1e-5, DEFAULT_MARGIN, 20.0)
+    assert rep.certified and rep.grid_step == 1e-5
+    path = tmp_path / "old.json"
+    write_certificate(path, c, rep)
+    rep2, reproduced = verify_certificate_file(path, reg)
+    assert reproduced
+    assert rep2.grid_step == 1e-5
+    assert rep2.min_grid_value == rep.min_grid_value
 
 
 def test_certificate_file_roundtrip_and_tamper(reg, tmp_path):
