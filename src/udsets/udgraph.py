@@ -17,7 +17,11 @@ and the independence/1-avoidance correspondence is exact for N >= 2.
 Samplers (random greedy, hard-core Glauber at fugacity 1) and the exact
 branch-and-bound solver accept any object with ``n_vertices`` and
 ``neighbors(v)``; ``SmallGraph`` wraps explicit adjacency lists for test
-geometry such as abstract unit-distance graphs.
+geometry such as abstract unit-distance graphs.  Glauber keeps a count of
+occupied neighbors per vertex, so only a change of state reads a neighbor
+list; the exact solver prunes by the candidate popcount and then by a
+greedy clique cover of the candidates, which bounds their independence
+number from above.  Both give exactly the results of the plain loops.
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ C1_EDGE_TO_S1 = 4.0 * np.pi * np.sqrt(2.0)
 
 MAX_EXACT_VERTICES = 2500
 
+# elements per bulk step of the Python-loop kernels: one chunk of a sampler's
+# walk, or one tile of cross cell pairs in the block merge
+_CHUNK = 1 << 16
+
 
 class SmallGraph:
     """Explicit adjacency lists; the test hook for abstract graphs."""
@@ -83,7 +91,7 @@ class SmallGraph:
 class UDGraph:
     N: int
     K: int
-    offsets: np.ndarray  # (deg, 2) signed cell offsets, lexicographically sorted
+    offsets: np.ndarray  # (deg, 2) cyclic cell offsets in [0, S), lexicographically sorted
 
     @property
     def side(self) -> int:
@@ -207,17 +215,25 @@ def subset_stats(G: UDGraph, F) -> SubsetStats:
 # ---------------------------------------------------------------------------
 
 def greedy_mis(G, seed: int) -> IndepSet:
-    """Maximal independent set by uniformly random sequential insertion."""
+    """Maximal independent set by uniformly random sequential insertion.
+
+    ``order`` is walked in chunks of ``_CHUNK``: within a chunk only the
+    vertices still unblocked at its start are visited, and each is checked
+    again at its turn, so this is the plain sequential walk with most of the
+    blocked vertices skipped in bulk.
+    """
     n = G.n_vertices
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     members = np.zeros(n, dtype=bool)
     blocked = np.zeros(n, dtype=bool)
-    for v in order:
-        if not blocked[v]:
-            members[v] = True
-            blocked[v] = True
-            blocked[G.neighbors(int(v))] = True
+    for start in range(0, n, _CHUNK):
+        chunk = order[start : start + _CHUNK]
+        for v in chunk[~blocked[chunk]].tolist():
+            if not blocked[v]:
+                members[v] = True
+                blocked[v] = True
+                blocked[G.neighbors(v)] = True
     return IndepSet(G, members)
 
 
@@ -227,6 +243,9 @@ def glauber_chain(G, steps: int, seed: int, record_every: int | None = None):
     Each step picks a uniform vertex and resamples it: occupy with probability
     1/2 when no neighbor is occupied, else vacate.  The uniform distribution
     over independent sets is stationary and reversible for this kernel.
+    ``busy[v]`` counts the occupied neighbors of v, so a step reads two
+    entries and fetches a neighbor list only when v changes state (neighbor
+    lists are duplicate-free, so the fancy-indexed update is exact).
     Returns (final members, list of thinned snapshots).
     """
     if steps < 1:
@@ -234,18 +253,27 @@ def glauber_chain(G, steps: int, seed: int, record_every: int | None = None):
     n = G.n_vertices
     rng = np.random.default_rng(seed)
     occ = np.zeros(n, dtype=bool)
+    busy = np.zeros(n, dtype=np.int64)
     snapshots = []
     verts = rng.integers(0, n, size=steps)
     coins = rng.random(steps)
-    for i in range(steps):
-        v = int(verts[i])
-        if coins[i] < 0.5:
-            if not occ[v] and not np.any(occ[G.neighbors(v)]):
-                occ[v] = True
-        else:
-            occ[v] = False
-        if record_every and (i + 1) % record_every == 0:
-            snapshots.append(occ.copy())
+    for start in range(0, steps, _CHUNK):
+        stop = min(start + _CHUNK, steps)
+        chunk = zip(
+            range(start + 1, stop + 1),
+            verts[start:stop].tolist(),
+            (coins[start:stop] < 0.5).tolist(),
+        )
+        for i, v, up in chunk:
+            if up:
+                if not occ[v] and busy[v] == 0:
+                    occ[v] = True
+                    busy[G.neighbors(v)] += 1
+            elif occ[v]:
+                occ[v] = False
+                busy[G.neighbors(v)] -= 1
+            if record_every and i % record_every == 0:
+                snapshots.append(occ.copy())
     return occ, snapshots
 
 
@@ -266,12 +294,46 @@ class MaxISResult:
     exact: bool
 
 
+def _clique_cover(cand: int, adj: list, limit: int) -> int:
+    """Size of a greedy clique partition of the bitset ``cand``, or limit + 1.
+
+    Each clique grows from the lowest remaining vertex by repeatedly adding
+    the lowest vertex adjacent to all members.  An independent set meets each
+    clique at most once, so the count bounds alpha(cand) from above; the scan
+    stops as soon as the count exceeds ``limit``.
+    """
+    count = 0
+    while cand:
+        count += 1
+        if count > limit:
+            return count
+        b = cand & -cand
+        common = adj[b.bit_length() - 1] & cand
+        cand &= ~b
+        while common:
+            b = common & -common
+            cand &= ~b
+            common &= adj[b.bit_length() - 1]
+    return count
+
+
+def _mask_members(mask: int, n: int) -> np.ndarray:
+    """The bool vector of the vertex bitset ``mask``."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+
+
 def max_is_exact(G, time_budget: float = 60.0, upper_bound_hint: int | None = None) -> MaxISResult:
     """Exhaustive branch-and-bound MIS with bitset candidate sets.
 
+    A node is pruned when its size plus the popcount of its candidates, or
+    plus a greedy clique cover of them, cannot beat the incumbent.  Pruning
+    drops only subtrees with no strictly better leaf and the branching order
+    is fixed, so the cover bound changes the node count, never the result.
     Exact when the search completes inside the budget (the certificate is the
     exhaustion itself: upper bound == incumbent).  On budget exhaustion raises
-    SearchTimeout carrying the incumbent and the best available bound.
+    SearchTimeout carrying the incumbent and the root bound: the hint, or
+    the clique cover of all vertices when that is smaller.
     """
     from .errors import SearchTimeout
 
@@ -303,25 +365,23 @@ def max_is_exact(G, time_budget: float = 60.0, upper_bound_hint: int | None = No
     best_mask = inc_mask
     best_size = inc_mask.bit_count()
 
-    deadline = time.monotonic() + time_budget
-    full = (1 << n) - 1
     hint = upper_bound_hint if upper_bound_hint is not None else n
+    root_bound = min(hint, _clique_cover((1 << n) - 1, adj, n))
+    deadline = time.monotonic() + time_budget
 
-    stack = [(full, 0, 0)]
+    stack = [((1 << n) - 1, 0, 0)]
     nodes = 0
     while stack:
         cand, cur_mask, cur_size = stack.pop()
         nodes += 1
         if nodes % 4096 == 0 and time.monotonic() > deadline:
-            members = np.zeros(n, dtype=bool)
-            for v in range(n):
-                members[v] = bool(best_mask >> v & 1)
             raise SearchTimeout(
                 "branch-and-bound budget exhausted",
-                best=IndepSet(G, members),
-                upper_bound=min(hint, n),
+                best=IndepSet(G, _mask_members(best_mask, n)),
+                upper_bound=root_bound,
             )
-        if cur_size + cand.bit_count() <= best_size:
+        room = best_size - cur_size
+        if cand.bit_count() <= room or _clique_cover(cand, adj, room) <= room:
             continue
         if cand == 0:
             best_size = cur_size
@@ -334,10 +394,7 @@ def max_is_exact(G, time_budget: float = 60.0, upper_bound_hint: int | None = No
         v = b.bit_length() - 1
         stack.append((cand & ~(adj[v] | b), cur_mask | b, cur_size + 1))  # include
 
-    members = np.zeros(n, dtype=bool)
-    for v in range(n):
-        members[v] = bool(best_mask >> v & 1)
-    return MaxISResult(IndepSet(G, members), best_size, best_size, True)
+    return MaxISResult(IndepSet(G, _mask_members(best_mask, n)), best_size, best_size, True)
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +414,53 @@ def _wrapped_delta(a, b, S):
     return (a[:, None] - b[None, :] + S // 2) % S - S // 2
 
 
-def _pair_dmax_min_and_dmin_min(j1, k1, j2, k2, N, S):
-    """Min over cross cell pairs of dmax and of dmin (exact, length units)."""
+def _cross_min_d2(j1, k1, j2, k2, S):
+    """Per cell of set 2, the min over set 1 of squared dmax and of dmin.
+
+    Cell units: index offsets (dj, dk) give dmax^2 = (dj+1)^2 + (dk+1)^2 and
+    dmin^2 = max(dj-1, 0)^2 + max(dk-1, 0)^2, exact integers.
+    """
     dj = np.abs(_wrapped_delta(j1, j2, S))
     dk = np.abs(_wrapped_delta(k1, k2, S))
     dmax2 = (dj + 1) ** 2 + (dk + 1) ** 2
     dmin2 = np.maximum(dj - 1, 0) ** 2 + np.maximum(dk - 1, 0) ** 2
-    return (
-        float(np.sqrt(dmax2.min())) / N,
-        float(np.sqrt(dmin2.min())) / N,
-    )
+    return dmax2.min(axis=0), dmin2.min(axis=0)
 
 
-def _component_diameter(j, k, N, S):
-    """Exact diameter of a cell union (length units), wrap-recentered."""
+def _gap_d2(b1, parts, S):
+    """Min squared dmax and dmin over cross cell pairs of b1 and each of parts.
+
+    The partners' cells are laid end to end and swept in tiles of at most
+    ``_CHUNK`` cross pairs (a tall b1 is split over its rows); per-partner
+    minima are then segment minima of the per-cell ones.
+    """
+    j1, k1 = b1
+    j2 = np.concatenate([p[0] for p in parts])
+    k2 = np.concatenate([p[1] for p in parts])
+    rows = min(len(j1), _CHUNK)
+    cols = max(_CHUNK // rows, 1)
+    hi2 = np.empty(len(j2), dtype=np.int64)
+    lo2 = np.empty(len(j2), dtype=np.int64)
+    for c in range(0, len(j2), cols):
+        sl = slice(c, c + cols)
+        hi2[sl], lo2[sl] = _cross_min_d2(j1[:rows], k1[:rows], j2[sl], k2[sl], S)
+        for r in range(rows, len(j1), rows):
+            hi, lo = _cross_min_d2(j1[r : r + rows], k1[r : r + rows], j2[sl], k2[sl], S)
+            np.minimum(hi2[sl], hi, out=hi2[sl])
+            np.minimum(lo2[sl], lo, out=lo2[sl])
+    starts = np.cumsum([0] + [len(p[0]) for p in parts[:-1]])
+    return np.minimum.reduceat(hi2, starts), np.minimum.reduceat(lo2, starts)
+
+
+def _component_diameter(j, k, boundary, N, S):
+    """Exact diameter of a cell union (length units), wrap-recentered.
+
+    ``boundary`` flags the cells with an edge-neighbor outside the union; the
+    others have all four edge-neighbors inside it, so each of their corners
+    is the midpoint of two corners of the union and cannot be extreme.  Only
+    a union covering the whole torus lacks boundary cells, and the span test
+    returns before the hull for it.
+    """
     if len(j) == 1:
         return np.sqrt(2.0) / N
     jc = (j - j[0] + S // 2) % S - S // 2
@@ -382,7 +472,7 @@ def _component_diameter(j, k, N, S):
     # corners, i.e. over (dj+1, dk+1) combinations of index differences
     from scipy.spatial import ConvexHull
 
-    pts = np.column_stack([jc, kc]).astype(float)
+    pts = np.column_stack([jc[boundary], kc[boundary]]).astype(float)
     corners = np.concatenate(
         [pts + np.array(c) for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
     )
@@ -417,7 +507,7 @@ def block_decomposition(A) -> BlockReport:
     if not grid.any():
         return BlockReport([], True, 0, 0.0, float("inf"))
 
-    # union-find over component labels; each branch below sizes ``parent``
+    # union-find whose roots are component minima; each use sizes ``parent``
     def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
@@ -429,10 +519,10 @@ def block_decomposition(A) -> BlockReport:
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
+    js, ks = np.nonzero(grid)
     if N >= 3:
         # 8-adjacent cells always satisfy dmax < 1; label then torus-merge
         lab, n_lab = ndimage.label(grid, structure=np.ones((3, 3), dtype=int))
-        lab = lab.copy()
         parent = list(range(n_lab + 1))
         for shift in (-1, 0, 1):
             row_pairs = grid[-1, :] & np.roll(grid[0, :], -shift)
@@ -441,64 +531,63 @@ def block_decomposition(A) -> BlockReport:
             col_pairs = grid[:, -1] & np.roll(grid[:, 0], -shift)
             for j in np.nonzero(col_pairs)[0]:
                 union(int(lab[j, -1]), int(lab[(j + shift) % S, 0]))
-        js, ks = np.nonzero(grid)
-        roots = np.array([find(int(lab[j, k])) for j, k in zip(js, ks)])
+        roots = np.array([find(x) for x in range(n_lab + 1)])[lab[js, ks]]
     else:
-        js, ks = np.nonzero(grid)
         roots = np.arange(len(js))
-        parent = list(range(len(js) + 1))
 
-    comp = {}
-    for idx, r in enumerate(roots):
-        comp.setdefault(int(r), []).append(idx)
-    labels = sorted(comp)
-    cells_of = {r: (js[comp[r]], ks[comp[r]]) for r in labels}
+    # provisional components, indexed 0..L-1 in increasing root order; each
+    # lists its cells in increasing cell order
+    inverse = np.unique(roots, return_inverse=True)[1]
+    comp = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    L = len(comp)
 
     # merge provisional components whose closest cell pair has dmax < 1,
     # using boundary cells to keep the pair products small
-    bmask = _boundary_cells(grid)
-    bound_of = {}
-    for r in labels:
-        j, k = cells_of[r]
-        onb = bmask[j, k]
-        bound_of[r] = (j[onb], k[onb]) if onb.any() else (j, k)
-    centers = {}
-    radius = {}
-    for r in labels:
-        j, k = cells_of[r]
+    onb = _boundary_cells(grid)[js, ks]
+    cj, ck, radius = np.empty(L), np.empty(L), np.empty(L)
+    bound_of = []
+    for i, idx in enumerate(comp):
+        j, k = js[idx], ks[idx]
         jc = (j - j[0] + S // 2) % S - S // 2
         kc = (k - k[0] + S // 2) % S - S // 2
-        cj, ck = j[0] + jc.mean(), k[0] + kc.mean()
-        centers[r] = (cj, ck)
-        radius[r] = float(np.hypot(jc - jc.mean(), kc - kc.mean()).max() + 1.0)
+        cj[i], ck[i] = j[0] + jc.mean(), k[0] + kc.mean()
+        radius[i] = np.hypot(jc - jc.mean(), kc - kc.mean()).max() + 1.0
+        b = onb[idx]
+        bound_of.append((j[b], k[b]) if b.any() else (j, k))
 
-    pair_gap = {}
-    for i, r1 in enumerate(labels):
-        for r2 in labels[i + 1 :]:
-            dj = (centers[r1][0] - centers[r2][0] + S / 2) % S - S / 2
-            dk = (centers[r1][1] - centers[r2][1] + S / 2) % S - S / 2
-            if np.hypot(dj, dk) > radius[r1] + radius[r2] + N + 2:
-                continue
-            j1, k1 = bound_of[r1]
-            j2, k2 = bound_of[r2]
-            dmax_min, dmin_min = _pair_dmax_min_and_dmin_min(j1, k1, j2, k2, N, S)
-            pair_gap[(r1, r2)] = (dmax_min, dmin_min)
-            if dmax_min < 1.0:
-                union(r1, r2)
+    # candidate pairs (i < p) by a centre-distance filter, then their exact
+    # min dmax and min dmin from boundary cells
+    empty = np.zeros(0, dtype=np.int64)
+    first, second, hi2, lo2 = [empty], [empty], [empty], [empty]
+    for i in range(L - 1):
+        dj = (cj[i] - cj[i + 1 :] + S / 2) % S - S / 2
+        dk = (ck[i] - ck[i + 1 :] + S / 2) % S - S / 2
+        far = np.hypot(dj, dk) > radius[i] + radius[i + 1 :] + N + 2
+        partners = i + 1 + np.flatnonzero(~far)
+        if len(partners):
+            hi, lo = _gap_d2(bound_of[i], [bound_of[p] for p in partners], S)
+            first.append(np.full(len(partners), i))
+            second.append(partners)
+            hi2.append(hi)
+            lo2.append(lo)
+    first, second = np.concatenate(first), np.concatenate(second)
+    dmax_min = np.sqrt(np.concatenate(hi2)) / N
+    dmin_min = np.sqrt(np.concatenate(lo2)) / N
 
-    final = {}
-    for r in labels:
-        final.setdefault(find(r), []).extend(comp[r])
-    blocks = []
-    for r in sorted(final):
-        idx = np.array(final[r])
-        blocks.append((js[idx], ks[idx]))
+    parent = list(range(L))
+    merge = dmax_min < 1.0
+    for i, p in zip(first[merge].tolist(), second[merge].tolist()):
+        union(i, p)
+    final = np.array([find(i) for i in range(L)])
 
-    max_diam = max(_component_diameter(j, k, N, S) for j, k in blocks)
-    merged_root = {r: find(r) for r in labels}
-    min_sep = float("inf")
-    for (r1, r2), (dmax_min, dmin_min) in pair_gap.items():
-        if merged_root[r1] != merged_root[r2]:
-            min_sep = min(min_sep, dmin_min)
+    # blocks in increasing root order; each lists its components' cells in
+    # component order
+    cell_final = final[inverse]
+    cells = np.lexsort((inverse, cell_final))
+    block_idx = np.split(cells, np.flatnonzero(np.diff(cell_final[cells])) + 1)
+    blocks = [(js[idx], ks[idx]) for idx in block_idx]
+    max_diam = max(_component_diameter(js[idx], ks[idx], onb[idx], N, S) for idx in block_idx)
+    apart = final[first] != final[second]
+    min_sep = float(dmin_min[apart].min()) if apart.any() else float("inf")
     ok = max_diam < 1.0 and min_sep > 1.0
     return BlockReport(blocks, bool(ok), len(blocks), max_diam, min_sep)

@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 
 from udsets.constructions import hex_disk_packing, rasterize
+from scipy import ndimage
+from scipy.spatial import ConvexHull
+
+from udsets import udgraph
 from udsets.errors import DomainError, SearchTimeout
 from udsets.torus import GridSet, random_gridset, s
 from udsets.udgraph import (
+    BlockReport,
+    IndepSet,
     SmallGraph,
     block_decomposition,
     build,
@@ -270,3 +276,323 @@ def test_block_decomposition_singletons_at_coarse_scale():
     rep = block_decomposition(GridSet(3, 1, cells))
     # a 1x1 cell alone has diameter sqrt(2) >= 1: not a valid block
     assert not rep.has_block_structure
+
+
+# ---------------------------------------------------------------------------
+# oracles: the plain loops that the fast kernels must reproduce exactly
+# ---------------------------------------------------------------------------
+
+def greedy_oracle(G, seed):
+    """Sequential greedy insertion over the full permutation."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(G.n_vertices)
+    members = np.zeros(G.n_vertices, dtype=bool)
+    blocked = np.zeros(G.n_vertices, dtype=bool)
+    for v in order:
+        if not blocked[v]:
+            members[v] = True
+            blocked[v] = True
+            blocked[G.neighbors(int(v))] = True
+    return members
+
+
+def glauber_oracle(G, steps, seed, record_every=None):
+    """Per-step Glauber that scans the neighbor list at every occupy attempt."""
+    rng = np.random.default_rng(seed)
+    occ = np.zeros(G.n_vertices, dtype=bool)
+    snapshots = []
+    verts = rng.integers(0, G.n_vertices, size=steps)
+    coins = rng.random(steps)
+    for i in range(steps):
+        v = int(verts[i])
+        if coins[i] < 0.5:
+            if not occ[v] and not np.any(occ[G.neighbors(v)]):
+                occ[v] = True
+        else:
+            occ[v] = False
+        if record_every and (i + 1) % record_every == 0:
+            snapshots.append(occ.copy())
+    return occ, snapshots
+
+
+def adjacency_bits(G):
+    return [sum(1 << int(u) for u in set(G.neighbors(v).tolist())) for v in range(G.n_vertices)]
+
+
+def max_is_popcount_oracle(G):
+    """Branch and bound pruned by the candidate popcount alone."""
+    n = G.n_vertices
+    adj = adjacency_bits(G)
+    deg = np.array([len(G.neighbors(v)) for v in range(n)], dtype=np.int64)
+    rank_bit = [1 << int(v) for v in np.argsort(-deg, kind="stable")]
+    best_mask, cand = 0, (1 << n) - 1
+    for v in np.argsort(deg, kind="stable"):
+        b = 1 << int(v)
+        if cand & b:
+            best_mask |= b
+            cand &= ~(adj[int(v)] | b)
+    best_size = best_mask.bit_count()
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        cand, cur_mask, cur_size = stack.pop()
+        if cur_size + cand.bit_count() <= best_size:
+            continue
+        if cand == 0:
+            best_size, best_mask = cur_size, cur_mask
+            continue
+        b = next(b for b in rank_bit if cand & b)
+        stack.append((cand & ~b, cur_mask, cur_size))
+        stack.append((cand & ~(adj[b.bit_length() - 1] | b), cur_mask | b, cur_size + 1))
+    members = np.array([bool(best_mask >> v & 1) for v in range(n)], dtype=bool)
+    return members, best_size
+
+
+def diameter_oracle(j, k, N, S):
+    """Cell-union diameter from the corners of every cell."""
+    if len(j) == 1:
+        return np.sqrt(2.0) / N
+    jc = (j - j[0] + S // 2) % S - S // 2
+    kc = (k - k[0] + S // 2) % S - S // 2
+    if max(jc.max() - jc.min(), kc.max() - kc.min()) + 1 >= S // 2:
+        return float("inf")
+    pts = np.column_stack([jc, kc]).astype(float)
+    corners = np.concatenate([pts + np.array(c) for c in ((0, 0), (0, 1), (1, 0), (1, 1))])
+    if len(corners) > 8:
+        corners = corners[ConvexHull(corners).vertices]
+    d2 = np.max(np.sum((corners[:, None, :] - corners[None, :, :]) ** 2, axis=-1))
+    return float(np.sqrt(d2)) / N
+
+
+def boundary_oracle(grid):
+    interior = grid.copy()
+    for ax, sh in ((0, 1), (0, -1), (1, 1), (1, -1)):
+        interior &= np.roll(grid, sh, axis=ax)
+    return grid & ~interior
+
+
+def block_oracle(A):
+    """Block merge over every pair of provisional components, one at a time."""
+    if isinstance(A, IndepSet):
+        A = A.to_gridset()
+    N, S = A.N, A.side
+    grid = A.cells
+    if not grid.any():
+        return BlockReport([], True, 0, 0.0, float("inf"))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    js, ks = np.nonzero(grid)
+    if N >= 3:
+        lab, n_lab = ndimage.label(grid, structure=np.ones((3, 3), dtype=int))
+        parent = list(range(n_lab + 1))
+        for shift in (-1, 0, 1):
+            for k in np.nonzero(grid[-1, :] & np.roll(grid[0, :], -shift))[0]:
+                union(int(lab[-1, k]), int(lab[0, (k + shift) % S]))
+            for j in np.nonzero(grid[:, -1] & np.roll(grid[:, 0], -shift))[0]:
+                union(int(lab[j, -1]), int(lab[(j + shift) % S, 0]))
+        roots = np.array([find(int(lab[j, k])) for j, k in zip(js, ks)])
+    else:
+        roots = np.arange(len(js))
+        parent = list(range(len(js) + 1))
+    comp = {}
+    for idx, r in enumerate(roots):
+        comp.setdefault(int(r), []).append(idx)
+    labels = sorted(comp)
+    bmask = boundary_oracle(grid)
+    bound_of, centers, radius = {}, {}, {}
+    for r in labels:
+        j, k = js[comp[r]], ks[comp[r]]
+        onb = bmask[j, k]
+        bound_of[r] = (j[onb], k[onb]) if onb.any() else (j, k)
+        jc = (j - j[0] + S // 2) % S - S // 2
+        kc = (k - k[0] + S // 2) % S - S // 2
+        centers[r] = (j[0] + jc.mean(), k[0] + kc.mean())
+        radius[r] = float(np.hypot(jc - jc.mean(), kc - kc.mean()).max() + 1.0)
+    pair_gap = {}
+    for i, r1 in enumerate(labels):
+        for r2 in labels[i + 1 :]:
+            dj = (centers[r1][0] - centers[r2][0] + S / 2) % S - S / 2
+            dk = (centers[r1][1] - centers[r2][1] + S / 2) % S - S / 2
+            if np.hypot(dj, dk) > radius[r1] + radius[r2] + N + 2:
+                continue
+            (j1, k1), (j2, k2) = bound_of[r1], bound_of[r2]
+            dj = np.abs((j1[:, None] - j2[None, :] + S // 2) % S - S // 2)
+            dk = np.abs((k1[:, None] - k2[None, :] + S // 2) % S - S // 2)
+            dmax2 = (dj + 1) ** 2 + (dk + 1) ** 2
+            dmin2 = np.maximum(dj - 1, 0) ** 2 + np.maximum(dk - 1, 0) ** 2
+            gap = (float(np.sqrt(dmax2.min())) / N, float(np.sqrt(dmin2.min())) / N)
+            pair_gap[(r1, r2)] = gap
+            if gap[0] < 1.0:
+                union(r1, r2)
+    final = {}
+    for r in labels:
+        final.setdefault(find(r), []).extend(comp[r])
+    blocks = [(js[np.array(final[r])], ks[np.array(final[r])]) for r in sorted(final)]
+    max_diam = max(diameter_oracle(j, k, N, S) for j, k in blocks)
+    min_sep = float("inf")
+    for (r1, r2), (_, dmin) in pair_gap.items():
+        if find(r1) != find(r2):
+            min_sep = min(min_sep, dmin)
+    ok = max_diam < 1.0 and min_sep > 1.0
+    return BlockReport(blocks, bool(ok), len(blocks), max_diam, min_sep)
+
+
+def assert_reports_equal(got, want):
+    assert got.n_blocks == want.n_blocks == len(got.blocks)
+    for (gj, gk), (wj, wk) in zip(got.blocks, want.blocks):
+        assert gj.dtype == wj.dtype and gk.dtype == wk.dtype
+        assert np.array_equal(gj, wj) and np.array_equal(gk, wk)
+    for name in ("has_block_structure", "max_diameter", "min_separation"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert type(g) is type(w) and g == w, (name, g, w)
+
+
+# ---------------------------------------------------------------------------
+# the fast kernels against the oracles
+# ---------------------------------------------------------------------------
+
+def glauber_cases():
+    return [
+        (build(8, 4), 20_000, 997),
+        (build(2, 4), 20_000, 61),
+        (SmallGraph(9, [(v, v + 1) for v in range(8)]), 5_000, 7),
+        (SmallGraph(6, []), 5_000, 5),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_glauber_matches_oracle_state_and_snapshots(seed):
+    for G, steps, every in glauber_cases():
+        occ, snaps = glauber_chain(G, steps, seed, record_every=every)
+        want_occ, want_snaps = glauber_oracle(G, steps, seed, record_every=every)
+        assert np.array_equal(occ, want_occ)
+        assert len(snaps) == len(want_snaps) == steps // every
+        assert all(np.array_equal(a, b) for a, b in zip(snaps, want_snaps))
+
+
+@pytest.mark.parametrize("N,K,seed", [(100, 10, 17), (4, 4, 5), (4, 4, 6)])
+def test_greedy_matches_sequential_oracle(N, K, seed):
+    G = build(N, K)
+    assert np.array_equal(greedy_mis(G, seed).members, greedy_oracle(G, seed))
+
+
+def random_small_graphs(count=20, seed=2024):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 25))
+        p = rng.uniform(0.05, 0.6)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        yield SmallGraph(n, edges)
+
+
+def test_max_is_exact_matches_popcount_oracle():
+    graphs = [build(2, 3), build(2, 5), SmallGraph(7, SPINDLE_EDGES)]
+    for G in graphs + list(random_small_graphs()):
+        res = max_is_exact(G)
+        members, size = max_is_popcount_oracle(G)
+        assert res.exact and res.size == res.upper_bound == size
+        assert np.array_equal(res.indep_set.members, members)
+
+
+def test_root_clique_cover_bounds_alpha():
+    graphs = [build(2, 3), build(2, 5), build(1, 7), SmallGraph(7, SPINDLE_EDGES)]
+    for G in graphs + list(random_small_graphs(count=10, seed=7)):
+        n = G.n_vertices
+        cover = udgraph._clique_cover((1 << n) - 1, adjacency_bits(G), n)
+        assert max_is_exact(G).size <= cover <= n
+    G = build(2, 5)
+    assert udgraph._clique_cover((1 << 100) - 1, adjacency_bits(G), 100) < 100
+
+
+def test_timeout_bound_is_the_root_clique_cover():
+    G = build(4, 4)
+    n = G.n_vertices
+    cover = udgraph._clique_cover((1 << n) - 1, adjacency_bits(G), n)
+    assert cover < n
+    for hint, want in ((None, cover), (n, cover), (cover - 1, cover - 1)):
+        with pytest.raises(SearchTimeout) as exc:
+            max_is_exact(G, time_budget=0.0005, upper_bound_hint=hint)
+        assert exc.value.upper_bound == want
+        assert exc.value.best.size <= want
+
+
+def block_cases():
+    G40, G8 = build(40, 10), build(8, 4)
+    yield greedy_mis(G40, 2)
+    yield greedy_mis(G8, 1)
+    yield greedy_mis(G8, 4)
+    yield rasterize(hex_disk_packing(), 64, 8, beta=0.01)
+    for p, seed in ((0.05, 1), (0.2, 2), (0.5, 3)):
+        yield random_gridset(16, 4, p=p, seed=seed)
+        yield random_gridset(2, 5, p=p, seed=seed)  # N < 3: every cell alone
+
+
+def test_block_decomposition_matches_pairwise_oracle():
+    for A in block_cases():
+        assert_reports_equal(block_decomposition(A), block_oracle(A))
+
+
+def test_small_chunks_keep_every_output(monkeypatch):
+    """Chunk and tile edges fall everywhere when a chunk holds 5 elements."""
+    monkeypatch.setattr(udgraph, "_CHUNK", 5)
+    G = build(4, 4)
+    assert np.array_equal(greedy_mis(G, 3).members, greedy_oracle(G, 3))
+    occ, snaps = glauber_chain(G, 2_000, 3, record_every=3)
+    want_occ, want_snaps = glauber_oracle(G, 2_000, 3, record_every=3)
+    assert np.array_equal(occ, want_occ)
+    assert all(np.array_equal(a, b) for a, b in zip(snaps, want_snaps))
+    for A in (greedy_mis(build(8, 4), 1), rasterize(hex_disk_packing(), 16, 4, beta=0.01)):
+        assert_reports_equal(block_decomposition(A), block_oracle(A))
+
+
+def test_component_diameter_from_boundary_cells():
+    interior_seen = False
+    for A in (rasterize(hex_disk_packing(), 64, 8, beta=0.01), random_gridset(16, 4, p=0.5, seed=3)):
+        N, S = A.N, A.side
+        onb = boundary_oracle(A.cells)
+        for j, k in block_decomposition(A).blocks:
+            got = udgraph._component_diameter(j, k, onb[j, k], N, S)
+            want = diameter_oracle(j, k, N, S)
+            assert type(got) is type(want) and got == want
+            interior_seen |= not onb[j, k].all()
+    assert interior_seen
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64, 1 << 16])
+def test_gap_tiles_match_direct_minima(monkeypatch, chunk):
+    monkeypatch.setattr(udgraph, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    S = 40
+
+    def cells(m):
+        return rng.integers(0, S, m), rng.integers(0, S, m)
+
+    for _ in range(20):
+        b1 = cells(int(rng.integers(1, 40)))
+        parts = [cells(int(rng.integers(1, 30))) for _ in range(int(rng.integers(1, 6)))]
+        hi2, lo2 = udgraph._gap_d2(b1, parts, S)
+        for p, hi, lo in zip(parts, hi2, lo2):
+            dj = np.abs((b1[0][:, None] - p[0][None, :] + S // 2) % S - S // 2)
+            dk = np.abs((b1[1][:, None] - p[1][None, :] + S // 2) % S - S // 2)
+            assert hi == ((dj + 1) ** 2 + (dk + 1) ** 2).min()
+            assert lo == (np.maximum(dj - 1, 0) ** 2 + np.maximum(dk - 1, 0) ** 2).min()
+
+
+@pytest.mark.parametrize("far,measured", [((0, 8), True), ((5, 7), False)])
+def test_centre_filter_edge(far, measured):
+    # two lone cells at N = 4 (radius 1 each): the pair is measured iff the
+    # centre distance is at most 1 + 1 + N + 2 = 8 cells
+    cells = np.zeros((16, 16), dtype=bool)
+    cells[0, 0] = cells[far] = True
+    A = GridSet(4, 4, cells)
+    rep = block_decomposition(A)
+    assert_reports_equal(rep, block_oracle(A))
+    assert rep.n_blocks == 2 and np.isfinite(rep.min_separation) == measured
