@@ -283,12 +283,7 @@ def cmd_verify(args) -> int:
 def cmd_gamma(args) -> int:
     reg = _load_registry_arg(args.registry)
     doc = witness.load_certificate(args.certificate)
-    raw = doc["coefficients"]
-    coeffs = witness.WitnessCoefficients(
-        v0=raw["v0"], v1=raw["v1"], v196=raw["v196"],
-        w_m=tuple(raw["w_m"]), w_t=tuple(raw["w_t"]),
-        w_theta=tuple(raw["w_theta"]), registry=reg,
-    )
+    coeffs = witness.certificate_coefficients(doc, reg)
     from .errors import FeasibilityError
 
     try:

@@ -12,16 +12,17 @@ Two independent pipelines compute the pair correlation f(r):
   bound tail_mass * envelope(...).
 * direct geometry: the autocorrelation of a cell union is the bilinear
   interpolation of the integer pair-count array (an exact identity, since the
-  1D cell autocorrelation is the unit triangle), angle-averaged by seeded
-  stratified sampling.
+  1D cell autocorrelation is the unit triangle).  Its circle average is
+  integrated in closed form, arc by arc between the circle's grid-line
+  crossings, and its sup-norm sphere average is an exact trapezoid sum over
+  the 1/N knots; both are exact up to float roundoff.
 
-The pair-count array (``DirectCorrelator.counts``, one real FFT round trip)
-is computed in one place: it feeds both the direct correlation here and the
-internal edge counts of ``udgraph``, which read it at the graph's neighbor
-offsets.
+The pair-count array (``pair_counts``, one real FFT round trip) is computed
+in one place: it feeds both direct averages here and the internal edge
+counts of ``udgraph``, which read it at the graph's neighbor offsets.
 
 The spectral path produces certified `PairCorrEval`s; the direct path is the
-cross-validation oracle.  Both are deterministic given their inputs.
+exact cross-validation oracle.  Both are deterministic given their inputs.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ __all__ = [
     "GridSet",
     "Spectrum",
     "PairCorrEval",
-    "DirectCorrelator",
     "spectrum",
     "spectrum_auto",
     "pair_correlation",
     "pair_correlation_direct",
+    "pair_counts",
     "s",
     "checkerboard",
     "linf_unit_pair_density",
@@ -234,70 +235,81 @@ def pair_correlation(S: Spectrum, r: float) -> PairCorrEval:
     return PairCorrEval(r, value, rigor)
 
 
-class DirectCorrelator:
-    """Exact autocorrelation of a GridSet via the integer pair-count array.
+def pair_counts(A: GridSet) -> np.ndarray:
+    """Integer pair-count array of A (one real FFT round trip).
 
     counts[dx, dy] is the number of ordered occupied cell pairs at cyclic cell
-    offset (dx, dy); the autocorrelation at a real shift is the bilinear
-    interpolation of counts divided by (NK)^2.
+    offset (dx, dy), held as exact float64 integers.  Its bilinear
+    interpolation divided by (NK)^2 is the autocorrelation delta(A ∩ (A - x))
+    at every real shift x = (dx, dy)/N.
     """
-
-    def __init__(self, A: GridSet):
-        self.A = A
-        self.S = A.side
-        F = np.fft.rfft2(A.cells.astype(np.float64))
-        counts = np.fft.irfft2(np.abs(F) ** 2, s=(self.S, self.S))
-        self.counts = np.rint(counts)
-        if not np.all(np.abs(counts - self.counts) < 0.4):
-            raise AssertionError("pair-count FFT roundtrip lost integrality")
-
-    def shift_value(self, sx, sy) -> np.ndarray:
-        """delta(A ∩ (A - x)) for x = (sx, sy)/N given in cell units."""
-        S = self.S
-        sx = np.asarray(sx, dtype=float)
-        sy = np.asarray(sy, dtype=float)
-        i0 = np.floor(sx).astype(np.int64)
-        j0_ = np.floor(sy).astype(np.int64)
-        fx = sx - i0
-        fy = sy - j0_
-        i0 %= S
-        j0_ %= S
-        i1 = (i0 + 1) % S
-        j1 = (j0_ + 1) % S
-        c = self.counts
-        B = (
-            c[i0, j0_] * (1 - fx) * (1 - fy)
-            + c[i1, j0_] * fx * (1 - fy)
-            + c[i0, j1] * (1 - fx) * fy
-            + c[i1, j1] * fx * fy
-        )
-        return B / (S * S)
-
-    def autocorrelation(self, x, y) -> np.ndarray:
-        """delta(A ∩ (A - (x, y))) for shifts given in torus length units."""
-        return self.shift_value(np.asarray(x) * self.A.N, np.asarray(y) * self.A.N)
+    S = A.side
+    F = np.fft.rfft2(A.cells.astype(np.float64))
+    raw = np.fft.irfft2(np.abs(F) ** 2, s=(S, S))
+    counts = np.rint(raw)
+    if not np.all(np.abs(raw - counts) < 0.4):
+        raise AssertionError("pair-count FFT roundtrip lost integrality")
+    return counts
 
 
-def pair_correlation_direct(
-    A: GridSet, r: float, angle_samples: int = 4096, rng_seed: int = 0
-) -> float:
-    """Angle-averaged autocorrelation at radius r (stratified Monte Carlo).
+def _circle_integral(counts: np.ndarray, rho: float) -> float:
+    """Integral over theta in [0, 2 pi) of the bilinear interpolant of counts
+    at (rho cos theta, rho sin theta), in cell units.
 
-    Each sampled angle is evaluated exactly from cell geometry; only the
-    angular average is sampled.  Cross-validation oracle for the spectral
-    pipeline; deterministic given rng_seed.
+    counts[-d] = counts[d], so the circle is twice the first quadrant plus
+    twice its mirror image x -> -x.  The quadrant is cut where it crosses the
+    grid lines, in angular chunks of about 8192 arcs at most, so memory stays
+    bounded at any radius.  On each arc (midpoint angle m, half-width h) the
+    interpolant is a + b u + c v + d u v in the cell coordinates (u, v),
+    integrated in closed form about the arc midpoint (u_m, v_m), so every
+    term stays of the size of the arc.
     """
-    if angle_samples < 1:
-        raise DomainError("angle_samples must be >= 1")
-    if not math.isfinite(r) or r < 0:
+    S = counts.shape[0]
+    edges = np.linspace(0.0, 0.5 * math.pi, 2 + int(rho) // 4096)
+    total = 0.0
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        xs = np.arange(math.ceil(rho * math.cos(t1)), math.floor(rho * math.cos(t0)) + 1)
+        ys = np.arange(math.ceil(rho * math.sin(t0)), math.floor(rho * math.sin(t1)) + 1)
+        cuts = np.concatenate([[t0, t1], np.arccos(xs / rho), np.arcsin(ys / rho)])
+        cuts = np.unique(np.clip(cuts, t0, t1))
+        m, h = 0.5 * (cuts[:-1] + cuts[1:]), 0.5 * np.diff(cuts)
+        cm, sm = np.cos(m), np.sin(m)
+        i0, j0 = np.floor(rho * cm), np.floor(rho * sm)
+        um, vm = rho * cm - i0, rho * sm - j0
+        # integrals over t in [-h, h] of cos t - 1 and of (cos t - 1)^2 - sin^2 t
+        sin_h = np.sin(h)
+        e1 = 2.0 * (sin_h - h)
+        q = -e1 - 4.0 * sin_h * np.sin(0.5 * h) ** 2
+        int_u = 2.0 * h * um + rho * cm * e1
+        int_v = 2.0 * h * vm + rho * sm * e1
+        int_uv = 2.0 * h * um * vm + rho * e1 * (um * sm + vm * cm) + rho * rho * sm * cm * q
+        i0, j0 = i0.astype(np.int64), j0.astype(np.int64) % S
+        j1 = (j0 + 1) % S
+        for sign in (1, -1):  # the quadrant, then its mirror x -> -x
+            a, b = (sign * i0) % S, (sign * (i0 + 1)) % S
+            c00, c10, c01, c11 = counts[a, j0], counts[b, j0], counts[a, j1], counts[b, j1]
+            arcs = c00 * 2.0 * h + (c10 - c00) * int_u + (c01 - c00) * int_v
+            total += 2.0 * float((arcs + (c11 - c10 - c01 + c00) * int_uv).sum())
+    return total
+
+
+def pair_correlation_direct(A: GridSet, r):
+    """Circle average of the autocorrelation of A at radius r, in closed form.
+
+    The autocorrelation is the bilinear interpolant of ``pair_counts(A)``, so
+    the average is integrated exactly, arc by arc; the only error is float
+    roundoff.  Cross-validation oracle for the spectral pipeline.  ``r`` may
+    be an array of radii, which share one pair-count array.
+    """
+    rs = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(rs)) or np.any(rs < 0):
         raise DomainError("r must be finite and >= 0")
-    corr = DirectCorrelator(A)
-    rng = np.random.default_rng(rng_seed)
-    theta = (np.arange(angle_samples) + rng.random(angle_samples)) * (
-        2.0 * math.pi / angle_samples
+    counts = pair_counts(A)
+    norm = 2.0 * math.pi * A.side**2
+    vals = np.array(
+        [A.density if x == 0 else _circle_integral(counts, x * A.N) / norm for x in rs.flat]
     )
-    vals = corr.autocorrelation(r * np.cos(theta), r * np.sin(theta))
-    return float(vals.mean())
+    return float(vals[0]) if rs.ndim == 0 else vals.reshape(rs.shape)
 
 
 def s(A, r: float, cutoff_m: int | None = None) -> float:
@@ -329,36 +341,23 @@ def checkerboard(N: int, K: int) -> GridSet:
     return GridSet(K, N, cells)
 
 
-def linf_unit_pair_density(A: GridSet, boundary_samples: int = 64) -> float:
+def linf_unit_pair_density(A: GridSet) -> float:
     """Mean autocorrelation over the sup-norm unit sphere, normalized by density.
 
-    The integrand is piecewise linear in the edge parameter with breakpoints
-    on the 1/N grid, so trapezoid integration over the breakpoint knots is
-    exact; boundary_samples only adds (harmless) uniform refinement.
+    On the edge x = 1 the autocorrelation is counts[N, k] / (NK)^2 at the
+    knots y = k/N and linear in between, so the trapezoid sum over
+    k = -N..N is exact; the edge y = 1 reads counts[k, N], and opposite edges
+    are equal by symmetry.
     """
-    if boundary_samples < 4:
-        raise DomainError("boundary_samples must be >= 4")
     if A.occupied == 0:
         raise DegenerateSetError("undefined for the empty set")
-    corr = DirectCorrelator(A)
-    N = A.N
-
-    knots = np.unique(
-        np.concatenate(
-            [
-                np.arange(-N, N + 1) / N,
-                np.linspace(-1.0, 1.0, boundary_samples),
-            ]
-        )
-    )
-
-    def edge_integral(fvals):
-        return float(np.trapezoid(fvals, knots))
-
-    ix = edge_integral(corr.autocorrelation(np.ones_like(knots), knots))
-    iy = edge_integral(corr.autocorrelation(knots, np.ones_like(knots)))
-    mean_over_sphere = (ix + iy) / 4.0  # opposite edges equal by symmetry
-    return mean_over_sphere / A.density
+    counts = pair_counts(A)
+    N, S = A.N, A.side
+    ks = np.arange(-N, N + 1) % S
+    weights = np.ones(2 * N + 1)
+    weights[[0, -1]] = 0.5  # trapezoid weights on the knots y = k/N
+    edges = float(weights @ counts[N % S, ks] + weights @ counts[ks, N % S])
+    return edges / (4.0 * N * S * S) / A.density
 
 
 def random_gridset(N: int, K: int, p: float = 0.5, seed: int = 0) -> GridSet:

@@ -33,7 +33,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DomainError
-from .torus import DirectCorrelator, GridSet
+from .torus import GridSet, pair_counts
 
 __all__ = [
     "UDGraph",
@@ -192,7 +192,7 @@ def _as_grid_bool(G: UDGraph, F) -> np.ndarray:
 
 def internal_edge_count(G: UDGraph, F) -> int:
     """Edges of G inside F: half the ordered pair counts at G's offsets."""
-    counts = DirectCorrelator(GridSet(G.K, G.N, _as_grid_bool(G, F))).counts
+    counts = pair_counts(GridSet(G.K, G.N, _as_grid_bool(G, F)))
     total = int(counts[G.offsets[:, 0], G.offsets[:, 1]].sum())
     assert total % 2 == 0
     return total // 2

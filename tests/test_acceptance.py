@@ -101,8 +101,8 @@ def test_c02_spectral_identities():
         assert abs(float(spec.kappas.sum()) + spec.tail_mass - A.density) <= 1e-9
         for r in probes:
             ev = pair_correlation(spec, r)
-            direct = pair_correlation_direct(A, r, angle_samples=4096, rng_seed=case)
-            tol = ev.rigor_bound + 2.5e-3  # stratified angular-average allowance
+            direct = pair_correlation_direct(A, r)
+            tol = ev.rigor_bound + 1e-9  # the direct value is exact up to roundoff
             gap = abs(ev.value - direct)
             worst_gap = max(worst_gap, gap - ev.rigor_bound)
             assert gap <= tol, (case, N, K, r, gap, tol)

@@ -108,6 +108,29 @@ def test_certify_verify_gamma_cycle(tmp_path):
     assert run("verify", "--certificate", cert) == 2
 
 
+def test_verify_and_gamma_reject_a_foreign_or_malformed_certificate(tmp_path, capsys):
+    out = tmp_path / "cert"
+    assert run("certify", "--delta-plus", 0.30, "--tail-start", 40, "--out", out) == 0
+    good = json.loads((out / "certificate.json").read_text())
+
+    foreign = dict(good, registry_hash="0" * 64)
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(foreign))
+    assert run("verify", "--certificate", path) == 2
+    assert "hash does not match" in capsys.readouterr().out
+    assert run("gamma", "--certificate", path, "--epsilon", 1e-3) == 4
+    assert "hash does not match" in capsys.readouterr().err
+
+    coeffs = dict(good["coefficients"])
+    del coeffs["v1"]
+    path = tmp_path / "no_v1.json"
+    path.write_text(json.dumps(dict(good, coefficients=coeffs)))
+    assert run("verify", "--certificate", path) == 2
+    assert "malformed coefficients" in capsys.readouterr().out
+    assert run("gamma", "--certificate", path, "--epsilon", 1e-3) == 4
+    assert "malformed coefficients" in capsys.readouterr().err
+
+
 def test_certify_derives_the_verify_step(tmp_path):
     out = tmp_path / "derived"
     assert run("certify", "--delta-plus", 0.30, "--tail-start", 40, "--out", out) == 0

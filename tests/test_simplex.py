@@ -51,12 +51,13 @@ def test_unbounded():
 
 
 def test_determinism():
+    # separate calls with identical inputs give identical outputs
     rng = np.random.default_rng(7)
     A = rng.normal(size=(40, 5))
     b = rng.uniform(0.5, 2.0, size=40)
-    r1 = solve_lp(A, b, 5, objective=rng.normal(size=5))
-    r2 = solve_lp(A, b, 5, objective=r1 and rng.normal(size=0) if False else None)
-    # separate calls with identical inputs give identical outputs
-    r3 = solve_lp(A, b, 5)
-    assert r2.status == r3.status
-    assert np.array_equal(r2.x, r3.x)
+    objective = rng.normal(size=5)
+    for kwargs in ({"objective": objective}, {}):
+        r1 = solve_lp(A, b, 5, **kwargs)
+        r2 = solve_lp(A, b, 5, **kwargs)
+        assert r1.status == r2.status
+        assert np.array_equal(r1.x, r2.x)

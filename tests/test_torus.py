@@ -8,12 +8,12 @@ import pytest
 from udsets.errors import DegenerateSetError, DomainError, SchemaError, WorkBudgetError
 from udsets.gridio import load_gridset, save_gridset
 from udsets.torus import (
-    DirectCorrelator,
     GridSet,
     checkerboard,
     linf_unit_pair_density,
     pair_correlation,
     pair_correlation_direct,
+    pair_counts,
     random_gridset,
     s,
     spectrum,
@@ -131,14 +131,134 @@ def test_work_budget_error():
         spectrum(A, 10**9, work_budget=1e6)
 
 
+def bilinear_counts(counts, sx, sy):
+    """Bilinear interpolation of a pair-count array at shifts in cell units."""
+    S = counts.shape[0]
+    i0 = np.floor(sx).astype(np.int64)
+    j0 = np.floor(sy).astype(np.int64)
+    fx = sx - i0
+    fy = sy - j0
+    i0 %= S
+    j0 %= S
+    i1 = (i0 + 1) % S
+    j1 = (j0 + 1) % S
+    c = counts
+    return (
+        c[i0, j0] * (1 - fx) * (1 - fy)
+        + c[i1, j0] * fx * (1 - fy)
+        + c[i0, j1] * (1 - fx) * fy
+        + c[i1, j1] * fx * fy
+    )
+
+
+def midpoint_circle_oracle(A, r, angles=2**16):
+    """Circle average of the bilinear interpolant by midpoint quadrature.
+
+    The circle is split where it crosses the grid lines (found here with
+    arctan2), so the integrand is smooth on every arc.  About ``angles``
+    midpoints are spread over the arcs in proportion to their length, and a
+    Richardson step against half as many points removes the h^2 term of the
+    midpoint rule, leaving an error far below 1e-12.
+    """
+    counts = pair_counts(A)
+    rho = r * A.N
+    if rho == 0.0:
+        return counts[0, 0] / A.side**2
+    lines = np.arange(-math.floor(rho), math.floor(rho) + 1)
+    w = np.sqrt(np.maximum(rho * rho - lines * lines, 0.0))
+    cuts = np.concatenate([
+        np.arctan2(w, lines), np.arctan2(-w, lines),
+        np.arctan2(lines, w), np.arctan2(lines, -w),
+    ])
+    cuts = np.unique(np.concatenate([cuts % (2 * math.pi), [0.0, 2 * math.pi]]))
+    lengths = np.diff(cuts)
+    n = 2 * np.maximum(2, np.ceil(angles * lengths / (4 * math.pi)).astype(np.int64))
+
+    def midpoint(n):
+        arc = np.repeat(np.arange(lengths.size), n)
+        k = np.arange(arc.size) - np.repeat(np.cumsum(n) - n, n)
+        step = (lengths / n)[arc]
+        theta = cuts[arc] + (k + 0.5) * step
+        vals = bilinear_counts(counts, rho * np.cos(theta), rho * np.sin(theta))
+        return np.bincount(arc, vals * step, minlength=lengths.size)
+
+    total = float(((4.0 * midpoint(n) - midpoint(n // 2)) / 3.0).sum())
+    return total / (2 * math.pi * A.side**2)
+
+
+def knot_trapezoid_linf(A, refinement=64):
+    """The sup-norm pair density by trapezoid integration of the bilinear
+    interpolant over the 1/N knots merged with a uniform refinement."""
+    counts = pair_counts(A)
+    N, S = A.N, A.side
+    knots = np.unique(
+        np.concatenate([np.arange(-N, N + 1) / N, np.linspace(-1.0, 1.0, refinement)])
+    )
+    ones = np.ones_like(knots)
+    ix = float(np.trapezoid(bilinear_counts(counts, ones * N, knots * N) / S**2, knots))
+    iy = float(np.trapezoid(bilinear_counts(counts, knots * N, ones * N) / S**2, knots))
+    return (ix + iy) / 4.0 / A.density
+
+
+def test_pair_counts_are_the_ordered_pair_counts():
+    A = random_gridset(2, 3, p=0.5, seed=4)
+    counts = pair_counts(A)
+    for dx in range(A.side):
+        for dy in range(A.side):
+            shifted = np.roll(A.cells, (-dx, -dy), axis=(0, 1))
+            assert counts[dx, dy] == np.count_nonzero(A.cells & shifted)
+
+
 def test_direct_oracle_r0_is_density():
     A = random_gridset(3, 5, seed=2)
-    val = pair_correlation_direct(A, 0.0, angle_samples=16, rng_seed=0)
-    assert val == pytest.approx(A.density, abs=1e-12)
+    assert pair_correlation_direct(A, 0.0) == A.density
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_direct_matches_midpoint_quadrature(seed):
+    N = 2 + seed % 3
+    K = 3 + seed % 2
+    A = random_gridset(N, K, p=0.4, seed=40 + seed)
+    S = A.side
+    radii = (
+        0.0,
+        0.3,
+        1.0 / N,            # rho = 1: the circle passes through lattice points
+        2.0,                # rho = 2N: integer again
+        1.96,
+        (S / 2 + 0.7) / N,  # rho > S/2: the circle wraps around the torus
+    )
+    for r in radii:
+        assert abs(pair_correlation_direct(A, r) - midpoint_circle_oracle(A, r)) <= 1e-12, r
+
+
+def test_direct_matches_midpoint_quadrature_on_a_chunked_circle():
+    # rho = 9000.3 > 2 * 4096: the quadrant is integrated in three chunks
+    A = random_gridset(3, 4, p=0.4, seed=77)
+    r = 3000.1
+    assert abs(pair_correlation_direct(A, r) - midpoint_circle_oracle(A, r)) <= 1e-12
+
+
+def test_direct_is_zero_at_unit_distance_on_the_disk_raster(disk128):
+    A = disk128.grid  # 1-avoiding by construction
+    assert pair_correlation_direct(A, 1.0) == 0.0
+    assert pair_correlation_direct(A, 0.0) == A.density
+
+
+def test_direct_accepts_an_array_of_radii():
+    A = random_gridset(3, 4, p=0.4, seed=8)
+    radii = np.array([0.0, 0.5, 1.0, 1.96])
+    vals = pair_correlation_direct(A, radii)
+    assert vals.shape == radii.shape
+    assert list(vals) == [pair_correlation_direct(A, float(r)) for r in radii]
+    with pytest.raises(DomainError):
+        pair_correlation_direct(A, np.array([1.0, -0.5]))
+    with pytest.raises(DomainError):
+        pair_correlation_direct(A, math.inf)
 
 
 def test_direct_vs_spectral_cross_oracle():
-    # 20 random sets; the two pipelines agree within combined error bounds.
+    # 20 random sets; the exact direct value lies inside the spectral rigor.
     for seed in range(20):
         N = 2 + seed % 3
         K = 3 + seed % 4
@@ -146,9 +266,8 @@ def test_direct_vs_spectral_cross_oracle():
         spec = spectrum_auto(A, r_min=0.25, tail_target=2e-4)
         for r in (0.25, 1.0, 1.96):
             ev = pair_correlation(spec, r)
-            direct = pair_correlation_direct(A, r, angle_samples=4096, rng_seed=seed)
-            # stratified-MC angular error allowance at 4096 strata
-            assert abs(ev.value - direct) <= ev.rigor_bound + 2e-3
+            direct = pair_correlation_direct(A, r)
+            assert abs(ev.value - direct) <= ev.rigor_bound + 1e-9
 
 
 def test_single_cell_vs_direct():
@@ -157,12 +276,12 @@ def test_single_cell_vs_direct():
     A = GridSet(4, 2, cells)
     spec = spectrum_auto(A, r_min=0.25, tail_target=1e-5)
     ev = pair_correlation(spec, 0.25)
-    direct = pair_correlation_direct(A, 0.25, angle_samples=8192, rng_seed=5)
-    assert abs(ev.value - direct) <= ev.rigor_bound + 1e-4
+    direct = pair_correlation_direct(A, 0.25)
+    assert abs(ev.value - direct) <= ev.rigor_bound + 1e-9
 
 
 def test_brute_force_equivalence_all_tiny_sets():
-    # all 2^9 GridSets at N=1, K=3: spectral f(r) meets the direct oracle
+    # all 2^9 GridSets at N=1, K=3: spectral f(r) meets the direct value
     rs = (0.5, 1.0, 2.0)
     for mask in range(512):
         bits = [(mask >> i) & 1 for i in range(9)]
@@ -170,14 +289,10 @@ def test_brute_force_equivalence_all_tiny_sets():
         if A.occupied == 0:
             continue
         spec = spectrum(A, 10_000)
-        corr = DirectCorrelator(A)
         for r in rs:
             ev = pair_correlation(spec, r)
-            theta = (np.arange(512) + 0.5) * (2 * math.pi / 512)
-            direct = float(
-                corr.autocorrelation(r * np.cos(theta), r * np.sin(theta)).mean()
-            )
-            assert abs(ev.value - direct) <= ev.rigor_bound + 2e-3
+            direct = pair_correlation_direct(A, r)
+            assert abs(ev.value - direct) <= ev.rigor_bound + 1e-9
 
 
 def test_s_normalization_and_degenerate():
@@ -202,8 +317,16 @@ def test_linf_checkerboard_reference_values():
     assert linf_unit_pair_density(checkerboard(4, 4)) == pytest.approx(0.5, abs=1e-9)
     assert linf_unit_pair_density(checkerboard(5, 4)) == pytest.approx(0.0, abs=1e-9)
     assert linf_unit_pair_density(GridSet.full(3, 4)) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(DomainError):
-        linf_unit_pair_density(checkerboard(4, 4), boundary_samples=3)
+    with pytest.raises(DegenerateSetError):
+        linf_unit_pair_density(GridSet.empty(3, 4))
+
+
+def test_linf_matches_knot_trapezoid():
+    for seed in range(8):
+        A = random_gridset(1 + seed % 4, 1 + seed % 5, p=0.45, seed=60 + seed)
+        if A.occupied == 0:
+            continue
+        assert abs(linf_unit_pair_density(A) - knot_trapezoid_linf(A)) <= 1e-12, seed
 
 
 def test_gridset_file_roundtrip(tmp_path):
