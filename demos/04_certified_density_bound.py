@@ -43,7 +43,7 @@ def main():
           f"density <= delta_star = {rep.delta_star:.6f}")
     print("(any denser periodic set must therefore be clumpy: s(1.96) > 1)")
 
-    fine_min, fine_t = spot_audit(c, rep.grid_step, rep.tail_start, factor=10)
+    fine_min, fine_t = spot_audit(c, rep.grid_step, rep.tail_start)
     print(f"\nsoundness spot audit at 10x finer grid: min W = {fine_min:.5f} "
           f"at t = {fine_t:.4f} (> 0)")
 

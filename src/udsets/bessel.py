@@ -18,9 +18,12 @@ Two branches with a documented switchover at ``SERIES_CUTOFF`` = 15:
   and Q.  For real arguments the remainder of either series is bounded by the
   first omitted term, which at x = 15 is below 5e-14 and decreases in x.
 
-No lookup tables or interpolation: both branches have closed-form error terms.
-The returned ``abs_error_bound`` stays below 1e-12 on [0, 1e4] (and beyond);
-tests check it against an exact-rational series oracle.
+No lookup tables or interpolation: both branches have closed-form error terms,
+the asymptotic one including sqrt(2x/pi) 2^-53 for the float64 rounding of
+the phase x - pi/4.  The returned ``abs_error_bound`` stays below 1e-12 on
+[0, 2^26]; tests check it against exact-rational and ``decimal`` oracles.
+The vectorized interfaces charge that flat bound, so they reject arguments
+above ``FLAT_BOUND_MAX_ARG`` = 2^26.
 
 The 80-bit branch assumes an x87-style longdouble (Linux/x86-64).  On
 platforms where longdouble is 64-bit the values remain correct to ~1e-10;
@@ -50,6 +53,7 @@ __all__ = [
     "j0_combination_envelope",
     "J0_ABS_ERROR",
     "J1_ABS_ERROR",
+    "FLAT_BOUND_MAX_ARG",
     "SERIES_CUTOFF",
 ]
 
@@ -113,7 +117,7 @@ _SERIES_TRUNC = 1e-24  # |t_60| at x = 15 is ~1e-57; generous cover
 _ASY_ROUNDOFF = 5e-15  # float64 evaluation noise of the asymptotic branch
 
 # Flat documented bounds for the vectorized interfaces (max over both
-# branches on [0, 1e4]; asserted against the oracle in the test suite).
+# branches on [0, 2^26]; asserted against the oracles in the test suite).
 # Without 80-bit longdouble the series runs in float64: its running-error
 # bound at the cutoff (u = 56.25) is 1.6e-9 for J0 and 1.4e-9 for J1, and
 # the fallback charges about 3x that to cover the rounding of the
@@ -122,6 +126,9 @@ _ABS_ERROR_EXTENDED = 1.0e-12
 _ABS_ERROR_FLOAT64 = 5.0e-9
 J0_ABS_ERROR = _ABS_ERROR_EXTENDED if HAVE_EXTENDED_PRECISION else _ABS_ERROR_FLOAT64
 J1_ABS_ERROR = J0_ABS_ERROR
+# Largest argument of j0_values/j1_values: the phase-rounding charge
+# sqrt(2x/pi) 2^-53 is 7.3e-13 here and 1.03e-12 at 2^27, past 1e-12.
+FLAT_BOUND_MAX_ARG = 2.0**26
 
 
 @dataclass(frozen=True)
@@ -151,26 +158,32 @@ def _series_error_bound(errw, u):
     return 2.5 * _EPS80 * np.asarray(bound, dtype=float) + _SERIES_TRUNC
 
 
-def _asymptotic_j0(x):
-    z = 1.0 / (x * x)
-    p = _horner_ld(_P0.astype(float), z)
-    q = _horner_ld(_Q0.astype(float), z) / x
-    w = x - 0.25 * math.pi
-    amp = np.sqrt(2.0 / (math.pi * x))
-    value = amp * (p * np.cos(w) - q * np.sin(w))
-    trunc = amp * (_P0_NEXT * z**ASYMPTOTIC_TERMS + _Q0_NEXT * z**ASYMPTOTIC_TERMS / x)
-    return value, trunc + _ASY_ROUNDOFF
+# per order nu: P and Q coefficients, phase shift in units of pi, and the
+# first omitted P and Q coefficients
+_HANKEL = {
+    0: (_P0.astype(float), _Q0.astype(float), 0.25, _P0_NEXT, _Q0_NEXT),
+    1: (_P1.astype(float), _Q1.astype(float), 0.75, _P1_NEXT, _Q1_NEXT),
+}
 
 
-def _asymptotic_j1(x):
+def _asymptotic(x, nu):
+    """(J_nu(x), amplitude sqrt(2/(pi x))) from the Hankel expansion."""
+    P, Q, shift = _HANKEL[nu][:3]
     z = 1.0 / (x * x)
-    p = _horner_ld(_P1.astype(float), z)
-    q = _horner_ld(_Q1.astype(float), z) / x
-    w = x - 0.75 * math.pi
+    p = _horner_ld(P, z)
+    q = _horner_ld(Q, z) / x
+    w = x - shift * math.pi
     amp = np.sqrt(2.0 / (math.pi * x))
-    value = amp * (p * np.cos(w) - q * np.sin(w))
-    trunc = amp * (_P1_NEXT * z**ASYMPTOTIC_TERMS + _Q1_NEXT * z**ASYMPTOTIC_TERMS / x)
-    return value, trunc + _ASY_ROUNDOFF
+    return amp * (p * np.cos(w) - q * np.sin(w)), amp
+
+
+def _asymptotic_bound(x, nu, amp):
+    """Error bound of ``_asymptotic``: truncation, float64 noise, and the
+    rounding of the phase x - shift * pi, up to x 2^-53."""
+    p_next, q_next = _HANKEL[nu][3:]
+    z = 1.0 / (x * x)
+    trunc = amp * (p_next * z**ASYMPTOTIC_TERMS + q_next * z**ASYMPTOTIC_TERMS / x)
+    return trunc + _ASY_ROUNDOFF + amp * x * 2.0**-53
 
 
 def j0(x: float) -> BesselEval:
@@ -186,8 +199,8 @@ def j0(x: float) -> BesselEval:
         value = float(_horner_ld(_J0_COEFFS, u))
         err = float(_series_error_bound(_J0_ERRW, u))
         return BesselEval(value, err + 2e-16)
-    value, err = _asymptotic_j0(x)
-    return BesselEval(float(value), float(err))
+    value, amp = _asymptotic(x, 0)
+    return BesselEval(float(value), float(_asymptotic_bound(x, 0, amp)))
 
 
 def j1(x: float) -> BesselEval:
@@ -200,8 +213,8 @@ def j1(x: float) -> BesselEval:
         value = float(_LD(x) / 2 * _horner_ld(_J1_COEFFS, u))
         err = float(0.5 * x * _series_error_bound(_J1_ERRW, u))
         return BesselEval(value, err + 2e-16)
-    value, err = _asymptotic_j1(x)
-    return BesselEval(float(value), float(err))
+    value, amp = _asymptotic(x, 1)
+    return BesselEval(float(value), float(_asymptotic_bound(x, 1, amp)))
 
 
 def deriv_j0(x: float) -> BesselEval:
@@ -221,15 +234,16 @@ def j0_envelope(x: float) -> float:
     return min(1.0, math.sqrt(2.0 / (math.pi * x)))
 
 
-def _values(x, coeffs, asymptotic, odd_prefactor):
+def _values(x, coeffs, nu, odd_prefactor):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         x = x[None]
         scalar = True
     else:
         scalar = False
-    if np.any(~np.isfinite(x)) or np.any(x < 0.0):
-        raise DomainError("array arguments must be finite and >= 0")
+    # min and max propagate NaN, which then fails both comparisons
+    if x.size and not (x.min() >= 0.0 and x.max() <= FLAT_BOUND_MAX_ARG):
+        raise DomainError("array arguments must lie in [0, 2**26]")
     out = np.empty_like(x)
     small = x < SERIES_CUTOFF
     if np.any(small):
@@ -240,18 +254,18 @@ def _values(x, coeffs, asymptotic, odd_prefactor):
             v = v * xs.astype(_LD) / 2
         out[small] = v.astype(float)
     if np.any(~small):
-        out[~small] = asymptotic(x[~small])[0]
+        out[~small] = _asymptotic(x[~small], nu)[0]
     return float(out[0]) if scalar else out
 
 
 def j0_values(x) -> np.ndarray:
-    """Vectorized J0; absolute error <= J0_ABS_ERROR elementwise."""
-    return _values(x, _J0_COEFFS, _asymptotic_j0, odd_prefactor=False)
+    """Vectorized J0 on [0, 2**26]; absolute error <= J0_ABS_ERROR elementwise."""
+    return _values(x, _J0_COEFFS, 0, odd_prefactor=False)
 
 
 def j1_values(x) -> np.ndarray:
-    """Vectorized J1; absolute error <= J1_ABS_ERROR elementwise."""
-    return _values(x, _J1_COEFFS, _asymptotic_j1, odd_prefactor=True)
+    """Vectorized J1 on [0, 2**26]; absolute error <= J1_ABS_ERROR elementwise."""
+    return _values(x, _J1_COEFFS, 1, odd_prefactor=True)
 
 
 # ---------------------------------------------------------------------------

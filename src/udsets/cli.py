@@ -229,32 +229,24 @@ def cmd_graph(args) -> int:
 def cmd_certify(args) -> int:
     out = _outdir(args)
     reg = _load_registry_arg(args.registry)
+    knobs = dict(budget=args.budget, margin=args.margin,
+                 verify_step=args.verify_step, tail_start=args.tail_start)
     if args.delta_plus is not None:
-        res = witness.solve_feasibility(
-            reg,
-            args.delta_plus,
-            witness.default_solve_grid(min(args.tail_start, 40.0)),
-            args.budget,
-            tail_constraint_at=args.tail_start,
-            tail_margin=2.0 * args.margin,
-            minimize_quadratic=True,
+        # one solve + verification at --tail-start, the quadratic minimized
+        res, report, _ = witness._attempt(
+            reg, args.delta_plus, max_tail=args.tail_start, minimize_quadratic=True, **knobs
         )
-        if res.status != "feasible":
+        if report is None:
             print("LP infeasible at delta_plus =", args.delta_plus)
             if res.farkas_valid:
-                print("Farkas certificate attached to stderr", file=sys.stderr)
+                print("a valid Farkas ray proves it (the ray is not written out)")
+            else:
+                print("no valid Farkas ray was found: infeasibility is not proven")
             return EXIT_INFEASIBLE
         coeffs = res.coefficients
-        step = args.verify_step
-        if step is None:
-            step = witness.verification_step(coeffs, args.margin)
-        report = witness.verify_witness(coeffs, step, args.margin, args.tail_start)
     else:
         try:
-            outcome = witness.certify_bound(
-                reg, margin=args.margin, verify_step=args.verify_step,
-                tail_start=args.tail_start,
-            )
+            outcome = witness.certify_bound(reg, **knobs)
         except UdsetsError as exc:
             print(f"certification failed: {exc}")
             return EXIT_INFEASIBLE

@@ -261,7 +261,7 @@ def _grouped(radii, coeffs):
 
     The quantization moves each radius by < 5e-13, shifting J0(r t) by at
     most 0.3e-12 t.  No caller charges that shift yet: it is an open error
-    source of the certified margins (ROADMAP item 2(d)).
+    source of the certified margins (ROADMAP item 3).
     """
     out = {}
     for r, c in zip(radii, coeffs):

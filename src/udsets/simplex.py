@@ -23,6 +23,8 @@ import numpy as np
 __all__ = ["SimplexResult", "solve_lp"]
 
 _LD = np.longdouble
+_TOL = 1e-16  # pivot tolerance, times max(1, largest |entry| of A and b)
+_MAX_ITER = 100_000  # pivots per phase before "iteration_limit"
 
 
 @dataclass(frozen=True)
@@ -47,12 +49,12 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _bland_iterate(T, basis, ncols_dec, tol, max_iter):
+def _bland_iterate(T, basis, ncols_dec, tol):
     """Minimize the last row's objective; returns (status, iterations)."""
     m = T.shape[0] - 1
     it = 0
     while True:
-        if it >= max_iter:
+        if it >= _MAX_ITER:
             return "iteration_limit", it
         obj = T[-1, :ncols_dec]
         enter = -1
@@ -81,7 +83,7 @@ def _bland_iterate(T, basis, ncols_dec, tol, max_iter):
         it += 1
 
 
-def solve_lp(A_ub, b_ub, n_vars, objective=None, tol=1e-16, max_iter=100_000):
+def solve_lp(A_ub, b_ub, n_vars, objective=None):
     """Solve  min objective.x  s.t.  A_ub x <= b_ub, x >= 0  (Bland, 80-bit).
 
     With objective=None this is a pure feasibility solve.
@@ -103,7 +105,7 @@ def solve_lp(A_ub, b_ub, n_vars, objective=None, tol=1e-16, max_iter=100_000):
     basis = np.array([n + 1 + i for i in range(m)], dtype=int)
 
     scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))) if m else 1.0)
-    tol = _LD(tol) * _LD(scale)
+    tol = _LD(_TOL) * _LD(scale)
 
     total_iters = 0
     if np.any(b < 0):
@@ -112,7 +114,7 @@ def solve_lp(A_ub, b_ub, n_vars, objective=None, tol=1e-16, max_iter=100_000):
         T[-1, n] = 1.0
         worst = int(np.argmin(T[:m, -1]))
         _pivot(T, basis, worst, n)
-        status, it = _bland_iterate(T, basis, n + 1 + m, tol, max_iter)
+        status, it = _bland_iterate(T, basis, n + 1 + m, tol)
         total_iters += it
         if status != "optimal":
             return SimplexResult(status, None, None, iterations=total_iters)
@@ -146,7 +148,7 @@ def solve_lp(A_ub, b_ub, n_vars, objective=None, tol=1e-16, max_iter=100_000):
     for i, bj in enumerate(basis):
         if T[-1, bj] != 0:
             T[-1, :] -= T[-1, bj] * T[i, :]
-    status, it = _bland_iterate(T, basis, n + 1 + m, tol, max_iter)
+    status, it = _bland_iterate(T, basis, n + 1 + m, tol)
     total_iters += it
     if status == "unbounded":
         return SimplexResult("unbounded", None, None, iterations=total_iters)

@@ -30,8 +30,9 @@ envelope-bounded oscillatory terms, and every Bessel evaluation error is
 charged against the margin.  The dense step is derived from the witness
 (``verification_step``: the largest power of two <= margin / L, so every grid
 point i * step is exact in float64) unless the caller fixes it.  The LP itself
-runs on a coarse grid (step 0.05) in 80-bit floats with reserved slack so the
-rounded float64 coefficients still verify.
+runs in 80-bit floats on a coarse grid (step 0.05 up to min(tail_start, 40))
+plus an envelope tail row at tail_start, with reserved slack so the rounded
+float64 coefficients still verify.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,14 +124,7 @@ class WitnessCoefficients:
     @property
     def budget_sum(self) -> float:
         """Budget-weighted coefficient sum: T and CT weights count twice."""
-        return (
-            self.v0
-            + self.v1
-            + self.v196
-            + sum(self.w_m)
-            + 2.0 * sum(self.w_t)
-            + 2.0 * sum(self.w_theta)
-        )
+        return _weighted_sums(self, "budget")[0]
 
     def as_dict(self) -> dict:
         return {
@@ -142,30 +137,51 @@ class WitnessCoefficients:
         }
 
 
-def _var_terms(registry: Registry):
-    """Per-variable (constant, radii, coeffs) in LP variable order.
+class _Var(NamedTuple):
+    """One LP variable: its profile const + sum coeffs J0(radii t) and its
+    weights in the budget, in Gamma and in the quadratic, whose coefficients
+    are a = -1 + sum quad_a x, b = sum quad_b x and c = sum quad_c x."""
 
-    Variable order: v0, v1, v196, w_m..., w_t..., w_theta...; the CT sign
-    flip (the witness subtracts CT profiles) is already folded in.
+    const: float
+    radii: np.ndarray
+    coeffs: np.ndarray
+    budget: float
+    quad_a: float
+    quad_b: float
+    quad_c: float
+    gamma: float
+
+
+_NO_TERMS = np.array([])
+
+
+def _var_terms(registry: Registry) -> list[_Var]:
+    """The LP variables in order: v0, v1, v196, w_m..., w_t..., w_theta....
+
+    The CT sign flip (the witness subtracts CT profiles) is already folded
+    into the CT profile terms.
     """
     out = [
-        (1.0, np.array([]), np.array([])),       # v0
-        (0.0, np.array([1.0]), np.array([1.0])),  # v1
-        (0.0, np.array([1.96]), np.array([1.0])),  # v196
+        _Var(1.0, _NO_TERMS, _NO_TERMS, 1.0, 0.0, 1.0, 0.0, 0.0),  # v0
+        _Var(0.0, np.array([1.0]), np.array([1.0]), 1.0, 0.0, 0.0, 0.0, 1.0),  # v1
+        _Var(0.0, np.array([1.96]), np.array([1.0]), 1.0, 1.0, 0.0, 0.0, 1.0),  # v196
     ]
-    for g in registry.m_graphs + registry.t_graphs:
-        radii, coeffs = profile_terms(g)
-        const = float(coeffs[radii == 0.0].sum())
-        keep = radii > 0.0
-        out.append((const, radii[keep], coeffs[keep]))
+    for budget, graphs in ((1.0, registry.m_graphs), (2.0, registry.t_graphs)):
+        for g in graphs:
+            radii, coeffs = profile_terms(g)
+            const = float(coeffs[radii == 0.0].sum())
+            keep = radii > 0.0
+            out.append(_Var(const, radii[keep], coeffs[keep], budget,
+                            0.0, float(g.alpha), 0.0, float(g.n_edges)))
     for p in registry.ct_pairs:
         radii, coeffs = ct_profile_terms(p)
         if len(radii) == 0:
-            out.append((0.0, np.array([]), np.array([])))
-            continue
-        const = -float(coeffs[radii == 0.0].sum())
-        keep = radii > 0.0
-        out.append((const, radii[keep], -coeffs[keep]))
+            const, radii, coeffs = 0.0, _NO_TERMS, _NO_TERMS
+        else:
+            const = -float(coeffs[radii == 0.0].sum())
+            keep = radii > 0.0
+            radii, coeffs = radii[keep], -coeffs[keep]
+        out.append(_Var(const, radii, coeffs, 2.0, 0.0, -5.0, 1.0, float(p.c_ct)))
     return out
 
 
@@ -175,18 +191,32 @@ def _coeff_vector(c: WitnessCoefficients) -> np.ndarray:
     )
 
 
+def _weighted_sums(c: WitnessCoefficients, *fields: str) -> list[float]:
+    """sum x_i * field_i over the LP variables for each field, added in LP
+    order, one term at a time (the order fixes the last bits)."""
+    table = _var_terms(c.registry)
+    x = _coeff_vector(c).tolist()
+    sums = []
+    for field in fields:
+        total = 0.0
+        for xi, var in zip(x, table):
+            total += xi * getattr(var, field)
+        sums.append(total)
+    return sums
+
+
 def witness_terms(c: WitnessCoefficients):
     """(constant, radii, coefficients) of W with equal radii merged."""
     x = _coeff_vector(c)
     const = 0.0
     all_radii = []
     all_coeffs = []
-    for xi, (c0, radii, coeffs) in zip(x, _var_terms(c.registry)):
+    for xi, var in zip(x, _var_terms(c.registry)):
         if xi == 0.0:
             continue
-        const += xi * c0
-        all_radii.extend(radii)
-        all_coeffs.extend(xi * float(co) for co in coeffs)
+        const += xi * var.const
+        all_radii.extend(var.radii)
+        all_coeffs.extend(xi * float(co) for co in var.coeffs)
     return (const, *_grouped(all_radii, all_coeffs))
 
 
@@ -196,12 +226,6 @@ def witness_eval(c: WitnessCoefficients, t):
         raise DomainError("witness arguments must be >= 0")
     const, radii, coeffs = witness_terms(c)
     return j0_combination(radii, coeffs, t, const)
-
-
-def _eval_error(c: WitnessCoefficients) -> float:
-    # constant part is exact; each J0 term carries its certified bound
-    _, _, coeffs = witness_terms(c)
-    return j0_combination_error(coeffs)
 
 
 def witness_lipschitz(c: WitnessCoefficients, r_max: float = DEFAULT_RMAX) -> float:
@@ -242,16 +266,9 @@ def verification_step(c: WitnessCoefficients, margin: float = DEFAULT_MARGIN) ->
 # ---------------------------------------------------------------------------
 
 def quadratic_coefficients(c: WitnessCoefficients):
-    reg = c.registry
-    a = -(1.0 - c.v196)
-    b = (
-        c.v0
-        + sum(g.alpha * w for g, w in zip(reg.m_graphs, c.w_m))
-        + sum(g.alpha * w for g, w in zip(reg.t_graphs, c.w_t))
-        - 5.0 * sum(c.w_theta)
-    )
-    qc = float(sum(c.w_theta))
-    return a, b, qc
+    """(a, b, c) of the certified quadratic a d^2 + b d + c >= 0."""
+    a, b, qc = _weighted_sums(c, "quad_a", "quad_b", "quad_c")
+    return -(1.0 - a), b, qc
 
 
 def quadratic_root(c: WitnessCoefficients):
@@ -287,15 +304,8 @@ def quadratic_root(c: WitnessCoefficients):
 
 
 def gamma_coefficient(c: WitnessCoefficients) -> float:
-    """Exact per-graph assembly of the gamma perturbation weight Gamma."""
-    reg = c.registry
-    return (
-        c.v1
-        + c.v196
-        + sum(g.n_edges * w for g, w in zip(reg.m_graphs, c.w_m))
-        + sum(g.n_edges * w for g, w in zip(reg.t_graphs, c.w_t))
-        + sum(p.c_ct * w for p, w in zip(reg.ct_pairs, c.w_theta))
-    )
+    """The gamma perturbation weight Gamma."""
+    return _weighted_sums(c, "gamma")[0]
 
 
 def _quadratic_interval_max(a, b, qc, lo, hi):
@@ -410,39 +420,32 @@ def _grid_min(c: WitnessCoefficients, grid_step: float, tail_start: float):
     return best, best_t
 
 
-def _tail_bound(c: WitnessCoefficients, tail_start: float):
-    """(constant part, envelope bound on the oscillatory part at tail_start).
-
-    W(t) >= const - sum |coef| env(r * t) for t >= tail_start, and the
-    envelope is nonincreasing, so the value at tail_start floors the tail.
-    """
-    const, radii, coeffs = witness_terms(c)
-    return const, j0_combination_envelope(radii, coeffs, tail_start)
-
-
 def verify_witness(
     c: WitnessCoefficients,
     grid_step: float,
     margin: float = DEFAULT_MARGIN,
     tail_start: float = DEFAULT_TAIL_START,
-    gamma_epsilon: float = 1e-3,
-    gamma_target: float = CROFT_TARGET_DENSITY,
 ) -> CertificateReport:
     """Grid + Lipschitz + tail-envelope verification of W >= 0 and W(0) >= 1.
 
     ``grid_step`` must be <= margin / L; ``verification_step(c, margin)``
     gives the coarsest such power of two.  Mathematical failures come back
-    as a failed verdict, never exceptions.
+    as a failed verdict, never exceptions.  The reported ``gamma`` is
+    extracted at epsilon = 1e-3 against the Croft target density.
     """
     L = witness_lipschitz(c)
     if L > 0 and grid_step > margin / L:
         raise DomainError(
             f"grid_step {grid_step} too coarse: needs <= margin/L = {margin / L}"
         )
-    eval_err = _eval_error(c)
+    tail_const, radii, coeffs = witness_terms(c)
+    # the constant part is exact; each J0 term carries its certified bound
+    eval_err = j0_combination_error(coeffs)
     w0 = witness_eval(c, 0.0)
     min_grid, argmin_t = _grid_min(c, grid_step, tail_start)
-    tail_const, tail_osc = _tail_bound(c, tail_start)
+    # W(t) >= const - sum |coef| env(r t) for t >= tail_start, and the
+    # envelope is nonincreasing, so its value at tail_start floors the tail
+    tail_osc = j0_combination_envelope(radii, coeffs, tail_start)
     tail_floor = tail_const - tail_osc
 
     reasons = []
@@ -467,7 +470,7 @@ def verify_witness(
 
     verdict = "certified" if not reasons else "failed: " + "; ".join(reasons)
     if verdict == "certified":
-        gamma, _ = _gamma_search(c, gamma_epsilon, gamma_target)
+        gamma, _ = _gamma_search(c, 1e-3, CROFT_TARGET_DENSITY)
     return CertificateReport(
         w_at_zero=w0,
         min_grid_value=min_grid,
@@ -487,11 +490,9 @@ def verify_witness(
     )
 
 
-def spot_audit(
-    c: WitnessCoefficients, grid_step: float, tail_start: float, factor: int = 10
-):
-    """Re-scan W on a factor-times finer grid; returns (min value, argmin)."""
-    return _grid_min(c, grid_step / factor, tail_start)
+def spot_audit(c: WitnessCoefficients, grid_step: float, tail_start: float):
+    """Re-scan W on a 10 times finer grid; returns (min value, argmin)."""
+    return _grid_min(c, grid_step / 10, tail_start)
 
 
 # ---------------------------------------------------------------------------
@@ -507,30 +508,37 @@ class FeasibilityResult:
     iterations: int = 0
 
 
-def default_solve_grid(tail_start: float = DEFAULT_TAIL_START, step: float = 0.05):
-    return np.arange(0.0, tail_start + step / 2, step)
+_SOLVE_STEP = 0.05
+_SOLVE_GRID_MAX = 40.0  # the solve grid stops here whatever the tail start (LP size)
+# W >= _GRID_SLACK on the solve grid: deliberately above the verification
+# margin so the rounded float64 solution still verifies on the dense grid
+_GRID_SLACK = 5e-3
+_W0_SLACK = 1e-9  # W(0) >= 1 + _W0_SLACK
+
+
+def default_solve_grid(tail_start: float = DEFAULT_TAIL_START):
+    """The LP's solve grid 0, 0.05, ... up to tail_start."""
+    return np.arange(0.0, tail_start + _SOLVE_STEP / 2, _SOLVE_STEP)
 
 
 def solve_feasibility(
     registry: Registry,
     delta_plus: float,
-    t_grid=None,
+    tail_start: float = DEFAULT_TAIL_START,
     budget: float = DEFAULT_BUDGET,
+    margin: float = DEFAULT_MARGIN,
     *,
-    grid_slack: float = 5e-3,
-    w0_slack: float = 1e-9,
-    tail_constraint_at: float | None = None,
-    tail_margin: float = 6e-3,
     minimize_quadratic: bool = False,
 ) -> FeasibilityResult:
     """Find nonnegative witness coefficients for the density target delta_plus.
 
-    Constraints: W >= grid_slack on the solve grid, W(0) >= 1 + w0_slack,
-    the weighted coefficient budget, the quadratic inequality at
-    delta_plus, and (optionally) an envelope tail row at tail_constraint_at.
-    The grid slack deliberately exceeds the verification margin so the
-    rounded float64 solution still verifies on the dense verification grid
-    (step <= margin / L, e.g. 2**-8 for the builtin witness).
+    Rows, in order: W >= 5e-3 on ``default_solve_grid(min(tail_start, 40))``,
+    W(0) >= 1 + 1e-9, the weighted coefficient budget, the quadratic
+    inequality at delta_plus, and the envelope tail row at tail_start (the
+    constant part beats the oscillatory envelope by 2 * margin), which is
+    always the last row.  The grid slack exceeds the verification margin so
+    the rounded float64 solution still verifies on the dense verification
+    grid (step <= margin / L, e.g. 2**-8 for the builtin witness).
 
     With minimize_quadratic the solver minimizes the quadratic row instead of
     stopping at the first feasible vertex, driving delta_star below the
@@ -538,61 +546,33 @@ def solve_feasibility(
     """
     if not 0.0 < delta_plus < 1.0:
         raise DomainError("delta_plus must lie in (0, 1)")
-    if t_grid is None:
-        t_grid = default_solve_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2 or np.max(np.diff(np.sort(t_grid))) > 0.05 + 1e-12:
-        raise DomainError("solve grid must cover the range with step <= 0.05")
     var_terms = _var_terms(registry)
     n = len(var_terms)
-    nm, nt, nc = len(registry.m_graphs), len(registry.t_graphs), len(registry.ct_pairs)
+    nm, nt = len(registry.m_graphs), len(registry.t_graphs)
 
     def profile_matrix(ts):
         return np.column_stack(
-            [j0_combination(radii, coeffs, ts, const) for const, radii, coeffs in var_terms]
+            [j0_combination(v.radii, v.coeffs, ts, v.const) for v in var_terms]
         )
 
-    rows = []
-    rhs = []
-    # W(t) >= grid_slack
-    P = profile_matrix(t_grid)
-    rows.append(-P)
-    rhs.append(np.full(len(t_grid), -grid_slack))
-    # W(0) >= 1 + w0_slack
-    P0 = profile_matrix(np.array([0.0]))
-    rows.append(-P0)
-    rhs.append(np.array([-(1.0 + w0_slack)]))
-    # coefficient budget (T and CT weights doubled)
-    budget_row = np.concatenate(
-        [np.ones(3), np.ones(nm), 2.0 * np.ones(nt), 2.0 * np.ones(nc)]
-    )
-    rows.append(budget_row[None, :])
-    rhs.append(np.array([budget - 1e-9]))
-    # quadratic inequality at delta_plus
+    t_grid = default_solve_grid(min(tail_start, _SOLVE_GRID_MAX))
     d = delta_plus
-    qrow = np.zeros(n)
-    qrow[0] = d
-    qrow[2] = d * d
-    for i, g in enumerate(registry.m_graphs):
-        qrow[3 + i] = g.alpha * d
-    for i, g in enumerate(registry.t_graphs):
-        qrow[3 + nm + i] = g.alpha * d
-    for i in range(nc):
-        qrow[3 + nm + nt + i] = 1.0 - 5.0 * d
-    rows.append(qrow[None, :])
-    rhs.append(np.array([d * d]))
-    # optional tail row: constant part must beat the oscillatory envelope
-    if tail_constraint_at is not None:
-        T = float(tail_constraint_at)
-        trow = np.zeros(n)
-        for i, (const, radii, coeffs) in enumerate(var_terms):
-            trow[i] = j0_combination_envelope(radii, coeffs, T) - const
-        rows.append(trow[None, :])
-        rhs.append(np.array([-tail_margin]))
-
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    objective = np.asarray(qrow, dtype=float) if minimize_quadratic else None
+    qrow = np.array([v.quad_a * (d * d) + v.quad_b * d + v.quad_c for v in var_terms])
+    trow = np.array(
+        [j0_combination_envelope(v.radii, v.coeffs, tail_start) - v.const for v in var_terms]
+    )
+    A = np.vstack([
+        -profile_matrix(t_grid),                # W(t) >= grid slack
+        -profile_matrix(np.array([0.0])),       # W(0) >= 1 + w0 slack
+        [v.budget for v in var_terms],          # coefficient budget
+        qrow,                                   # quadratic at delta_plus
+        trow,                                   # tail: constant beats envelope
+    ])
+    b = np.concatenate([
+        np.full(len(t_grid), -_GRID_SLACK),
+        [-(1.0 + _W0_SLACK), budget - 1e-9, d * d, -2.0 * margin],
+    ])
+    objective = qrow if minimize_quadratic else None
     res = solve_lp(A, b, n, objective=objective)
     if res.status == "infeasible":
         return FeasibilityResult(
@@ -636,28 +616,33 @@ def _tail_independent(res: FeasibilityResult) -> bool:
     return res.farkas_valid and res.farkas[-1] == 0.0
 
 
-def _attempt(registry, delta_plus, *, budget, margin, verify_step, tail_start, max_tail):
-    """Solve + verify at one delta_plus; escalate the tail start as needed.
+_MAX_TAIL = 640.0  # tail starts escalate by doubling up to this
 
-    Escalation stops early when the LP is infeasible for a reason the tail
-    row plays no part in.  ``verify_step=None`` derives the dense-grid step
-    from each candidate witness.
+
+def _attempt(registry, delta_plus, *, budget, margin, verify_step, tail_start,
+             max_tail=_MAX_TAIL, minimize_quadratic=False):
+    """Solve + verify at one delta_plus, doubling the tail start up to max_tail
+    until a witness certifies.
+
+    Returns (last LP result, its verification report or None when that LP
+    was infeasible, attempt log).  Escalation stops early when the LP is
+    infeasible for a reason the tail row plays no part in.
+    ``verify_step=None`` derives the dense-grid step from each candidate
+    witness.
     """
+    if not tail_start > 0.0:
+        raise DomainError("tail_start must be > 0")
     T = tail_start
     log = []
+    res = report = None
     while T <= max_tail:
         # solve-grid rows stay capped at t = 40 (LP size); the envelope tail
         # row at T pushes the constant part up, and the dense verification
         # grid covering [0, T] is sovereign either way
-        grid = default_solve_grid(min(T, 40.0))
         res = solve_feasibility(
-            registry,
-            delta_plus,
-            grid,
-            budget,
-            tail_constraint_at=T,
-            tail_margin=2.0 * margin,
+            registry, delta_plus, T, budget, margin, minimize_quadratic=minimize_quadratic
         )
+        report = None
         if res.status != "feasible":
             if _tail_independent(res):
                 log.append((delta_plus, T, LP_INFEASIBLE_WITHOUT_TAIL))
@@ -671,46 +656,43 @@ def _attempt(registry, delta_plus, *, budget, margin, verify_step, tail_start, m
         report = verify_witness(res.coefficients, step, margin, T)
         log.append((delta_plus, T, report.verdict))
         if report.certified:
-            return res.coefficients, report, log
+            break
         T *= 2.0
-    return None, None, log
+    return res, report, log
 
 
 def certify_bound(
     registry: Registry,
-    delta_grid=None,
     *,
     budget: float = DEFAULT_BUDGET,
     margin: float = DEFAULT_MARGIN,
     verify_step: float | None = None,
     tail_start: float = DEFAULT_TAIL_START,
-    max_tail: float = 640.0,
     bisect_tol: float = 2e-4,
 ) -> CertifyResult:
     """Smallest delta_plus whose witness passes full verification.
 
-    Runs a bisection over delta_plus (seeded by delta_grid when given);
-    every accepted point is a complete solve + independent verification.
-    ``verify_step=None`` verifies each witness at ``verification_step``.
+    Bisects delta_plus over [0.05, 0.95]; every accepted point is a complete
+    solve + independent verification, with the tail start doubling from
+    ``tail_start`` up to 640 as needed.  ``verify_step=None`` verifies each
+    witness at ``verification_step``.
     """
-    if delta_grid is None:
-        lo, hi = 0.05, 0.95
-    else:
-        lo, hi = float(np.min(delta_grid)), float(np.max(delta_grid))
+    lo, hi = 0.05, 0.95
     attempts = []
 
     def run(dp):
-        coeffs, report, log = _attempt(
+        res, report, log = _attempt(
             registry,
             dp,
             budget=budget,
             margin=margin,
             verify_step=verify_step,
             tail_start=tail_start,
-            max_tail=max_tail,
         )
         attempts.extend(log)
-        return coeffs, report
+        if report is not None and report.certified:
+            return res.coefficients, report
+        return None, None
 
     best = run(hi)
     if best[0] is None:

@@ -5,8 +5,11 @@ ascending series are accumulated in Fraction arithmetic (the float argument is
 taken as the exact binary rational it is), so the only error is the series
 truncation, which for 200 terms is far below 1e-30 on [0, 100].  Used to
 freeze expected values and to audit the production evaluator's error bounds.
+Above x = 100, ``hankel_oracle`` evaluates the Hankel expansion in ``decimal``
+arithmetic with pi from Machin's formula.
 """
 
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -65,3 +68,73 @@ def first_j0_zeros(count: int = 10) -> list[float]:
         prev, prev_val = x, val
         x += step
     return zeros
+
+
+def _machin_pi() -> Decimal:
+    """pi = 16 atan(1/5) - 4 atan(1/239) at the current decimal precision."""
+    tiny = Decimal(10) ** -(getcontext().prec + 2)
+
+    def atan_inv(n):
+        x = Decimal(1) / n
+        total = term = x
+        k = 1
+        while abs(term) > tiny:
+            term *= -x * x
+            k += 2
+            total += term / k
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+def _cos_sin(w: Decimal):
+    """(cos w, sin w) by Taylor series, for 0 <= w < 7."""
+    tiny = Decimal(10) ** -(getcontext().prec + 2)
+    c = s = Decimal(0)
+    term = Decimal(1)  # w^k / k!
+    k = 0
+    while abs(term) > tiny:
+        sign = -1 if (k // 2) % 2 else 1
+        if k % 2:
+            s += sign * term
+        else:
+            c += sign * term
+        k += 1
+        term = term * w / k
+    return c, s
+
+
+def hankel_oracle(nu: int, x: float, digits: int = 60) -> float:
+    """J_nu(x), nu in {0, 1}, from the Hankel expansion in decimal arithmetic.
+
+    J_nu(x) = sqrt(2/(pi x)) [P cos w - Q sin w], w = x - (2 nu + 1) pi/4,
+    with P and Q summed until the terms reach 1e-(digits+2) (or start to
+    grow, near k = 2x: for x >= 40 the smallest term is below 1e-34).  The
+    phase is formed and reduced mod 2 pi at ``digits`` significant digits,
+    so it carries none of the float64 rounding of the evaluator under test.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        X = Decimal(x)  # the exact binary value of x
+        pi = _machin_pi()
+        mu = 4 * nu * nu
+        tiny = Decimal(10) ** -(digits + 2)
+        P = Q = Decimal(0)
+        a = Decimal(1)  # a_k(nu) / x^k
+        prev = None
+        k = 0
+        while abs(a) > tiny and (prev is None or abs(a) < prev):
+            sign = -1 if (k // 2) % 2 else 1
+            if k % 2:
+                Q += sign * a
+            else:
+                P += sign * a
+            prev = abs(a)
+            k += 1
+            a = a * (mu - (2 * k - 1) ** 2) / (8 * k * X)
+        w = X - (2 * nu + 1) * pi / 4
+        two_pi = 2 * pi
+        w -= two_pi * (w / two_pi).to_integral_value(rounding="ROUND_FLOOR")
+        c, s = _cos_sin(w)
+        amp = (2 / (pi * X)).sqrt()
+        return float(amp * (P * c - Q * s))

@@ -263,7 +263,7 @@ def test_c06_certification(registry, certified, tmp_path):
     report2, reproduced = verify_certificate_file(cert, registry)
     assert reproduced and report2.certified
     fine_min, fine_argmin = spot_audit(
-        out.coefficients, out.report.grid_step, out.report.tail_start, factor=10
+        out.coefficients, out.report.grid_step, out.report.tail_start
     )
     assert fine_min > 0.0
     note(

@@ -8,7 +8,7 @@ import pytest
 from udsets import bessel
 from udsets.errors import DomainError
 
-from oracle_bessel import first_j0_zeros, j0_oracle, j1_oracle
+from oracle_bessel import first_j0_zeros, hankel_oracle, j0_oracle, j1_oracle
 
 # Frozen from the 200-term exact-rational oracle (see test_frozen_values).
 J0_AT_1 = 0.7651976865579666
@@ -78,6 +78,42 @@ def test_large_argument_bound_stated_domain():
         ev = bessel.j0(x)
         assert ev.abs_error_bound <= 1e-12
         assert abs(ev.value) <= bessel.j0_envelope(x) + ev.abs_error_bound
+
+
+def test_hankel_oracle_agrees_with_series_oracle():
+    for x in (40.0, 60.0, 99.0):
+        assert hankel_oracle(0, x) == pytest.approx(j0_oracle(x), abs=1e-16)
+        assert hankel_oracle(1, x) == pytest.approx(j1_oracle(x), abs=1e-16)
+
+
+@pytest.mark.parametrize("x", [1e4, 1e6, bessel.FLAT_BOUND_MAX_ARG])
+def test_large_argument_bounds_against_hankel_oracle(x):
+    # the phase x - pi/4 rounds by up to x 2^-53; the bound must charge it
+    cases = (
+        (0, bessel.j0, bessel.j0_values, bessel.J0_ABS_ERROR),
+        (1, bessel.j1, bessel.j1_values, bessel.J1_ABS_ERROR),
+    )
+    for nu, scalar, vectorized, flat in cases:
+        ev = scalar(x)
+        assert abs(ev.value - hankel_oracle(nu, x)) <= ev.abs_error_bound <= flat
+        assert vectorized(np.array([x]))[0] == ev.value
+
+
+def test_vectorized_domain_ends_at_the_flat_bound_cap():
+    above = np.nextafter(bessel.FLAT_BOUND_MAX_ARG, math.inf)
+    for vectorized in (bessel.j0_values, bessel.j1_values):
+        vectorized(np.array([0.0, bessel.FLAT_BOUND_MAX_ARG]))
+        for bad in (above, math.inf, math.nan, -1.0):
+            with pytest.raises(DomainError):
+                vectorized(np.array([1.0, bad]))
+    # pair_correlation feeds r times the spectrum's frequencies to j0_values
+    from udsets.torus import pair_correlation, random_gridset, spectrum
+
+    S = spectrum(random_gridset(4, 4, p=0.5, seed=1), 100)
+    r_cap = bessel.FLAT_BOUND_MAX_ARG / float(np.max(S.frequency(S.ms)))
+    pair_correlation(S, r_cap * (1 - 1e-9))
+    with pytest.raises(DomainError):
+        pair_correlation(S, r_cap * (1 + 1e-9))
 
 
 def test_j1_sup_below_0p6():

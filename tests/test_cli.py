@@ -147,6 +147,28 @@ def test_certify_infeasible_exit(tmp_path):
     assert code == 3
 
 
+def test_certify_infeasible_reports_the_farkas_ray(tmp_path, capsys):
+    assert run("certify", "--delta-plus", 0.05, "--out", tmp_path / "inf") == 3
+    captured = capsys.readouterr()
+    assert "LP infeasible at delta_plus = 0.05" in captured.out
+    assert "a valid Farkas ray proves it" in captured.out
+    assert captured.err == ""
+    assert not (tmp_path / "inf" / "certificate.json").exists()
+
+
+def test_certify_honours_the_budget(tmp_path):
+    from udsets.registry import builtin_registry
+    from udsets.witness import certificate_coefficients
+
+    out = tmp_path / "b"
+    assert run("certify", "--budget", 0.5, "--out", out) == 0
+    doc = json.loads((out / "certificate.json").read_text())
+    assert json.loads((out / "manifest.json").read_text())["config"]["budget"] == 0.5
+    # the budget-15 witness spends about 1.0; a smaller budget weakens the bound
+    assert certificate_coefficients(doc, builtin_registry()).budget_sum <= 0.5
+    assert doc["delta_star"] > 0.2580810546875
+
+
 def test_input_error_exit(tmp_path):
     assert run("paircorr", "--set", tmp_path / "missing.json",
                "--out", tmp_path / "x") == 4

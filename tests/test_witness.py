@@ -20,6 +20,7 @@ from udsets.witness import (
     gamma_coefficient,
     gamma_extract,
     kappa_constraint_audit,
+    quadratic_coefficients,
     quadratic_root,
     solve_feasibility,
     spot_audit,
@@ -64,6 +65,57 @@ def test_witness_rejects_negative_coefficients(reg):
 def test_budget_sum_weights(reg):
     c = coeffs(reg, v0=1.0, v1=2.0, v196=3.0, w_m=(0.5,), w_t=(0.25,), w_theta=())
     assert c.budget_sum == pytest.approx(1 + 2 + 3 + 0.5 + 2 * 0.25)
+
+
+def _explicit_sums(c):
+    # (a, b, c, Gamma, budget sum) written out term by term, as the
+    # certificate formulas state them: the oracle for the variable table
+    reg = c.registry
+    a = -(1.0 - c.v196)
+    b = (
+        c.v0
+        + sum(g.alpha * w for g, w in zip(reg.m_graphs, c.w_m))
+        + sum(g.alpha * w for g, w in zip(reg.t_graphs, c.w_t))
+        - 5.0 * sum(c.w_theta)
+    )
+    qc = float(sum(c.w_theta))
+    gamma = (
+        c.v1
+        + c.v196
+        + sum(g.n_edges * w for g, w in zip(reg.m_graphs, c.w_m))
+        + sum(g.n_edges * w for g, w in zip(reg.t_graphs, c.w_t))
+        + sum(p.c_ct * w for p, w in zip(reg.ct_pairs, c.w_theta))
+    )
+    budget = (
+        c.v0 + c.v1 + c.v196 + sum(c.w_m) + 2.0 * sum(c.w_t) + 2.0 * sum(c.w_theta)
+    )
+    return a, b, qc, gamma, budget
+
+
+def _table_sums(c):
+    return (*quadratic_coefficients(c), gamma_coefficient(c), c.budget_sum)
+
+
+def test_variable_table_matches_explicit_formulas(reg):
+    rng = np.random.default_rng(11)
+    empty = np.zeros((0, 2))
+    two_ct = Registry(
+        reg.graphs,
+        (CTPair("ct1", 0.0, empty, empty, 1.0), CTPair("ct2", 0.0, empty, empty, 0.37)),
+        "two-ct",
+    )
+    for _ in range(200):
+        x = rng.uniform(0.0, 3.0, size=7)
+        c = WitnessCoefficients(*x[:3], (x[3],), (x[4],), (), reg)
+        # one M and one T graph: every sum has at most one term, so the
+        # sequential table sums reproduce the formulas bit for bit
+        assert _table_sums(c) == _explicit_sums(c)
+        c = WitnessCoefficients(*x[:3], (x[3],), (x[4],), tuple(x[5:]), two_ct)
+        # with two CT terms the formulas group the CT sums first; the two
+        # orders of adding these <= 7 terms (weights <= 11) differ by a few ulps
+        tol = 16 * np.finfo(float).eps * 11.0 * float(np.sum(x))
+        for got, want in zip(_table_sums(c), _explicit_sums(c)):
+            assert abs(got - want) <= tol
 
 
 def test_lipschitz_zero_and_radius_guard(reg):
@@ -208,7 +260,7 @@ def test_verify_grid_step_precondition(reg):
 
 
 def test_solve_feasible_then_verifies(reg):
-    res = solve_feasibility(reg, 0.30, default_solve_grid(40.0), tail_constraint_at=40.0)
+    res = solve_feasibility(reg, 0.30, 40.0)
     assert res.status == "feasible"
     rep = verify_witness(res.coefficients, 1e-4, 3e-3, 40.0)
     assert rep.certified
@@ -216,7 +268,7 @@ def test_solve_feasible_then_verifies(reg):
 
 
 def test_solve_infeasible_reports_farkas(reg):
-    res = solve_feasibility(reg, 0.05, default_solve_grid(20.0))
+    res = solve_feasibility(reg, 0.05, 20.0)
     assert res.status == "infeasible"
     assert res.farkas is not None
     assert res.farkas_valid
@@ -275,10 +327,7 @@ def test_builtin_infeasibility_does_not_depend_on_the_tail(reg):
     # infeasible, and its Farkas ray puts zero weight on the tail row ...
     results = {}
     for T in (20.0, 40.0, 80.0):
-        results[T] = solve_feasibility(
-            reg, 0.25, default_solve_grid(min(T, 40.0)), DEFAULT_BUDGET,
-            tail_constraint_at=T, tail_margin=2.0 * DEFAULT_MARGIN,
-        )
+        results[T] = solve_feasibility(reg, 0.25, T, DEFAULT_BUDGET, DEFAULT_MARGIN)
     first = results[20.0]
     assert first.status == "infeasible"
     assert first.farkas_valid and first.farkas[-1] == 0.0
@@ -314,7 +363,7 @@ def test_step_1e5_certificate_still_reproduces(certified, reg, tmp_path):
 
 
 def test_certificate_file_roundtrip_and_tamper(reg, tmp_path):
-    res = solve_feasibility(reg, 0.30, default_solve_grid(20.0), tail_constraint_at=20.0)
+    res = solve_feasibility(reg, 0.30, 20.0)
     rep = verify_witness(res.coefficients, 1e-4, 3e-3, 20.0)
     path = tmp_path / "cert.json"
     write_certificate(path, res.coefficients, rep)
@@ -335,7 +384,7 @@ def test_certificate_file_roundtrip_and_tamper(reg, tmp_path):
 
 
 def test_certificate_rejects_wrong_registry(reg, tmp_path):
-    res = solve_feasibility(reg, 0.32, default_solve_grid(20.0), tail_constraint_at=20.0)
+    res = solve_feasibility(reg, 0.32, 20.0)
     rep = verify_witness(res.coefficients, 1e-4, 3e-3, 20.0)
     path = tmp_path / "cert.json"
     write_certificate(path, res.coefficients, rep)
@@ -344,10 +393,10 @@ def test_certificate_rejects_wrong_registry(reg, tmp_path):
 
 
 def test_spot_audit_stays_positive(reg):
-    res = solve_feasibility(reg, 0.30, default_solve_grid(20.0), tail_constraint_at=20.0)
+    res = solve_feasibility(reg, 0.30, 20.0)
     rep = verify_witness(res.coefficients, 1e-4, 3e-3, 20.0)
     assert rep.certified
-    min_fine, _ = spot_audit(res.coefficients, 1e-4, 20.0, factor=10)
+    min_fine, _ = spot_audit(res.coefficients, 1e-4, 20.0)
     assert min_fine > 0.0
 
 
@@ -365,7 +414,7 @@ def test_duality_sanity_on_real_sets(reg):
     from udsets.torus import pair_correlation
     from udsets.witness import gamma_coefficient, quadratic_root
 
-    res = solve_feasibility(reg, 0.30, default_solve_grid(40.0), tail_constraint_at=40.0)
+    res = solve_feasibility(reg, 0.30, 40.0)
     rep = verify_witness(res.coefficients, 1e-4, 3e-3, 40.0)
     assert rep.certified
     _, (a, b, qc) = quadratic_root(res.coefficients)
