@@ -23,7 +23,11 @@ the asymptotic one including sqrt(2x/pi) 2^-53 for the float64 rounding of
 the phase x - pi/4.  The returned ``abs_error_bound`` stays below 1e-12 on
 [0, 2^26]; tests check it against exact-rational and ``decimal`` oracles.
 The vectorized interfaces charge that flat bound, so they reject arguments
-above ``FLAT_BOUND_MAX_ARG`` = 2^26.
+above ``FLAT_BOUND_MAX_ARG`` = 2^26.  They check the whole array first, then
+evaluate it in blocks of ``VALUES_BLOCK`` arguments; a block entirely at or
+above the cutoff runs the Hankel branch in place in cache-sized buffers.  The
+operations and their order are those of the whole-array evaluation, so every
+value is the same float64.
 
 The 80-bit branch assumes an x87-style longdouble (Linux/x86-64).  On
 platforms where longdouble is 64-bit the values remain correct to ~1e-10;
@@ -129,6 +133,9 @@ J1_ABS_ERROR = J0_ABS_ERROR
 # Largest argument of j0_values/j1_values: the phase-rounding charge
 # sqrt(2x/pi) 2^-53 is 7.3e-13 here and 1.03e-12 at 2^27, past 1e-12.
 FLAT_BOUND_MAX_ARG = 2.0**26
+# arguments per block of j0_values/j1_values: the Hankel branch's four
+# float64 buffers (512 KiB) stay in cache
+VALUES_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -166,15 +173,33 @@ _HANKEL = {
 }
 
 
-def _asymptotic(x, nu):
-    """(J_nu(x), amplitude sqrt(2/(pi x))) from the Hankel expansion."""
+def _asymptotic(x, nu, out, buf):
+    """J_nu(x) from the Hankel expansion, written into ``out``.
+
+    ``buf`` holds four scratch rows of x's length; every operation is in
+    place in them.  Returns the amplitude sqrt(2/(pi x)), a row of ``buf``.
+    """
     P, Q, shift = _HANKEL[nu][:3]
-    z = 1.0 / (x * x)
-    p = _horner_ld(P, z)
-    q = _horner_ld(Q, z) / x
-    w = x - shift * math.pi
-    amp = np.sqrt(2.0 / (math.pi * x))
-    return amp * (p * np.cos(w) - q * np.sin(w)), amp
+    z, p, q, t = buf
+    np.multiply(x, x, out=t)
+    np.divide(1.0, t, out=z)
+    for acc, coeffs in ((p, P), (q, Q)):
+        acc.fill(coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc *= z
+            acc += c
+    q /= x
+    np.subtract(x, shift * math.pi, out=t)  # the phase w
+    np.sin(t, out=z)
+    np.cos(t, out=t)
+    p *= t
+    q *= z
+    p -= q  # P cos(w) - Q sin(w) / x
+    np.multiply(x, math.pi, out=t)
+    np.divide(2.0, t, out=t)
+    np.sqrt(t, out=t)
+    np.multiply(t, p, out=out)
+    return t
 
 
 def _asymptotic_bound(x, nu, amp):
@@ -184,6 +209,13 @@ def _asymptotic_bound(x, nu, amp):
     z = 1.0 / (x * x)
     trunc = amp * (p_next * z**ASYMPTOTIC_TERMS + q_next * z**ASYMPTOTIC_TERMS / x)
     return trunc + _ASY_ROUNDOFF + amp * x * 2.0**-53
+
+
+def _asymptotic_eval(x, nu):
+    """J_nu at one argument x >= SERIES_CUTOFF, with its error bound."""
+    value = np.empty(1)
+    amp = _asymptotic(np.array([x]), nu, value, np.empty((4, 1)))[0]
+    return BesselEval(float(value[0]), float(_asymptotic_bound(x, nu, amp)))
 
 
 def j0(x: float) -> BesselEval:
@@ -199,8 +231,7 @@ def j0(x: float) -> BesselEval:
         value = float(_horner_ld(_J0_COEFFS, u))
         err = float(_series_error_bound(_J0_ERRW, u))
         return BesselEval(value, err + 2e-16)
-    value, amp = _asymptotic(x, 0)
-    return BesselEval(float(value), float(_asymptotic_bound(x, 0, amp)))
+    return _asymptotic_eval(x, 0)
 
 
 def j1(x: float) -> BesselEval:
@@ -213,8 +244,7 @@ def j1(x: float) -> BesselEval:
         value = float(_LD(x) / 2 * _horner_ld(_J1_COEFFS, u))
         err = float(0.5 * x * _series_error_bound(_J1_ERRW, u))
         return BesselEval(value, err + 2e-16)
-    value, amp = _asymptotic(x, 1)
-    return BesselEval(float(value), float(_asymptotic_bound(x, 1, amp)))
+    return _asymptotic_eval(x, 1)
 
 
 def deriv_j0(x: float) -> BesselEval:
@@ -235,27 +265,39 @@ def j0_envelope(x: float) -> float:
 
 
 def _values(x, coeffs, nu, odd_prefactor):
+    """J_nu elementwise, in blocks of VALUES_BLOCK arguments.
+
+    The whole array is checked first.  A block with no argument below
+    SERIES_CUTOFF takes the Hankel branch in preallocated buffers; any other
+    block splits into series and Hankel arguments.  Every value is the same
+    float64 as on the whole array at once.
+    """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x[None]
-        scalar = True
-    else:
-        scalar = False
     # min and max propagate NaN, which then fails both comparisons
     if x.size and not (x.min() >= 0.0 and x.max() <= FLAT_BOUND_MAX_ARG):
         raise DomainError("array arguments must lie in [0, 2**26]")
-    out = np.empty_like(x)
-    small = x < SERIES_CUTOFF
-    if np.any(small):
-        xs = x[small]
+    flat = np.ascontiguousarray(x).reshape(-1)
+    out = np.empty_like(flat)
+    buf = np.empty((4, min(flat.size, VALUES_BLOCK)))
+    for lo in range(0, flat.size, VALUES_BLOCK):
+        xb = flat[lo : lo + VALUES_BLOCK]
+        ob = out[lo : lo + VALUES_BLOCK]
+        if xb.min() >= SERIES_CUTOFF:
+            _asymptotic(xb, nu, ob, buf[:, : xb.size])
+            continue
+        small = xb < SERIES_CUTOFF
+        xs = xb[small]
         u = xs.astype(_LD) ** 2 / 4
         v = _horner_ld(coeffs, u)
         if odd_prefactor:
             v = v * xs.astype(_LD) / 2
-        out[small] = v.astype(float)
-    if np.any(~small):
-        out[~small] = _asymptotic(x[~small], nu)[0]
-    return float(out[0]) if scalar else out
+        ob[small] = v.astype(float)
+        if not small.all():
+            big = ~small
+            vals = np.empty(np.count_nonzero(big))
+            _asymptotic(xb[big], nu, vals, buf[:, : vals.size])
+            ob[big] = vals
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def j0_values(x) -> np.ndarray:

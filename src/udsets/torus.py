@@ -9,7 +9,10 @@ Two independent pipelines compute the pair correlation f(r):
   DFT (one FFT of the occupancy grid) and sinc factors, grouped by the squared
   lattice index m = a^2 + b^2, giving the radial mass function kappa(m); then
   f(r) = sum_m J0(r * (2 pi / K) sqrt(m)) kappa(m) with a rigorous truncation
-  bound tail_mass * envelope(...).
+  bound tail_mass * envelope(...).  The lattice disk a^2 + b^2 <= cutoff is
+  walked row by row in blocks of SPECTRUM_BLOCK points, so memory is O(cutoff)
+  for kappa plus one bounded block; cutoffs stop at MAX_CUTOFF_M = 2^26.
+  ``spectrum_auto`` grows the cutoff by walking only the new annulus.
 * direct geometry: the autocorrelation of a cell union is the bilinear
   interpolation of the integer pair-count array (an exact identity, since the
   1D cell autocorrelation is the unit triangle).  Its circle average is
@@ -53,6 +56,11 @@ __all__ = [
 DEFAULT_WORK_BUDGET = 2.0e13
 # slack charged for FFT roundoff in kappa sums (S <= ~8192, counts <= 2^26)
 SPECTRUM_FFT_SLACK = 1.0e-10
+# largest cutoff_m: its kappa array alone takes 8 (cutoff_m + 1) bytes, 512 MiB
+MAX_CUTOFF_M = 2**26
+# lattice points per block of the disk walk; blocks hold whole row segments,
+# and a row has at most 2 isqrt(MAX_CUTOFF_M) + 1 = 16385 points
+SPECTRUM_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -136,31 +144,70 @@ class PairCorrEval:
     rigor_bound: float
 
 
-def _power_spectrum_lookup(A: GridSet):
-    """|FFT(grid)|^2 with half-plane storage and a conjugate-symmetry lookup."""
-    S = A.side
-    P2 = np.abs(np.fft.rfft2(A.cells.astype(np.float64))) ** 2
-    half = S // 2 + 1
-
-    def lookup(a, b):
-        p = np.mod(a, S)
-        q = np.mod(b, S)
-        flip = q >= half
-        p = np.where(flip, (-p) % S, p)
-        q = np.where(flip, S - q, q)
-        return P2[p, q]
-
-    return lookup
+def _power_spectrum(A: GridSet) -> np.ndarray:
+    """|FFT(cells)|^2 on the half plane 0 <= q <= S/2 (a real FFT)."""
+    return np.abs(np.fft.rfft2(A.cells.astype(np.float64))) ** 2
 
 
-def spectrum(A: GridSet, cutoff_m: int, work_budget: float = DEFAULT_WORK_BUDGET) -> Spectrum:
-    """Radial spectrum of A up to squared lattice index cutoff_m.
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) for an int64 array n >= 0, corrected to be exact."""
+    r = np.sqrt(n).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
 
-    kappa(m) accumulates |1_A^(xi)|^2 over lattice points xi = (2 pi/K)(a, b)
-    with a^2 + b^2 = m; the Fourier coefficient of each cell is closed form
-    (cell DFT times two sinc factors), so the only numerical error is FFT
-    roundoff.  tail_mass is density - sum(kappa), exact by Plancherel.
+
+def _walk_disk(A: GridSet, P2: np.ndarray, kappa: np.ndarray, c_lo: int, c_hi: int) -> None:
+    """Add the power of every lattice point with c_lo < a^2 + b^2 <= c_hi into
+    kappa[a^2 + b^2].
+
+    The walk visits rows a in ascending order and b in ascending order within
+    a row: one segment per row, or two (b < 0 and b > 0) when the row crosses
+    the inner circle.  Whole segments are grouped into blocks of about
+    SPECTRUM_BLOCK points, and ``np.add.at`` adds a block one point at a time,
+    so every bucket receives its terms in row-major order whatever the blocks
+    or the annuli.  A point's power is P2 at its half-plane image times the
+    squared sinc factors, read from 1-D tables over the coordinates.
     """
+    S = A.side
+    half = S // 2 + 1
+    norm = 1.0 / (A.K**2 * A.N**2)
+    amax = math.isqrt(c_hi)
+    ax = np.arange(-amax, amax + 1, dtype=np.int64)  # coordinate x sits at x + amax
+    sinc = np.sinc(ax / S)
+    sq = ax * ax
+    # half-plane image of (a, b): P2[a mod S, b mod S] when b mod S <= S/2,
+    # else P2[-a mod S, S - b mod S] by conjugate symmetry; rows as flat offsets
+    q = ax % S
+    flip = (q >= half).astype(np.int64)
+    col = np.where(flip, S - q, q)
+    row_pair = np.stack([ax % S * half, -ax % S * half], axis=1).reshape(-1)
+    power_flat = P2.reshape(-1)
+    # per row: |b| <= b_hi is inside c_hi, |b| <= b_lo (-1: none) inside c_lo
+    b_hi = _isqrt(c_hi - sq)
+    inner = sq <= c_lo
+    b_lo = np.full_like(ax, -1)
+    b_lo[inner] = _isqrt(c_lo - sq[inner])
+    # segment 2i runs over b in [-b_hi, -b_lo - 1] and segment 2i + 1 over
+    # [max(b_lo, 0) + 1, b_hi], so b = 0 lands in the first when b_lo = -1
+    b_mid = np.maximum(b_lo, 0)
+    starts = np.stack([amax - b_hi, amax + b_mid + 1], axis=1).reshape(-1)
+    lens = np.stack([b_hi - b_lo, b_hi - b_mid], axis=1).reshape(-1)
+    rows = np.repeat(np.arange(ax.size), 2)
+    ends = np.cumsum(lens)
+    block_of = (ends - lens) // SPECTRUM_BLOCK
+    edges = np.concatenate([[0], np.flatnonzero(np.diff(block_of)) + 1, [lens.size]])
+    for j0, j1 in zip(edges[:-1], edges[1:]):
+        n = lens[j0:j1]
+        a = rows[j0:j1]
+        b = np.arange(int(n.sum())) + np.repeat(starts[j0:j1] - (np.cumsum(n) - n), n)
+        sincs = np.repeat(sinc[a], n) * sinc[b]
+        image = row_pair[np.repeat(2 * a, n) + flip[b]] + col[b]
+        power = power_flat[image] * (norm * sincs) ** 2
+        np.add.at(kappa, np.repeat(sq[a], n) + sq[b], power)
+
+
+def _check_cutoff(A: GridSet, cutoff_m: int, work_budget: float) -> None:
     if cutoff_m < 1:
         raise DomainError("cutoff_m must be >= 1")
     S = A.side
@@ -168,19 +215,15 @@ def spectrum(A: GridSet, cutoff_m: int, work_budget: float = DEFAULT_WORK_BUDGET
         raise WorkBudgetError(
             f"cutoff_m * (NK)^2 = {cutoff_m * S * S:.3g} exceeds work budget {work_budget:.3g}"
         )
-    lookup = _power_spectrum_lookup(A)
-    amax = math.isqrt(cutoff_m)
-    ax = np.arange(-amax, amax + 1, dtype=np.int64)
-    aa, bb = np.meshgrid(ax, ax, indexing="ij")
-    m = (aa * aa + bb * bb).ravel()
-    keep = m <= cutoff_m
-    aa = aa.ravel()[keep]
-    bb = bb.ravel()[keep]
-    m = m[keep]
-    norm = 1.0 / (A.K**2 * A.N**2)
-    sincs = np.sinc(aa / S) * np.sinc(bb / S)
-    power = lookup(aa, bb) * (norm * sincs) ** 2
-    kappa_by_m = np.bincount(m, weights=power, minlength=int(cutoff_m) + 1)
+    if cutoff_m > MAX_CUTOFF_M:
+        raise WorkBudgetError(
+            f"cutoff_m = {cutoff_m} exceeds MAX_CUTOFF_M = {MAX_CUTOFF_M}: kappa alone "
+            f"would take {8 * (cutoff_m + 1) / 2**20:.0f} MiB"
+        )
+
+
+def _finish(A: GridSet, kappa_by_m: np.ndarray, cutoff_m: int) -> Spectrum:
+    """The Spectrum of a walked disk: kappa(0) in closed form, tail by Plancherel."""
     dens = A.density
     kappa_by_m[0] = dens * dens  # closed form; the FFT DC term equals it to 1 ulp
     ms = np.nonzero(kappa_by_m)[0].astype(np.int64)
@@ -194,6 +237,27 @@ def spectrum(A: GridSet, cutoff_m: int, work_budget: float = DEFAULT_WORK_BUDGET
     return Spectrum(A.K, ms, kappas, int(cutoff_m), tail, dens)
 
 
+def spectrum(A: GridSet, cutoff_m: int, work_budget: float = DEFAULT_WORK_BUDGET) -> Spectrum:
+    """Radial spectrum of A up to squared lattice index cutoff_m.
+
+    kappa(m) accumulates |1_A^(xi)|^2 over lattice points xi = (2 pi/K)(a, b)
+    with a^2 + b^2 = m; the Fourier coefficient of each cell is closed form
+    (cell DFT times two sinc factors), so the only numerical error is FFT
+    roundoff.  tail_mass is density - sum(kappa), exact by Plancherel.
+
+    The disk a^2 + b^2 <= cutoff_m is walked row by row in bounded blocks
+    (``_walk_disk``), so memory is the kappa array, 8 (cutoff_m + 1) bytes,
+    plus one block of SPECTRUM_BLOCK points and the real FFT.  Cutoffs above
+    MAX_CUTOFF_M raise WorkBudgetError before anything is allocated, as do
+    cutoffs with cutoff_m * (NK)^2 above work_budget.
+    """
+    _check_cutoff(A, cutoff_m, work_budget)
+    P2 = _power_spectrum(A)  # before kappa, so the FFT's peak does not hold it
+    kappa_by_m = np.zeros(int(cutoff_m) + 1)
+    _walk_disk(A, P2, kappa_by_m, -1, cutoff_m)
+    return _finish(A, kappa_by_m, cutoff_m)
+
+
 def spectrum_auto(
     A: GridSet,
     r_min: float = 0.5,
@@ -203,20 +267,30 @@ def spectrum_auto(
 ) -> Spectrum:
     """Spectrum with cutoff escalated until tail * envelope(r_min ...) <= target.
 
-    Stops early at the work budget; the returned rigor bounds stay valid
-    either way, just wider.
+    Each x4 escalation walks only the new annulus of lattice points into the
+    grown kappa array, reusing the FFT.  A bucket m only receives points with
+    a^2 + b^2 = m, all in one annulus and in row-major order, so the result
+    is bit for bit ``spectrum(A, result.cutoff_m)``.  Stops early at the work
+    budget or at MAX_CUTOFF_M; the returned rigor bounds stay valid either
+    way, just wider.
     """
     cutoff = initial_cutoff
-    spec = spectrum(A, cutoff, work_budget)
+    _check_cutoff(A, cutoff, work_budget)
+    P2 = _power_spectrum(A)
+    kappa_by_m = np.zeros(int(cutoff) + 1)
+    _walk_disk(A, P2, kappa_by_m, -1, cutoff)
     while True:
+        spec = _finish(A, kappa_by_m, cutoff)
         arg = r_min * (2.0 * math.pi / A.K) * math.sqrt(spec.cutoff_m)
         env = 1.0 if arg <= 0 else j0_envelope(arg)
         if spec.tail_mass * env <= tail_target:
             return spec
-        cutoff *= 4
-        if cutoff * A.side**2 > work_budget:
+        grown = cutoff * 4
+        if grown * A.side**2 > work_budget or grown > MAX_CUTOFF_M:
             return spec
-        spec = spectrum(A, cutoff, work_budget)
+        kappa_by_m = np.concatenate([kappa_by_m, np.zeros(grown - cutoff)])
+        _walk_disk(A, P2, kappa_by_m, cutoff, grown)
+        cutoff = grown
 
 
 def pair_correlation(S: Spectrum, r: float) -> PairCorrEval:

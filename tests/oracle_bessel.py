@@ -7,11 +7,23 @@ truncation, which for 200 terms is far below 1e-30 on [0, 100].  Used to
 freeze expected values and to audit the production evaluator's error bounds.
 Above x = 100, ``hankel_oracle`` evaluates the Hankel expansion in ``decimal``
 arithmetic with pi from Machin's formula.
+
+``values_whole_array`` is different in kind: it is the vectorized evaluator
+as it was before ``j0_values``/``j1_values`` went blockwise, one mask split
+over the whole array with the Hankel branch written out in allocating numpy
+expressions, on the module's own coefficient tables.  It is the bitwise
+reference for the blocked, in-place evaluation.
 """
 
+import math
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
+
+from udsets import bessel
+from udsets.errors import DomainError
 
 
 @lru_cache(maxsize=4096)
@@ -138,3 +150,36 @@ def hankel_oracle(nu: int, x: float, digits: int = 60) -> float:
         c, s = _cos_sin(w)
         amp = (2 / (pi * X)).sqrt()
         return float(amp * (P * c - Q * s))
+
+
+def values_whole_array(x, nu: int):
+    """J_nu(x) elementwise on the whole array at once: the series on every
+    argument below SERIES_CUTOFF, the Hankel branch on the rest."""
+    coeffs = bessel._J1_COEFFS if nu else bessel._J0_COEFFS
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        x = x[None]
+        scalar = True
+    else:
+        scalar = False
+    if x.size and not (x.min() >= 0.0 and x.max() <= bessel.FLAT_BOUND_MAX_ARG):
+        raise DomainError("array arguments must lie in [0, 2**26]")
+    out = np.empty_like(x)
+    small = x < bessel.SERIES_CUTOFF
+    if np.any(small):
+        xs = x[small]
+        u = xs.astype(np.longdouble) ** 2 / 4
+        v = bessel._horner_ld(coeffs, u)
+        if nu:
+            v = v * xs.astype(np.longdouble) / 2
+        out[small] = v.astype(float)
+    if np.any(~small):
+        xl = x[~small]
+        P, Q, shift = bessel._HANKEL[nu][:3]
+        z = 1.0 / (xl * xl)
+        p = bessel._horner_ld(P, z)
+        q = bessel._horner_ld(Q, z) / xl
+        w = xl - shift * math.pi
+        amp = np.sqrt(2.0 / (math.pi * xl))
+        out[~small] = amp * (p * np.cos(w) - q * np.sin(w))
+    return float(out[0]) if scalar else out

@@ -8,7 +8,13 @@ import pytest
 from udsets import bessel
 from udsets.errors import DomainError
 
-from oracle_bessel import first_j0_zeros, hankel_oracle, j0_oracle, j1_oracle
+from oracle_bessel import (
+    first_j0_zeros,
+    hankel_oracle,
+    j0_oracle,
+    j1_oracle,
+    values_whole_array,
+)
 
 # Frozen from the 200-term exact-rational oracle (see test_frozen_values).
 J0_AT_1 = 0.7651976865579666
@@ -114,6 +120,51 @@ def test_vectorized_domain_ends_at_the_flat_bound_cap():
     pair_correlation(S, r_cap * (1 - 1e-9))
     with pytest.raises(DomainError):
         pair_correlation(S, r_cap * (1 + 1e-9))
+
+
+def _blocked_inputs():
+    """Named argument arrays around the block size of the vectorized evaluators."""
+    B = bessel.VALUES_BLOCK
+    rng = np.random.default_rng(7)
+
+    def mixed(n):  # both branches, and the cap, in most blocks
+        return np.concatenate([[0.0, 15.0, bessel.FLAT_BOUND_MAX_ARG], rng.uniform(0, 40, n)])[:n]
+
+    # block 1 runs from x = 7.5 to 22.5, across SERIES_CUTOFF mid-block
+    straddle = np.concatenate([np.full(B // 2, 20.0), np.linspace(0.0, 30.0, 2 * B)])
+    wide = np.exp(rng.uniform(-5.0, math.log(bessel.FLAT_BOUND_MAX_ARG), (64, B // 16)))
+    cases = {f"size {n}": mixed(n) for n in (0, 1, B - 1, B, B + 1, 3 * B + 7)}
+    cases.update({
+        "hankel only": rng.uniform(15.0, 2000.0, 2 * B + 3),
+        "straddles 15": straddle,
+        "0-d": np.array(3.5),
+        "0-d hankel": np.array(1e5),
+        "2-D": wide,
+        "strided": wide[::3, 1::2],
+        "transposed": wide.T,
+    })
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_blocked_inputs()))
+def test_blocked_values_bitwise_equal_the_whole_array(name):
+    x = _blocked_inputs()[name]
+    for nu, vectorized in ((0, bessel.j0_values), (1, bessel.j1_values)):
+        got, want = vectorized(x), values_whole_array(x, nu)
+        if x.ndim == 0:
+            assert isinstance(got, float) and got == want
+        else:
+            assert got.shape == x.shape
+            assert np.array_equal(got.view(np.int64), np.asarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, bessel.FLAT_BOUND_MAX_ARG * 1.0001])
+def test_blocked_values_check_the_last_block(bad):
+    x = np.full(3 * bessel.VALUES_BLOCK + 7, 20.0)
+    x[-1] = bad
+    for vectorized in (bessel.j0_values, bessel.j1_values):
+        with pytest.raises(DomainError):
+            vectorized(x)
 
 
 def test_j1_sup_below_0p6():

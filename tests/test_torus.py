@@ -1,10 +1,16 @@
 """GridSet / Spectrum behavior against independent small-scale oracles."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from udsets import torus
 from udsets.errors import DegenerateSetError, DomainError, SchemaError, WorkBudgetError
 from udsets.gridio import load_gridset, save_gridset
 from udsets.torus import (
@@ -49,6 +55,117 @@ def direct_fourier_mass(A, cutoff_m):
             coeff = np.sum(seg(xi1, js) * seg(xi2, ks)) / A.K**2
             out[m] = out.get(m, 0.0) + abs(coeff) ** 2
     return out
+
+
+def meshgrid_spectrum(A, cutoff_m):
+    """Reference spectrum: the whole (2 isqrt(cutoff_m) + 1)^2 meshgrid of
+    lattice points at once, summed by ``np.bincount`` in row-major order.
+
+    This is how ``spectrum`` computed kappa before it walked the disk by rows;
+    both add each bucket's terms in the same order, so they agree bit for bit.
+    Returns (ms, kappas, tail_mass).
+    """
+    S = A.side
+    P2 = np.abs(np.fft.rfft2(A.cells.astype(np.float64))) ** 2
+    half = S // 2 + 1
+
+    def lookup(a, b):
+        p = np.mod(a, S)
+        q = np.mod(b, S)
+        flip = q >= half
+        p = np.where(flip, (-p) % S, p)
+        q = np.where(flip, S - q, q)
+        return P2[p, q]
+
+    amax = math.isqrt(cutoff_m)
+    ax = np.arange(-amax, amax + 1, dtype=np.int64)
+    aa, bb = np.meshgrid(ax, ax, indexing="ij")
+    m = (aa * aa + bb * bb).ravel()
+    keep = m <= cutoff_m
+    aa = aa.ravel()[keep]
+    bb = bb.ravel()[keep]
+    m = m[keep]
+    norm = 1.0 / (A.K**2 * A.N**2)
+    sincs = np.sinc(aa / S) * np.sinc(bb / S)
+    power = lookup(aa, bb) * (norm * sincs) ** 2
+    kappa_by_m = np.bincount(m, weights=power, minlength=int(cutoff_m) + 1)
+    dens = A.density
+    kappa_by_m[0] = dens * dens
+    ms = np.nonzero(kappa_by_m)[0].astype(np.int64)
+    kappas = kappa_by_m[ms]
+    tail = dens - float(kappas.sum())
+    return ms, kappas, max(tail, 0.0)
+
+
+def assert_same_spectrum(spec, ms, kappas, tail_mass):
+    assert np.array_equal(spec.ms, ms)
+    assert np.array_equal(spec.kappas.view(np.int64), kappas.view(np.int64))
+    assert spec.tail_mass == tail_mass
+
+
+@pytest.mark.parametrize(
+    "N, K, cutoff",
+    [
+        (1, 1, 1),
+        (2, 3, 50),
+        (1, 3, 10_000),   # isqrt(cutoff) = 100 > S = 3: the power lookup wraps
+        (3, 4, 1_000),
+        (5, 2, 12_345),
+        (4, 8, 65_536),   # about 206k points: several walk blocks
+        (3, 5, 99_999),   # not a perfect square, rows end off the circle
+    ],
+)
+def test_row_walk_bitwise_equals_meshgrid_oracle(N, K, cutoff):
+    A = random_gridset(N, K, p=0.4, seed=N * K + cutoff)
+    assert_same_spectrum(spectrum(A, cutoff), *meshgrid_spectrum(A, cutoff))
+
+
+def test_spectrum_auto_bitwise_equals_spectrum_at_its_cutoff():
+    # sets of the c02 sweep whose cutoff grows from 4096 by two or more x4 steps
+    for case, N, K, p in ((2, 10, 3, 0.698), (3, 1, 6, 0.527), (12, 4, 3, 0.63), (20, 2, 7, 0.445)):
+        A = random_gridset(N, K, p=p, seed=1000 + case)
+        auto = spectrum_auto(A, r_min=0.25, tail_target=2e-4)
+        assert auto.cutoff_m >= 4 * 4 * 4096
+        direct = spectrum(A, auto.cutoff_m)
+        assert_same_spectrum(auto, direct.ms, direct.kappas, direct.tail_mass)
+
+
+def test_cutoff_above_the_kappa_cap_is_refused():
+    assert torus.MAX_CUTOFF_M == 2**26
+    with pytest.raises(WorkBudgetError):
+        spectrum(GridSet.full(1, 1), 2**26 + 1)
+
+
+def test_spectrum_auto_stops_escalating_at_the_kappa_cap(monkeypatch):
+    monkeypatch.setattr(torus, "MAX_CUTOFF_M", 4 * 4096)
+    A = random_gridset(3, 4, p=0.4, seed=0)
+    spec = spectrum_auto(A, r_min=0.25, tail_target=1e-12)
+    assert spec.cutoff_m == 4 * 4096
+    assert spec.tail_mass > 0.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space cap needs Linux")
+def test_spectrum_fits_in_bounded_memory():
+    # the meshgrid needed about 900 MB here; the row walk about 110 MB
+    pytest.importorskip("resource")
+    script = textwrap.dedent(
+        """
+        import resource
+        cap = 512 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from udsets.torus import random_gridset, spectrum
+        spec = spectrum(random_gridset(3, 4, p=0.4, seed=0), 2**22)
+        print(spec.cutoff_m)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(2**22)]
 
 
 def test_gridset_freezes_a_view_not_the_callers_array():
