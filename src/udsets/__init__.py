@@ -3,7 +3,7 @@ for distance-1-avoiding sets on square tori.
 
 Library layout:
 
-* ``bessel``        J0/J1 with certified error bounds and tail envelopes
+* ``bessel``        J0 with certified error bounds and tail envelopes
 * ``torus``         GridSet, radial spectra, pair correlations (two pipelines)
 * ``gridio``        GridSet files and CSV curves
 * ``constructions`` disk-packing / tortoise patterns and certified rasters
@@ -13,7 +13,7 @@ Library layout:
 * ``cli``           reproducible command-line experiments
 """
 
-from .bessel import BesselEval, deriv_j0, j0, j0_envelope, j0_values, j1, j1_values
+from .bessel import BesselEval, j0, j0_envelope, j0_values
 from .constructions import (
     PlanarPattern,
     croft_tortoise,

@@ -1,9 +1,9 @@
-"""Self-contained evaluation of the Bessel functions J0 and J1.
+"""Self-contained evaluation of the Bessel function J0.
 
-Every numeric module in the toolkit funnels through these two functions, and
-the certificate verifier charges their evaluation error against its rigor
-budget, so each call returns an explicit absolute error bound instead of a
-bare float.
+J0(|xi|) is the Fourier transform of the unit circle's measure in the plane,
+so every numeric module in the toolkit funnels through it, and the
+certificate verifier charges its evaluation error against its rigor budget:
+each call returns an explicit absolute error bound instead of a bare float.
 
 Algorithm
 ---------
@@ -15,24 +15,25 @@ Two branches with a documented switchover at ``SERIES_CUTOFF`` = 15:
   cancellation; at 80 bits the running-error bound stays below 8e-13.
 * ``x >= 15``: the Hankel asymptotic expansion
   ``sqrt(2/(pi x)) [P(x) cos(w) - Q(x) sin(w)]`` with 14 terms in each of P
-  and Q.  For real arguments the remainder of either series is bounded by the
-  first omitted term, which at x = 15 is below 5e-14 and decreases in x.
+  and Q, w = x - pi/4.  For real arguments the remainder of either series is
+  bounded by the first omitted term, which at x = 15 is below 5e-14 and
+  decreases in x.
 
 No lookup tables or interpolation: both branches have closed-form error terms,
 the asymptotic one including sqrt(2x/pi) 2^-53 for the float64 rounding of
 the phase x - pi/4.  The returned ``abs_error_bound`` stays below 1e-12 on
 [0, 2^26]; tests check it against exact-rational and ``decimal`` oracles.
-The vectorized interfaces charge that flat bound, so they reject arguments
-above ``FLAT_BOUND_MAX_ARG`` = 2^26.  They check the whole array first, then
-evaluate it in blocks of ``VALUES_BLOCK`` arguments; a block entirely at or
+The vectorized ``j0_values`` charges that flat bound, so it rejects arguments
+above ``FLAT_BOUND_MAX_ARG`` = 2^26.  It checks the whole array first, then
+evaluates it in blocks of ``VALUES_BLOCK`` arguments; a block entirely at or
 above the cutoff runs the Hankel branch in place in cache-sized buffers.  The
 operations and their order are those of the whole-array evaluation, so every
 value is the same float64.
 
 The 80-bit branch assumes an x87-style longdouble (Linux/x86-64).  On
 platforms where longdouble is 64-bit the values remain correct to ~1e-10;
-``HAVE_EXTENDED_PRECISION`` records the situation, and the flat bounds
-``J0_ABS_ERROR``/``J1_ABS_ERROR`` then charge 5e-9 instead of 1e-12.
+``HAVE_EXTENDED_PRECISION`` records the situation, and the flat bound
+``J0_ABS_ERROR`` then charges 5e-9 instead of 1e-12.
 """
 
 from __future__ import annotations
@@ -47,16 +48,12 @@ from .errors import DomainError
 __all__ = [
     "BesselEval",
     "j0",
-    "j1",
-    "deriv_j0",
     "j0_envelope",
     "j0_values",
-    "j1_values",
     "j0_combination",
     "j0_combination_error",
     "j0_combination_envelope",
     "J0_ABS_ERROR",
-    "J1_ABS_ERROR",
     "FLAT_BOUND_MAX_ARG",
     "SERIES_CUTOFF",
 ]
@@ -80,41 +77,26 @@ def _series_coeffs_j0(n):
     return np.array(out, dtype=_LD)
 
 
-def _series_coeffs_j1(n):
-    # J1(x) = (x/2) * sum_k (-1)^k u^k / (k! (k+1)!)
-    out = [_LD(1)]
-    for k in range(1, n):
-        out.append(out[-1] / _LD(k * (k + 1)) * _LD(-1))
-    return np.array(out, dtype=_LD)
-
-
 _J0_COEFFS = _series_coeffs_j0(SERIES_TERMS)
-_J1_COEFFS = _series_coeffs_j1(SERIES_TERMS)
 # weights (k+1)|c_k| for the running-error bound of Horner evaluation
 _J0_ERRW = np.abs(_J0_COEFFS) * np.arange(1, SERIES_TERMS + 1, dtype=_LD)
-_J1_ERRW = np.abs(_J1_COEFFS) * np.arange(1, SERIES_TERMS + 1, dtype=_LD)
 
 
-def _hankel_coeffs(nu, n):
-    # a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k)
+def _hankel_coeffs(n):
+    # a_k = prod_{j<=k} -(2j-1)^2 / (k! 8^k), the Hankel coefficients of J0
     a = [1.0]
     for k in range(1, n):
-        a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+        a.append(a[-1] * -((2 * k - 1) ** 2) / (8.0 * k))
     return np.array(a)
 
 
-_A0 = _hankel_coeffs(0, 2 * ASYMPTOTIC_TERMS + 2)
-_A1 = _hankel_coeffs(1, 2 * ASYMPTOTIC_TERMS + 2)
+_A = _hankel_coeffs(2 * ASYMPTOTIC_TERMS + 2)
 # P uses a_0, a_2, ..., Q uses a_1, a_3, ...; signs (-1)^k are folded in here.
-_P0 = _A0[0 : 2 * ASYMPTOTIC_TERMS : 2] * (-1.0) ** np.arange(ASYMPTOTIC_TERMS)
-_Q0 = _A0[1 : 2 * ASYMPTOTIC_TERMS + 1 : 2] * (-1.0) ** np.arange(ASYMPTOTIC_TERMS)
-_P1 = _A1[0 : 2 * ASYMPTOTIC_TERMS : 2] * (-1.0) ** np.arange(ASYMPTOTIC_TERMS)
-_Q1 = _A1[1 : 2 * ASYMPTOTIC_TERMS + 1 : 2] * (-1.0) ** np.arange(ASYMPTOTIC_TERMS)
+_P = _A[0 : 2 * ASYMPTOTIC_TERMS : 2] * (-1.0) ** np.arange(ASYMPTOTIC_TERMS)
+_Q = _A[1 : 2 * ASYMPTOTIC_TERMS + 1 : 2] * (-1.0) ** np.arange(ASYMPTOTIC_TERMS)
 # first omitted coefficients, for the truncation bound
-_P0_NEXT = abs(_A0[2 * ASYMPTOTIC_TERMS])
-_Q0_NEXT = abs(_A0[2 * ASYMPTOTIC_TERMS + 1])
-_P1_NEXT = abs(_A1[2 * ASYMPTOTIC_TERMS])
-_Q1_NEXT = abs(_A1[2 * ASYMPTOTIC_TERMS + 1])
+_P_NEXT = abs(_A[2 * ASYMPTOTIC_TERMS])
+_Q_NEXT = abs(_A[2 * ASYMPTOTIC_TERMS + 1])
 
 _EPS80 = float(np.finfo(_LD).eps)
 _SERIES_TRUNC = 1e-24  # |t_60| at x = 15 is ~1e-57; generous cover
@@ -123,17 +105,15 @@ _ASY_ROUNDOFF = 5e-15  # float64 evaluation noise of the asymptotic branch
 # Flat documented bounds for the vectorized interfaces (max over both
 # branches on [0, 2^26]; asserted against the oracles in the test suite).
 # Without 80-bit longdouble the series runs in float64: its running-error
-# bound at the cutoff (u = 56.25) is 1.6e-9 for J0 and 1.4e-9 for J1, and
-# the fallback charges about 3x that to cover the rounding of the
-# coefficients and of u as well.
+# bound at the cutoff (u = 56.25) is 1.6e-9, and the fallback charges about
+# 3x that to cover the rounding of the coefficients and of u as well.
 _ABS_ERROR_EXTENDED = 1.0e-12
 _ABS_ERROR_FLOAT64 = 5.0e-9
 J0_ABS_ERROR = _ABS_ERROR_EXTENDED if HAVE_EXTENDED_PRECISION else _ABS_ERROR_FLOAT64
-J1_ABS_ERROR = J0_ABS_ERROR
-# Largest argument of j0_values/j1_values: the phase-rounding charge
+# Largest argument of j0_values: the phase-rounding charge
 # sqrt(2x/pi) 2^-53 is 7.3e-13 here and 1.03e-12 at 2^27, past 1e-12.
 FLAT_BOUND_MAX_ARG = 2.0**26
-# arguments per block of j0_values/j1_values: the Hankel branch's four
+# arguments per block of j0_values: the Hankel branch's four
 # float64 buffers (512 KiB) stay in cache
 VALUES_BLOCK = 2**14
 
@@ -165,31 +145,22 @@ def _series_error_bound(errw, u):
     return 2.5 * _EPS80 * np.asarray(bound, dtype=float) + _SERIES_TRUNC
 
 
-# per order nu: P and Q coefficients, phase shift in units of pi, and the
-# first omitted P and Q coefficients
-_HANKEL = {
-    0: (_P0.astype(float), _Q0.astype(float), 0.25, _P0_NEXT, _Q0_NEXT),
-    1: (_P1.astype(float), _Q1.astype(float), 0.75, _P1_NEXT, _Q1_NEXT),
-}
-
-
-def _asymptotic(x, nu, out, buf):
-    """J_nu(x) from the Hankel expansion, written into ``out``.
+def _asymptotic(x, out, buf):
+    """J0(x) from the Hankel expansion, written into ``out``.
 
     ``buf`` holds four scratch rows of x's length; every operation is in
     place in them.  Returns the amplitude sqrt(2/(pi x)), a row of ``buf``.
     """
-    P, Q, shift = _HANKEL[nu][:3]
     z, p, q, t = buf
     np.multiply(x, x, out=t)
     np.divide(1.0, t, out=z)
-    for acc, coeffs in ((p, P), (q, Q)):
+    for acc, coeffs in ((p, _P), (q, _Q)):
         acc.fill(coeffs[-1])
         for c in coeffs[-2::-1]:
             acc *= z
             acc += c
     q /= x
-    np.subtract(x, shift * math.pi, out=t)  # the phase w
+    np.subtract(x, 0.25 * math.pi, out=t)  # the phase w
     np.sin(t, out=z)
     np.cos(t, out=t)
     p *= t
@@ -202,20 +173,12 @@ def _asymptotic(x, nu, out, buf):
     return t
 
 
-def _asymptotic_bound(x, nu, amp):
+def _asymptotic_bound(x, amp):
     """Error bound of ``_asymptotic``: truncation, float64 noise, and the
-    rounding of the phase x - shift * pi, up to x 2^-53."""
-    p_next, q_next = _HANKEL[nu][3:]
+    rounding of the phase x - pi/4, up to x 2^-53."""
     z = 1.0 / (x * x)
-    trunc = amp * (p_next * z**ASYMPTOTIC_TERMS + q_next * z**ASYMPTOTIC_TERMS / x)
+    trunc = amp * (_P_NEXT * z**ASYMPTOTIC_TERMS + _Q_NEXT * z**ASYMPTOTIC_TERMS / x)
     return trunc + _ASY_ROUNDOFF + amp * x * 2.0**-53
-
-
-def _asymptotic_eval(x, nu):
-    """J_nu at one argument x >= SERIES_CUTOFF, with its error bound."""
-    value = np.empty(1)
-    amp = _asymptotic(np.array([x]), nu, value, np.empty((4, 1)))[0]
-    return BesselEval(float(value[0]), float(_asymptotic_bound(x, nu, amp)))
 
 
 def j0(x: float) -> BesselEval:
@@ -231,26 +194,9 @@ def j0(x: float) -> BesselEval:
         value = float(_horner_ld(_J0_COEFFS, u))
         err = float(_series_error_bound(_J0_ERRW, u))
         return BesselEval(value, err + 2e-16)
-    return _asymptotic_eval(x, 0)
-
-
-def j1(x: float) -> BesselEval:
-    """J1(x) = -J0'(x) with a certified absolute error bound."""
-    _check_domain(x)
-    if x == 0.0:
-        return BesselEval(0.0, 0.0)
-    if x < SERIES_CUTOFF:
-        u = _LD(x) * _LD(x) / 4
-        value = float(_LD(x) / 2 * _horner_ld(_J1_COEFFS, u))
-        err = float(0.5 * x * _series_error_bound(_J1_ERRW, u))
-        return BesselEval(value, err + 2e-16)
-    return _asymptotic_eval(x, 1)
-
-
-def deriv_j0(x: float) -> BesselEval:
-    """J0'(x) = -J1(x); the toolkit's only derivative convention."""
-    ev = j1(x)
-    return BesselEval(-ev.value, ev.abs_error_bound)
+    value = np.empty(1)
+    amp = _asymptotic(np.array([x]), value, np.empty((4, 1)))[0]
+    return BesselEval(float(value[0]), float(_asymptotic_bound(x, amp)))
 
 
 def j0_envelope(x: float) -> float:
@@ -264,13 +210,13 @@ def j0_envelope(x: float) -> float:
     return min(1.0, math.sqrt(2.0 / (math.pi * x)))
 
 
-def _values(x, coeffs, nu, odd_prefactor):
-    """J_nu elementwise, in blocks of VALUES_BLOCK arguments.
+def j0_values(x) -> np.ndarray:
+    """Vectorized J0 on [0, 2**26]; absolute error <= J0_ABS_ERROR elementwise.
 
-    The whole array is checked first.  A block with no argument below
-    SERIES_CUTOFF takes the Hankel branch in preallocated buffers; any other
-    block splits into series and Hankel arguments.  Every value is the same
-    float64 as on the whole array at once.
+    Runs in blocks of VALUES_BLOCK arguments after checking the whole array.
+    A block with no argument below SERIES_CUTOFF takes the Hankel branch in
+    preallocated buffers; any other block splits into series and Hankel
+    arguments.  Every value is the same float64 as on the whole array at once.
     """
     x = np.asarray(x, dtype=float)
     # min and max propagate NaN, which then fails both comparisons
@@ -283,31 +229,17 @@ def _values(x, coeffs, nu, odd_prefactor):
         xb = flat[lo : lo + VALUES_BLOCK]
         ob = out[lo : lo + VALUES_BLOCK]
         if xb.min() >= SERIES_CUTOFF:
-            _asymptotic(xb, nu, ob, buf[:, : xb.size])
+            _asymptotic(xb, ob, buf[:, : xb.size])
             continue
         small = xb < SERIES_CUTOFF
-        xs = xb[small]
-        u = xs.astype(_LD) ** 2 / 4
-        v = _horner_ld(coeffs, u)
-        if odd_prefactor:
-            v = v * xs.astype(_LD) / 2
-        ob[small] = v.astype(float)
+        u = xb[small].astype(_LD) ** 2 / 4
+        ob[small] = _horner_ld(_J0_COEFFS, u).astype(float)
         if not small.all():
             big = ~small
             vals = np.empty(np.count_nonzero(big))
-            _asymptotic(xb[big], nu, vals, buf[:, : vals.size])
+            _asymptotic(xb[big], vals, buf[:, : vals.size])
             ob[big] = vals
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-
-
-def j0_values(x) -> np.ndarray:
-    """Vectorized J0 on [0, 2**26]; absolute error <= J0_ABS_ERROR elementwise."""
-    return _values(x, _J0_COEFFS, 0, odd_prefactor=False)
-
-
-def j1_values(x) -> np.ndarray:
-    """Vectorized J1 on [0, 2**26]; absolute error <= J1_ABS_ERROR elementwise."""
-    return _values(x, _J1_COEFFS, 1, odd_prefactor=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ Exit codes: 0 success / certified, 2 failed certificate, 3 infeasible LP,
 4 input error, 5 search timeout.
 
 ``--config FILE`` supplies a JSON object whose entries override the parsed
-flags.  All kernels here are single-threaded and deterministic.
+flags.  Each entry goes through its subcommand's own option, type and
+choices included; an unknown key or a rejected value is an input error.
+All kernels here are single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -229,8 +231,7 @@ def cmd_graph(args) -> int:
 def cmd_certify(args) -> int:
     out = _outdir(args)
     reg = _load_registry_arg(args.registry)
-    knobs = dict(budget=args.budget, margin=args.margin,
-                 verify_step=args.verify_step, tail_start=args.tail_start)
+    knobs = dict(budget=args.budget, margin=args.margin, tail_start=args.tail_start)
     if args.delta_plus is not None:
         # one solve + verification at --tail-start, the quadratic minimized
         res, report, _ = witness._attempt(
@@ -347,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-plus", type=float, default=None)
     p.add_argument("--budget", type=float, default=witness.DEFAULT_BUDGET)
     p.add_argument("--margin", type=float, default=witness.DEFAULT_MARGIN)
-    p.add_argument("--verify-step", type=float, default=None,
-                   help="dense verification step (default: derived from the witness)")
     p.add_argument("--tail-start", type=float, default=witness.DEFAULT_TAIL_START)
     p.add_argument("--out", default="runs/certify")
     p.set_defaults(func=cmd_certify)
@@ -366,17 +365,58 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_value(action: argparse.Action, value):
+    """A --config entry as ``action`` stores it; ValueError if it rejects it.
+
+    A switch takes true or false.  Any other entry is spelt as on the command
+    line (a string as itself, anything else as its JSON text) and passes the
+    action's type and choices; the result must equal the entry, so neither
+    "4" nor 4.5 is an int.
+    """
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError(f"expects true or false, got {value!r}")
+        return value
+    kind = action.type or str
+    token = value if isinstance(value, str) else json.dumps(value)
+    try:
+        parsed = kind(token)
+        if parsed != value:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{value!r} is not a valid {kind.__name__}") from None
+    if action.choices is not None and parsed not in action.choices:
+        raise ValueError(f"{value!r} is not one of {sorted(action.choices)}")
+    return parsed
+
+
+def _apply_config(ap: argparse.ArgumentParser, args, overrides) -> None:
+    """Override ``args`` with the --config entries, each through the action
+    of that name in the chosen subcommand's parser."""
+    if not isinstance(overrides, dict):
+        raise ValueError("the file must hold a JSON object")
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    parser = sub.choices[args.subcommand]
+    actions = {a.dest: a for a in parser._actions if a.dest != "help"}
+    for key, value in overrides.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"unknown key {key!r} for {args.subcommand}")
+        try:
+            setattr(args, action.dest, _config_value(action, value))
+        except ValueError as exc:
+            raise ValueError(f"key {key!r}: {exc}") from None
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.config:
         try:
-            overrides = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            _apply_config(ap, args, json.loads(Path(args.config).read_text()))
+        except (OSError, ValueError) as exc:
             print(f"bad --config file: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        for key, value in overrides.items():
-            setattr(args, key.replace("-", "_"), value)
     try:
         return args.func(args)
     except SearchTimeout:

@@ -123,11 +123,6 @@ class PlanarPattern:
         """Nearest distance between distinct block boundaries (ideal pattern)."""
         return self.min_spacing - 2.0 * self.block.max_extent
 
-    @property
-    def block_centers(self):
-        """Block centers within one lattice period (one block per cell)."""
-        return [(0.0, 0.0)]
-
 
 def hex_disk_packing() -> PlanarPattern:
     """Open radius-1/2 disks on the hexagonal lattice of spacing 2."""
@@ -303,31 +298,17 @@ class RasterResult:
     raster_density: float
 
 
-def _mark_disk(cells, center, radius, h_dil, N, S):
-    R = radius + 2.0 * h_dil
-    jlo = math.floor((center[0] - R) * N)
-    jhi = math.ceil((center[0] + R) * N)
-    klo = math.floor((center[1] - R) * N)
-    khi = math.ceil((center[1] + R) * N)
-    js = np.arange(jlo, jhi + 1)
-    ks = np.arange(klo, khi + 1)
-    cx = (js + 0.5) / N - center[0]
-    cy = (ks + 0.5) / N - center[1]
-    dx = np.abs(cx)[:, None] + h_dil
-    dy = np.abs(cy)[None, :] + h_dil
-    inside = dx * dx + dy * dy < radius * radius
-    jj, kk = np.nonzero(inside)
-    cells[js[jj] % S, ks[kk] % S] = True
-
-
 _HEX_NORMALS = np.array(
     [[math.cos(a), math.sin(a)] for a in (0.0, math.pi / 3.0, 2.0 * math.pi / 3.0)]
 )
 
 
-def _mark_tortoise(cells, center, block: Tortoise, beta, h_dil, N, S):
-    radius = (1.0 - beta) * block.disk_radius
-    apothem = (1.0 - beta) * block.hex_height / 2.0
+def _mark_block(cells, center, block: Disk | Tortoise, beta, h_dil, N, S):
+    """Mark every cell whose h_dil-dilation lies strictly inside the
+    (1 - beta)-shrunk block at ``center``: inside its disk and, for a
+    Tortoise, between each of the hexagon's three pairs of flat sides."""
+    tortoise = isinstance(block, Tortoise)
+    radius = (1.0 - beta) * (block.disk_radius if tortoise else block.radius)
     R = (1.0 - beta) * block.max_extent + 2.0 * h_dil
     jlo = math.floor((center[0] - R) * N)
     jhi = math.ceil((center[0] + R) * N)
@@ -340,9 +321,11 @@ def _mark_tortoise(cells, center, block: Tortoise, beta, h_dil, N, S):
     dxa = np.abs(cx) + h_dil
     dya = np.abs(cy) + h_dil
     inside = dxa * dxa + dya * dya < radius * radius
-    for nx, ny in _HEX_NORMALS:
-        reach = h_dil * (abs(nx) + abs(ny))
-        inside &= np.abs(cx * nx + cy * ny) + reach < apothem
+    if tortoise:
+        apothem = (1.0 - beta) * block.hex_height / 2.0
+        for nx, ny in _HEX_NORMALS:
+            reach = h_dil * (abs(nx) + abs(ny))
+            inside &= np.abs(cx * nx + cy * ny) + reach < apothem
     jj, kk = np.nonzero(inside)
     cells[js[jj] % S, ks[kk] % S] = True
 
@@ -364,12 +347,8 @@ def rasterize_report(
     S = N * K
     cells = np.zeros((S, S), dtype=bool)
     h_dil = 1.0 / (2.0 * N * (1.0 - beta))
-    block = pattern.block
     for center in emb.centers(K):
-        if isinstance(block, Disk):
-            _mark_disk(cells, center, (1.0 - beta) * block.radius, h_dil, N, S)
-        else:
-            _mark_tortoise(cells, center, block, beta, h_dil, N, S)
+        _mark_block(cells, center, pattern.block, beta, h_dil, N, S)
     grid = GridSet(K, N, cells)
     return RasterResult(
         grid=grid,

@@ -318,8 +318,7 @@ def pair_counts(A: GridSet) -> np.ndarray:
     at every real shift x = (dx, dy)/N.
     """
     S = A.side
-    F = np.fft.rfft2(A.cells.astype(np.float64))
-    raw = np.fft.irfft2(np.abs(F) ** 2, s=(S, S))
+    raw = np.fft.irfft2(_power_spectrum(A), s=(S, S))
     counts = np.rint(raw)
     if not np.all(np.abs(raw - counts) < 0.4):
         raise AssertionError("pair-count FFT roundtrip lost integrality")

@@ -29,10 +29,10 @@ is certified analytically by the witness's constant part minus
 envelope-bounded oscillatory terms, and every Bessel evaluation error is
 charged against the margin.  The dense step is derived from the witness
 (``verification_step``: the largest power of two <= margin / L, so every grid
-point i * step is exact in float64) unless the caller fixes it.  The LP itself
-runs in 80-bit floats on a coarse grid (step 0.05 up to min(tail_start, 40))
-plus an envelope tail row at tail_start, with reserved slack so the rounded
-float64 coefficients still verify.
+point i * step is exact in float64).  The LP itself runs in 80-bit floats on
+a coarse grid (step 0.05 up to min(tail_start, 40)) plus an envelope tail row
+at tail_start, with reserved slack so the rounded float64 coefficients still
+verify.
 """
 
 from __future__ import annotations
@@ -619,16 +619,15 @@ def _tail_independent(res: FeasibilityResult) -> bool:
 _MAX_TAIL = 640.0  # tail starts escalate by doubling up to this
 
 
-def _attempt(registry, delta_plus, *, budget, margin, verify_step, tail_start,
+def _attempt(registry, delta_plus, *, budget, margin, tail_start,
              max_tail=_MAX_TAIL, minimize_quadratic=False):
     """Solve + verify at one delta_plus, doubling the tail start up to max_tail
     until a witness certifies.
 
     Returns (last LP result, its verification report or None when that LP
     was infeasible, attempt log).  Escalation stops early when the LP is
-    infeasible for a reason the tail row plays no part in.
-    ``verify_step=None`` derives the dense-grid step from each candidate
-    witness.
+    infeasible for a reason the tail row plays no part in.  Each candidate
+    witness is verified at its own ``verification_step``.
     """
     if not tail_start > 0.0:
         raise DomainError("tail_start must be > 0")
@@ -650,9 +649,7 @@ def _attempt(registry, delta_plus, *, budget, margin, verify_step, tail_start,
             log.append((delta_plus, T, "lp-infeasible"))
             T *= 2.0
             continue
-        step = verify_step
-        if step is None:
-            step = verification_step(res.coefficients, margin)
+        step = verification_step(res.coefficients, margin)
         report = verify_witness(res.coefficients, step, margin, T)
         log.append((delta_plus, T, report.verdict))
         if report.certified:
@@ -666,7 +663,6 @@ def certify_bound(
     *,
     budget: float = DEFAULT_BUDGET,
     margin: float = DEFAULT_MARGIN,
-    verify_step: float | None = None,
     tail_start: float = DEFAULT_TAIL_START,
     bisect_tol: float = 2e-4,
 ) -> CertifyResult:
@@ -674,8 +670,8 @@ def certify_bound(
 
     Bisects delta_plus over [0.05, 0.95]; every accepted point is a complete
     solve + independent verification, with the tail start doubling from
-    ``tail_start`` up to 640 as needed.  ``verify_step=None`` verifies each
-    witness at ``verification_step``.
+    ``tail_start`` up to 640 as needed, and every witness verified at
+    its ``verification_step``.
     """
     lo, hi = 0.05, 0.95
     attempts = []
@@ -686,7 +682,6 @@ def certify_bound(
             dp,
             budget=budget,
             margin=margin,
-            verify_step=verify_step,
             tail_start=tail_start,
         )
         attempts.extend(log)

@@ -1,5 +1,8 @@
 """Exact-rational power-series oracle for J0 and J1.
 
+J1 = -J0' is not evaluated by src/udsets/bessel.py; its oracle here audits
+the J1 used by the derivative checks (scipy.special.j1).
+
 Independent of src/udsets/bessel.py by construction: partial sums of the
 ascending series are accumulated in Fraction arithmetic (the float argument is
 taken as the exact binary rational it is), so the only error is the series
@@ -9,7 +12,7 @@ Above x = 100, ``hankel_oracle`` evaluates the Hankel expansion in ``decimal``
 arithmetic with pi from Machin's formula.
 
 ``values_whole_array`` is different in kind: it is the vectorized evaluator
-as it was before ``j0_values``/``j1_values`` went blockwise, one mask split
+as it was before ``j0_values`` went blockwise, one mask split
 over the whole array with the Hankel branch written out in allocating numpy
 expressions, on the module's own coefficient tables.  It is the bitwise
 reference for the blocked, in-place evaluation.
@@ -116,10 +119,10 @@ def _cos_sin(w: Decimal):
     return c, s
 
 
-def hankel_oracle(nu: int, x: float, digits: int = 60) -> float:
-    """J_nu(x), nu in {0, 1}, from the Hankel expansion in decimal arithmetic.
+def hankel_oracle(x: float, digits: int = 60) -> float:
+    """J0(x) from the Hankel expansion in decimal arithmetic.
 
-    J_nu(x) = sqrt(2/(pi x)) [P cos w - Q sin w], w = x - (2 nu + 1) pi/4,
+    J0(x) = sqrt(2/(pi x)) [P cos w - Q sin w], w = x - pi/4,
     with P and Q summed until the terms reach 1e-(digits+2) (or start to
     grow, near k = 2x: for x >= 40 the smallest term is below 1e-34).  The
     phase is formed and reduced mod 2 pi at ``digits`` significant digits,
@@ -129,10 +132,9 @@ def hankel_oracle(nu: int, x: float, digits: int = 60) -> float:
         ctx.prec = digits
         X = Decimal(x)  # the exact binary value of x
         pi = _machin_pi()
-        mu = 4 * nu * nu
         tiny = Decimal(10) ** -(digits + 2)
         P = Q = Decimal(0)
-        a = Decimal(1)  # a_k(nu) / x^k
+        a = Decimal(1)  # a_k / x^k
         prev = None
         k = 0
         while abs(a) > tiny and (prev is None or abs(a) < prev):
@@ -143,8 +145,8 @@ def hankel_oracle(nu: int, x: float, digits: int = 60) -> float:
                 P += sign * a
             prev = abs(a)
             k += 1
-            a = a * (mu - (2 * k - 1) ** 2) / (8 * k * X)
-        w = X - (2 * nu + 1) * pi / 4
+            a = a * -((2 * k - 1) ** 2) / (8 * k * X)
+        w = X - pi / 4
         two_pi = 2 * pi
         w -= two_pi * (w / two_pi).to_integral_value(rounding="ROUND_FLOOR")
         c, s = _cos_sin(w)
@@ -152,10 +154,9 @@ def hankel_oracle(nu: int, x: float, digits: int = 60) -> float:
         return float(amp * (P * c - Q * s))
 
 
-def values_whole_array(x, nu: int):
-    """J_nu(x) elementwise on the whole array at once: the series on every
+def values_whole_array(x):
+    """J0(x) elementwise on the whole array at once: the series on every
     argument below SERIES_CUTOFF, the Hankel branch on the rest."""
-    coeffs = bessel._J1_COEFFS if nu else bessel._J0_COEFFS
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         x = x[None]
@@ -167,19 +168,14 @@ def values_whole_array(x, nu: int):
     out = np.empty_like(x)
     small = x < bessel.SERIES_CUTOFF
     if np.any(small):
-        xs = x[small]
-        u = xs.astype(np.longdouble) ** 2 / 4
-        v = bessel._horner_ld(coeffs, u)
-        if nu:
-            v = v * xs.astype(np.longdouble) / 2
-        out[small] = v.astype(float)
+        u = x[small].astype(np.longdouble) ** 2 / 4
+        out[small] = bessel._horner_ld(bessel._J0_COEFFS, u).astype(float)
     if np.any(~small):
         xl = x[~small]
-        P, Q, shift = bessel._HANKEL[nu][:3]
         z = 1.0 / (xl * xl)
-        p = bessel._horner_ld(P, z)
-        q = bessel._horner_ld(Q, z) / xl
-        w = xl - shift * math.pi
+        p = bessel._horner_ld(bessel._P, z)
+        q = bessel._horner_ld(bessel._Q, z) / xl
+        w = xl - 0.25 * math.pi
         amp = np.sqrt(2.0 / (math.pi * xl))
         out[~small] = amp * (p * np.cos(w) - q * np.sin(w))
     return float(out[0]) if scalar else out

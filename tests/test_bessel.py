@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j1 as scipy_j1
 
 from udsets import bessel
 from udsets.errors import DomainError
@@ -36,18 +37,10 @@ def test_j0_trivial_and_frozen_points():
     assert abs(bessel.j0(FIRST_J0_ZERO).value) < 1e-10
 
 
-def test_j1_trivial_and_frozen_points():
-    assert bessel.j1(0.0).value == 0.0
-    assert abs(bessel.j1(1.0).value - J1_AT_1) < 1e-12
-    assert bessel.deriv_j0(1.0).value == -bessel.j1(1.0).value
-
-
 @pytest.mark.parametrize("x", [-1.0, -1e-9, math.inf, math.nan])
 def test_domain_errors(x):
     with pytest.raises(DomainError):
         bessel.j0(x)
-    with pytest.raises(DomainError):
-        bessel.j1(x)
 
 
 def test_error_bounds_hold_against_oracle():
@@ -62,20 +55,15 @@ def test_error_bounds_hold_against_oracle():
     )
     for x in xs:
         ev0 = bessel.j0(float(x))
-        ev1 = bessel.j1(float(x))
         assert ev0.abs_error_bound <= 1e-12
-        assert ev1.abs_error_bound <= 1e-12
         assert abs(ev0.value - j0_oracle(float(x))) <= ev0.abs_error_bound
-        assert abs(ev1.value - j1_oracle(float(x))) <= ev1.abs_error_bound
 
 
 def test_vectorized_matches_scalar():
     xs = np.linspace(0.0, 60.0, 601)
     v0 = bessel.j0_values(xs)
-    v1 = bessel.j1_values(xs)
     for i in (0, 150, 149, 380, 600):
         assert v0[i] == bessel.j0(float(xs[i])).value
-        assert v1[i] == bessel.j1(float(xs[i])).value
 
 
 def test_large_argument_bound_stated_domain():
@@ -88,30 +76,23 @@ def test_large_argument_bound_stated_domain():
 
 def test_hankel_oracle_agrees_with_series_oracle():
     for x in (40.0, 60.0, 99.0):
-        assert hankel_oracle(0, x) == pytest.approx(j0_oracle(x), abs=1e-16)
-        assert hankel_oracle(1, x) == pytest.approx(j1_oracle(x), abs=1e-16)
+        assert hankel_oracle(x) == pytest.approx(j0_oracle(x), abs=1e-16)
 
 
 @pytest.mark.parametrize("x", [1e4, 1e6, bessel.FLAT_BOUND_MAX_ARG])
 def test_large_argument_bounds_against_hankel_oracle(x):
     # the phase x - pi/4 rounds by up to x 2^-53; the bound must charge it
-    cases = (
-        (0, bessel.j0, bessel.j0_values, bessel.J0_ABS_ERROR),
-        (1, bessel.j1, bessel.j1_values, bessel.J1_ABS_ERROR),
-    )
-    for nu, scalar, vectorized, flat in cases:
-        ev = scalar(x)
-        assert abs(ev.value - hankel_oracle(nu, x)) <= ev.abs_error_bound <= flat
-        assert vectorized(np.array([x]))[0] == ev.value
+    ev = bessel.j0(x)
+    assert abs(ev.value - hankel_oracle(x)) <= ev.abs_error_bound <= bessel.J0_ABS_ERROR
+    assert bessel.j0_values(np.array([x]))[0] == ev.value
 
 
 def test_vectorized_domain_ends_at_the_flat_bound_cap():
     above = np.nextafter(bessel.FLAT_BOUND_MAX_ARG, math.inf)
-    for vectorized in (bessel.j0_values, bessel.j1_values):
-        vectorized(np.array([0.0, bessel.FLAT_BOUND_MAX_ARG]))
-        for bad in (above, math.inf, math.nan, -1.0):
-            with pytest.raises(DomainError):
-                vectorized(np.array([1.0, bad]))
+    bessel.j0_values(np.array([0.0, bessel.FLAT_BOUND_MAX_ARG]))
+    for bad in (above, math.inf, math.nan, -1.0):
+        with pytest.raises(DomainError):
+            bessel.j0_values(np.array([1.0, bad]))
     # pair_correlation feeds r times the spectrum's frequencies to j0_values
     from udsets.torus import pair_correlation, random_gridset, spectrum
 
@@ -123,7 +104,7 @@ def test_vectorized_domain_ends_at_the_flat_bound_cap():
 
 
 def _blocked_inputs():
-    """Named argument arrays around the block size of the vectorized evaluators."""
+    """Named argument arrays around the block size of the vectorized evaluator."""
     B = bessel.VALUES_BLOCK
     rng = np.random.default_rng(7)
 
@@ -149,27 +130,33 @@ def _blocked_inputs():
 @pytest.mark.parametrize("name", list(_blocked_inputs()))
 def test_blocked_values_bitwise_equal_the_whole_array(name):
     x = _blocked_inputs()[name]
-    for nu, vectorized in ((0, bessel.j0_values), (1, bessel.j1_values)):
-        got, want = vectorized(x), values_whole_array(x, nu)
-        if x.ndim == 0:
-            assert isinstance(got, float) and got == want
-        else:
-            assert got.shape == x.shape
-            assert np.array_equal(got.view(np.int64), np.asarray(want).view(np.int64))
+    got, want = bessel.j0_values(x), values_whole_array(x)
+    if x.ndim == 0:
+        assert isinstance(got, float) and got == want
+    else:
+        assert got.shape == x.shape
+        assert np.array_equal(got.view(np.int64), np.asarray(want).view(np.int64))
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0, bessel.FLAT_BOUND_MAX_ARG * 1.0001])
 def test_blocked_values_check_the_last_block(bad):
     x = np.full(3 * bessel.VALUES_BLOCK + 7, 20.0)
     x[-1] = bad
-    for vectorized in (bessel.j0_values, bessel.j1_values):
-        with pytest.raises(DomainError):
-            vectorized(x)
+    with pytest.raises(DomainError):
+        bessel.j0_values(x)
+
+
+# J0' = -J1.  witness_lipschitz charges sup |J0'| < 0.6; these checks read J1
+# from scipy, audited against the exact-rational oracle first.
+
+def test_scipy_j1_matches_the_rational_oracle():
+    for x in (0.0, 1.0, 1.8411837813406593, 7.5, 14.9, 15.1, 42.0, 99.0):
+        assert float(scipy_j1(x)) == pytest.approx(j1_oracle(x), abs=1e-14)
 
 
 def test_j1_sup_below_0p6():
     xs = np.arange(0.0, 100.0005, 0.001)
-    sup = np.max(np.abs(bessel.j1_values(xs)))
+    sup = np.max(np.abs(scipy_j1(xs)))
     assert sup < 0.6
 
 
@@ -177,7 +164,7 @@ def test_finite_difference_derivative():
     h = 1e-4
     xs = np.linspace(h, 100.0, 500)
     fd = (bessel.j0_values(xs + h) - bessel.j0_values(xs - h)) / (2 * h)
-    assert np.max(np.abs(fd + bessel.j1_values(xs))) <= 1e-6 + h * h
+    assert np.max(np.abs(fd + scipy_j1(xs))) <= 1e-6 + h * h
 
 
 def test_sign_changes_near_oracle_zeros():
@@ -253,12 +240,7 @@ def test_float64_fallback_bound_covers_series_running_error():
     assert u[0] == 56.25
     eps = np.finfo(np.float64).eps
     j0_running = 2.5 * eps * float(bessel._horner_ld(bessel._J0_ERRW.astype(float), u)[0])
-    j1_running = (
-        0.5 * bessel.SERIES_CUTOFF * 2.5 * eps
-        * float(bessel._horner_ld(bessel._J1_ERRW.astype(float), u)[0])
-    )
     assert 1e-9 < j0_running < bessel._ABS_ERROR_FLOAT64
-    assert 1e-9 < j1_running < bessel._ABS_ERROR_FLOAT64
     # the 80-bit charge would not cover it; the flag picks the right one
     assert j0_running > bessel._ABS_ERROR_EXTENDED
     want = (
@@ -267,4 +249,3 @@ def test_float64_fallback_bound_covers_series_running_error():
         else bessel._ABS_ERROR_FLOAT64
     )
     assert bessel.J0_ABS_ERROR == want
-    assert bessel.J1_ABS_ERROR == want

@@ -88,8 +88,7 @@ def test_search_timeout_exit_code(tmp_path):
 
 def test_certify_verify_gamma_cycle(tmp_path):
     out = tmp_path / "cert"
-    code = run("certify", "--delta-plus", 0.30, "--verify-step", 1e-4,
-               "--tail-start", 40, "--out", out)
+    code = run("certify", "--delta-plus", 0.30, "--tail-start", 40, "--out", out)
     assert code == 0
     cert = out / "certificate.json"
     doc = json.loads(cert.read_text())
@@ -181,3 +180,21 @@ def test_config_overrides_flags(tmp_path):
     assert run("--config", cfg, "graph", "--n", 4, "--k", 4, "--out", out) == 0
     doc = json.loads((out / "graph.json").read_text())
     assert doc["vertices"] == 9  # config wins over the flags
+
+
+def test_config_rejects_a_value_its_option_rejects(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "4"}))  # a string, where --n takes an int
+    out = tmp_path / "gs"
+    assert run("--config", cfg, "graph", "--n", 4, "--k", 4, "--out", out) == 4
+    assert "'n'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_rejects_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tail_strat": 5}))  # a misspelt --tail-start
+    out = tmp_path / "ct"
+    assert run("--config", cfg, "certify", "--delta-plus", 0.30, "--out", out) == 4
+    assert "unknown key 'tail_strat'" in capsys.readouterr().err
+    assert not out.exists()

@@ -278,8 +278,8 @@ def test_certify_bound_monotone_under_registry_growth(reg):
     # the trivial-columns-only registry already certifies some bound; adding
     # spindle constraints can only keep or shrink the feasible target
     empty = Registry((), (), "empty")
-    out_empty = certify_bound(empty, bisect_tol=5e-3, verify_step=1e-4)
-    out_full = certify_bound(reg, bisect_tol=5e-3, verify_step=1e-4)
+    out_empty = certify_bound(empty, bisect_tol=5e-3)
+    out_full = certify_bound(reg, bisect_tol=5e-3)
     assert out_full.best_delta <= out_empty.best_delta + 5e-3
     assert out_full.report.certified
 
