@@ -29,7 +29,7 @@ def main():
           f"(= pi/(8 sqrt 3) = {math.pi / (8 * math.sqrt(3)):.9f})")
     print(f"nearest boundary gap between blocks: {disk.boundary_gap}")
 
-    x_star, best = optimize_croft(1e-4)
+    x_star, best = optimize_croft()
     print(f"\ntortoise height optimization: x* = {x_star:.6f}, density = {best:.6f}")
     print(f"(improves on the disk packing by {best - disk.density:.6f})")
 

@@ -7,7 +7,8 @@ rerun with identical inputs reproduces every output byte for byte (fixed
 numpy PCG64, seeded only from the command line).
 
 Exit codes: 0 success / certified, 2 failed certificate, 3 infeasible LP,
-4 input error, 5 search timeout.
+4 input error (a usage error that argparse rejects included), 5 search
+timeout.
 
 ``--config FILE`` supplies a JSON object whose entries override the parsed
 flags.  Each entry goes through its subcommand's own option, type and
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,6 +67,22 @@ def _manifest(out: Path, command: str, args, seeds, outputs):
     return path
 
 
+def positive_float(text: str) -> float:
+    """The --r-step type: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(text)
+    return value
+
+
+def seed_list(text: str) -> str:
+    """The --seeds type: at least one comma-separated int, kept as text so
+    the manifest records it as given (``cmd_sample`` splits it)."""
+    if not [int(s) for s in text.split(",") if s != ""]:
+        raise ValueError(text)
+    return text
+
+
 def _load_registry_arg(spec: str):
     if spec == "builtin":
         return builtin_registry()
@@ -83,7 +101,7 @@ def cmd_construct(args) -> int:
     else:
         x_used = args.x
         if args.optimize or x_used is None:
-            x_used, _ = constructions.optimize_croft(1e-4)
+            x_used, _ = constructions.optimize_croft()
         pattern = constructions.croft_tortoise(x_used)
     rep = constructions.rasterize_report(pattern, args.n, args.k, args.beta)
     grid_path = out / f"{args.pattern}_N{args.n}_K{args.k}.gridset.json"
@@ -316,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True)
     p.add_argument("--r-min", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=4.0)
-    p.add_argument("--r-step", type=float, default=0.01)
+    p.add_argument("--r-step", type=positive_float, default=0.01)
     p.add_argument("--cutoff-m", type=int, default=40_000)
     p.add_argument("--out", default="runs/paircorr")
     p.set_defaults(func=cmd_paircorr)
@@ -325,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["greedy", "glauber"], default="greedy")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seeds", default="0")
+    p.add_argument("--seeds", type=seed_list, default="0")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--out", default="runs/sample")
     p.set_defaults(func=cmd_sample)
@@ -410,7 +428,12 @@ def _apply_config(ap: argparse.ArgumentParser, args, overrides) -> None:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # --help exits 0
+            raise
+        return EXIT_INPUT  # argparse already printed the usage error
     if args.config:
         try:
             _apply_config(ap, args, json.loads(Path(args.config).read_text()))

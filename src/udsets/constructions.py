@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 HEX_DISK_DENSITY = math.pi / (8.0 * math.sqrt(3.0))
+CROFT_SCAN_STEP = 1e-4  # grid step of optimize_croft's scan
 _CERT_MARGIN = 1e-7  # float slack for the O(10)-flop gap expressions
 
 
@@ -156,11 +157,10 @@ def croft_density(x: float) -> float:
     return tortoise_area(x) / ((1.0 + x) ** 2 * math.sqrt(3.0) / 2.0)
 
 
-def optimize_croft(step: float = 1e-4) -> tuple[float, float]:
-    """Maximize croft_density on (0, 1): grid scan, then golden refinement."""
-    if step > 1e-4:
-        raise DomainError("grid step must be <= 1e-4")
-    xs = np.arange(step, 1.0, step)
+def optimize_croft() -> tuple[float, float]:
+    """Maximize croft_density on (0, 1): a scan of the grid of step
+    CROFT_SCAN_STEP = 1e-4, then golden refinement around its best point."""
+    xs = np.arange(CROFT_SCAN_STEP, 1.0, CROFT_SCAN_STEP)
     vals = np.array([croft_density(float(x)) for x in xs])
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]

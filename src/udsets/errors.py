@@ -35,7 +35,7 @@ class GeometryError(UdsetsError, ValueError):
 
 
 class AlphaMismatchError(UdsetsError, ValueError):
-    """Declared independence number disagrees with brute force."""
+    """Declared independence number disagrees with the exact search."""
 
 
 class SearchTimeout(UdsetsError):

@@ -14,8 +14,9 @@ built in.
 
 Everything is loaded from a JSON schema (documented in the README), validated
 geometrically (edges unit within 1e-9) and combinatorially (declared alpha
-re-derived by brute force for graphs with at most 20 vertices).  The shipped
-registry contains the Moser spindle, hub vertex at the origin, as both kinds.
+re-derived by ``udgraph.max_is_exact`` for graphs with at most 20 vertices).
+The shipped registry contains the Moser spindle, hub vertex at the origin, as
+both kinds.
 
 Profiles are exposed as (radius, coefficient) term lists with equal radii
 merged; every profile value is a finite sum of J0 terms, evaluated by
@@ -45,9 +46,6 @@ __all__ = [
     "Registry",
     "load_registry",
     "builtin_registry",
-    "m_profile",
-    "t_profile",
-    "ct_profile",
     "profile_terms",
     "ct_profile_terms",
     "constraint_rhs_check",
@@ -57,7 +55,7 @@ __all__ = [
 ]
 
 UNIT_EDGE_TOL = 1e-9
-ALPHA_BRUTE_FORCE_LIMIT = 20
+ALPHA_CHECK_LIMIT = 20
 
 KIND_ALIASES = {
     "vertex_sum": "vertex_sum",
@@ -87,13 +85,6 @@ class ConstraintGraph:
     def vertex_radii(self) -> np.ndarray:
         return np.hypot(self.vertices[:, 0], self.vertices[:, 1])
 
-    @property
-    def max_radius(self) -> float:
-        r = float(self.vertex_radii.max(initial=0.0))
-        for a, b in self.edges:
-            r = max(r, float(np.hypot(*(self.vertices[a] - self.vertices[b]))))
-        return r
-
 
 @dataclass(frozen=True)
 class CTPair:
@@ -117,42 +108,6 @@ class Registry:
     @property
     def t_graphs(self):
         return [g for g in self.graphs if g.kind == "subgraph"]
-
-    @property
-    def max_radius(self) -> float:
-        r = 1.96
-        for g in self.graphs:
-            r = max(r, g.max_radius)
-        for p in self.ct_pairs:
-            if len(p.g1):
-                diffs = p.g1[:, None, :] - p.g1[None, :, :]
-                r = max(r, float(np.hypot(diffs[..., 0], diffs[..., 1]).max()))
-            if len(p.g2):
-                r = max(r, float(np.hypot(p.g2[:, 0], p.g2[:, 1]).max()))
-        return r
-
-
-def _brute_force_alpha(n, edges) -> int:
-    adj = [0] * n
-    for a, b in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    best = 0
-
-    def rec(cand, size):
-        nonlocal best
-        if size + cand.bit_count() <= best:
-            return
-        if cand == 0:
-            best = max(best, size)
-            return
-        v = (cand & -cand).bit_length() - 1
-        b = 1 << v
-        rec(cand & ~(adj[v] | b), size + 1)
-        rec(cand & ~b, size)
-
-    rec((1 << n) - 1, 0)
-    return best
 
 
 def _parse_points(raw, where):
@@ -195,11 +150,16 @@ def _validate_graph(entry, idx) -> ConstraintGraph:
     alpha = int(entry["alpha"])
     if alpha < 1:
         raise SchemaError(f"{where}: alpha must be >= 1")
-    if n <= ALPHA_BRUTE_FORCE_LIMIT:
-        true_alpha = _brute_force_alpha(n, edges)
+    if n <= ALPHA_CHECK_LIMIT:
+        # imported here: loading udgraph (and scipy.ndimage) inside this module's
+        # import shifts the cyclic GC's collections and slows `import udsets` by
+        # about 20-40 ms (python -X importtime, alternating runs)
+        from .udgraph import SmallGraph, max_is_exact
+
+        true_alpha = max_is_exact(SmallGraph(n, edges)).size
         if true_alpha != alpha:
             raise AlphaMismatchError(
-                f"{where}: declared alpha {alpha}, brute force finds {true_alpha}"
+                f"{where}: declared alpha {alpha}, exact search finds {true_alpha}"
             )
     verts.setflags(write=False)
     return ConstraintGraph(str(entry["name"]), kind, verts, tuple(edges), alpha)
@@ -294,25 +254,7 @@ def ct_profile_terms(p: CTPair):
     for v in p.g2:
         radii.append(float(np.hypot(v[0], v[1])))
         coeffs.append(-1.0)
-    if not radii:
-        return np.array([]), np.array([])
     return _grouped(radii, coeffs)
-
-
-def m_profile(g: ConstraintGraph, t):
-    if g.kind != "vertex_sum":
-        raise SchemaError("m_profile requires a vertex_sum graph")
-    return j0_combination(*profile_terms(g), t)
-
-
-def t_profile(g: ConstraintGraph, t):
-    if g.kind != "subgraph":
-        raise SchemaError("t_profile requires a subgraph graph")
-    return j0_combination(*profile_terms(g), t)
-
-
-def ct_profile(p: CTPair, t):
-    return j0_combination(*ct_profile_terms(p), t)
 
 
 # ---------------------------------------------------------------------------

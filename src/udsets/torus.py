@@ -58,6 +58,8 @@ DEFAULT_WORK_BUDGET = 2.0e13
 SPECTRUM_FFT_SLACK = 1.0e-10
 # largest cutoff_m: its kappa array alone takes 8 (cutoff_m + 1) bytes, 512 MiB
 MAX_CUTOFF_M = 2**26
+# the first cutoff spectrum_auto walks before escalating by x4
+AUTO_INITIAL_CUTOFF = 4096
 # lattice points per block of the disk walk; blocks hold whole row segments,
 # and a row has at most 2 isqrt(MAX_CUTOFF_M) + 1 = 16385 points
 SPECTRUM_BLOCK = 2**16
@@ -207,13 +209,14 @@ def _walk_disk(A: GridSet, P2: np.ndarray, kappa: np.ndarray, c_lo: int, c_hi: i
         np.add.at(kappa, np.repeat(sq[a], n) + sq[b], power)
 
 
-def _check_cutoff(A: GridSet, cutoff_m: int, work_budget: float) -> None:
+def _check_cutoff(A: GridSet, cutoff_m: int) -> None:
     if cutoff_m < 1:
         raise DomainError("cutoff_m must be >= 1")
     S = A.side
-    if cutoff_m * (S * S) > work_budget:
+    if cutoff_m * (S * S) > DEFAULT_WORK_BUDGET:
         raise WorkBudgetError(
-            f"cutoff_m * (NK)^2 = {cutoff_m * S * S:.3g} exceeds work budget {work_budget:.3g}"
+            f"cutoff_m * (NK)^2 = {cutoff_m * S * S:.3g} exceeds work budget "
+            f"{DEFAULT_WORK_BUDGET:.3g}"
         )
     if cutoff_m > MAX_CUTOFF_M:
         raise WorkBudgetError(
@@ -237,7 +240,7 @@ def _finish(A: GridSet, kappa_by_m: np.ndarray, cutoff_m: int) -> Spectrum:
     return Spectrum(A.K, ms, kappas, int(cutoff_m), tail, dens)
 
 
-def spectrum(A: GridSet, cutoff_m: int, work_budget: float = DEFAULT_WORK_BUDGET) -> Spectrum:
+def spectrum(A: GridSet, cutoff_m: int) -> Spectrum:
     """Radial spectrum of A up to squared lattice index cutoff_m.
 
     kappa(m) accumulates |1_A^(xi)|^2 over lattice points xi = (2 pi/K)(a, b)
@@ -249,33 +252,28 @@ def spectrum(A: GridSet, cutoff_m: int, work_budget: float = DEFAULT_WORK_BUDGET
     (``_walk_disk``), so memory is the kappa array, 8 (cutoff_m + 1) bytes,
     plus one block of SPECTRUM_BLOCK points and the real FFT.  Cutoffs above
     MAX_CUTOFF_M raise WorkBudgetError before anything is allocated, as do
-    cutoffs with cutoff_m * (NK)^2 above work_budget.
+    cutoffs with cutoff_m * (NK)^2 above DEFAULT_WORK_BUDGET.
     """
-    _check_cutoff(A, cutoff_m, work_budget)
+    _check_cutoff(A, cutoff_m)
     P2 = _power_spectrum(A)  # before kappa, so the FFT's peak does not hold it
     kappa_by_m = np.zeros(int(cutoff_m) + 1)
     _walk_disk(A, P2, kappa_by_m, -1, cutoff_m)
     return _finish(A, kappa_by_m, cutoff_m)
 
 
-def spectrum_auto(
-    A: GridSet,
-    r_min: float = 0.5,
-    tail_target: float = 1e-4,
-    initial_cutoff: int = 4096,
-    work_budget: float = DEFAULT_WORK_BUDGET,
-) -> Spectrum:
+def spectrum_auto(A: GridSet, r_min: float = 0.5, tail_target: float = 1e-4) -> Spectrum:
     """Spectrum with cutoff escalated until tail * envelope(r_min ...) <= target.
 
-    Each x4 escalation walks only the new annulus of lattice points into the
-    grown kappa array, reusing the FFT.  A bucket m only receives points with
-    a^2 + b^2 = m, all in one annulus and in row-major order, so the result
-    is bit for bit ``spectrum(A, result.cutoff_m)``.  Stops early at the work
-    budget or at MAX_CUTOFF_M; the returned rigor bounds stay valid either
-    way, just wider.
+    Starts at cutoff AUTO_INITIAL_CUTOFF = 4096; each x4 escalation walks only
+    the new annulus of lattice points into the grown kappa array, reusing the
+    FFT.  A bucket m only receives points with a^2 + b^2 = m, all in one
+    annulus and in row-major order, so the result is bit for bit
+    ``spectrum(A, result.cutoff_m)``.  Stops early at DEFAULT_WORK_BUDGET or
+    at MAX_CUTOFF_M; the returned rigor bounds stay valid either way, just
+    wider.
     """
-    cutoff = initial_cutoff
-    _check_cutoff(A, cutoff, work_budget)
+    cutoff = AUTO_INITIAL_CUTOFF
+    _check_cutoff(A, cutoff)
     P2 = _power_spectrum(A)
     kappa_by_m = np.zeros(int(cutoff) + 1)
     _walk_disk(A, P2, kappa_by_m, -1, cutoff)
@@ -286,7 +284,7 @@ def spectrum_auto(
         if spec.tail_mass * env <= tail_target:
             return spec
         grown = cutoff * 4
-        if grown * A.side**2 > work_budget or grown > MAX_CUTOFF_M:
+        if grown * A.side**2 > DEFAULT_WORK_BUDGET or grown > MAX_CUTOFF_M:
             return spec
         kappa_by_m = np.concatenate([kappa_by_m, np.zeros(grown - cutoff)])
         _walk_disk(A, P2, kappa_by_m, cutoff, grown)

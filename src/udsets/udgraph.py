@@ -323,7 +323,7 @@ def _mask_members(mask: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
 
 
-def max_is_exact(G, time_budget: float = 60.0, upper_bound_hint: int | None = None) -> MaxISResult:
+def max_is_exact(G, time_budget: float = 60.0) -> MaxISResult:
     """Exhaustive branch-and-bound MIS with bitset candidate sets.
 
     A node is pruned when its size plus the popcount of its candidates, or
@@ -332,8 +332,8 @@ def max_is_exact(G, time_budget: float = 60.0, upper_bound_hint: int | None = No
     is fixed, so the cover bound changes the node count, never the result.
     Exact when the search completes inside the budget (the certificate is the
     exhaustion itself: upper bound == incumbent).  On budget exhaustion raises
-    SearchTimeout carrying the incumbent and the root bound: the hint, or
-    the clique cover of all vertices when that is smaller.
+    SearchTimeout carrying the incumbent and the root bound: the greedy
+    clique cover of all vertices (at most n).
     """
     from .errors import SearchTimeout
 
@@ -365,8 +365,7 @@ def max_is_exact(G, time_budget: float = 60.0, upper_bound_hint: int | None = No
     best_mask = inc_mask
     best_size = inc_mask.bit_count()
 
-    hint = upper_bound_hint if upper_bound_hint is not None else n
-    root_bound = min(hint, _clique_cover((1 << n) - 1, adj, n))
+    root_bound = _clique_cover((1 << n) - 1, adj, n)
     deadline = time.monotonic() + time_budget
 
     stack = [((1 << n) - 1, 0, 0)]

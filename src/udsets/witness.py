@@ -84,7 +84,7 @@ __all__ = [
     "DEFAULT_BUDGET",
 ]
 
-# Croft-tortoise optimum, frozen from constructions.optimize_croft(1e-4);
+# Croft-tortoise optimum, frozen from constructions.optimize_croft();
 # the density any clumpiness constant is measured against.
 CROFT_TARGET_DENSITY = 0.2293647316297585
 
@@ -228,16 +228,16 @@ def witness_eval(c: WitnessCoefficients, t):
     return j0_combination(radii, coeffs, t, const)
 
 
-def witness_lipschitz(c: WitnessCoefficients, r_max: float = DEFAULT_RMAX) -> float:
+def witness_lipschitz(c: WitnessCoefficients) -> float:
     """0.6 * sum |coef_i| r_i over the J0 terms of W: a global |W'| bound.
 
-    Uses sup |J0'| = sup |J1| < 0.6.  Errors out if any registry radius
-    exceeds r_max, which would invalidate the documented budget chain.
+    Uses sup |J0'| = sup |J1| < 0.6.  Errors out if any profile radius of an
+    LP variable (``_var_terms``) exceeds DEFAULT_RMAX = 4, which would
+    invalidate the documented budget chain.
     """
-    if c.registry.max_radius > r_max:
-        raise DomainError(
-            f"registry radius {c.registry.max_radius} exceeds r_max {r_max}"
-        )
+    r = max(float(var.radii.max(initial=0.0)) for var in _var_terms(c.registry))
+    if r > DEFAULT_RMAX:
+        raise DomainError(f"registry radius {r} exceeds r_max {DEFAULT_RMAX}")
     _, radii, coeffs = witness_terms(c)
     return 0.6 * float(np.sum(np.abs(coeffs) * radii))
 
@@ -317,15 +317,15 @@ def _quadratic_interval_max(a, b, qc, lo, hi):
     return max(vals)
 
 
-def _gamma_search(c: WitnessCoefficients, epsilon: float, target_density: float):
+def _gamma_search(c: WitnessCoefficients, epsilon: float):
     """(gamma, None) on success, (0.0, reason) when no gamma is extractable."""
     if epsilon <= 0.0:
         raise DomainError("epsilon must be > 0")
     delta_star, (a, b, qc) = quadratic_root(c)
-    if delta_star + epsilon >= target_density:
+    if delta_star + epsilon >= CROFT_TARGET_DENSITY:
         return 0.0, (
             f"delta_star + epsilon = {delta_star + epsilon} reaches the target "
-            f"density {target_density}; no clumpiness constant extractable"
+            f"density {CROFT_TARGET_DENSITY}; no clumpiness constant extractable"
         )
     Gamma = gamma_coefficient(c)
     lo_d, hi_d = delta_star + epsilon, 1.0
@@ -353,18 +353,14 @@ def _gamma_search(c: WitnessCoefficients, epsilon: float, target_density: float)
     return lo, None
 
 
-def gamma_extract(
-    c: WitnessCoefficients,
-    epsilon: float,
-    target_density: float = CROFT_TARGET_DENSITY,
-) -> float:
+def gamma_extract(c: WitnessCoefficients, epsilon: float) -> float:
     """Largest gamma (by bisection) keeping the perturbed quadratic negative
     on [delta_star + epsilon, 1].
 
-    Precondition: delta_star + epsilon < target_density, so the bound still
-    separates from the benchmark construction; FeasibilityError otherwise.
+    Precondition: delta_star + epsilon < CROFT_TARGET_DENSITY, so the bound
+    still separates from the Croft construction; FeasibilityError otherwise.
     """
-    gamma, reason = _gamma_search(c, epsilon, target_density)
+    gamma, reason = _gamma_search(c, epsilon)
     if reason is not None:
         raise FeasibilityError(reason)
     return gamma
@@ -470,7 +466,7 @@ def verify_witness(
 
     verdict = "certified" if not reasons else "failed: " + "; ".join(reasons)
     if verdict == "certified":
-        gamma, _ = _gamma_search(c, 1e-3, CROFT_TARGET_DENSITY)
+        gamma, _ = _gamma_search(c, 1e-3)
     return CertificateReport(
         w_at_zero=w0,
         min_grid_value=min_grid,
@@ -617,6 +613,7 @@ def _tail_independent(res: FeasibilityResult) -> bool:
 
 
 _MAX_TAIL = 640.0  # tail starts escalate by doubling up to this
+_BISECT_TOL = 2e-4  # certify_bound stops when its delta_plus bracket is this narrow
 
 
 def _attempt(registry, delta_plus, *, budget, margin, tail_start,
@@ -664,14 +661,14 @@ def certify_bound(
     budget: float = DEFAULT_BUDGET,
     margin: float = DEFAULT_MARGIN,
     tail_start: float = DEFAULT_TAIL_START,
-    bisect_tol: float = 2e-4,
 ) -> CertifyResult:
     """Smallest delta_plus whose witness passes full verification.
 
-    Bisects delta_plus over [0.05, 0.95]; every accepted point is a complete
-    solve + independent verification, with the tail start doubling from
-    ``tail_start`` up to 640 as needed, and every witness verified at
-    its ``verification_step``.
+    Bisects delta_plus over [0.05, 0.95] until the bracket is at most
+    _BISECT_TOL = 2e-4 wide (13 halvings after the first solve at 0.95);
+    every accepted point is a complete solve + independent verification,
+    with the tail start doubling from ``tail_start`` up to 640 as needed,
+    and every witness verified at its ``verification_step``.
     """
     lo, hi = 0.05, 0.95
     attempts = []
@@ -695,7 +692,7 @@ def certify_bound(
             f"no certificate even at delta_plus = {hi}; registry too weak"
         )
     best_dp = hi
-    while hi - lo > bisect_tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         coeffs, report = run(mid)
         if coeffs is not None:

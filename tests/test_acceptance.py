@@ -69,7 +69,7 @@ def test_c01_constructions(disk128, croft128):
     assert abs(disk128.ideal_density - math.pi / (8 * math.sqrt(3))) < 1e-12
     assert abs(disk128.raster_density - disk128.embedded_density) <= 0.01
     assert abs(croft128.raster_density - croft128.embedded_density) <= 0.01
-    x_star, dens = optimize_croft(1e-4)
+    x_star, dens = optimize_croft()
     assert abs(x_star - 0.96553) <= 2e-3
     assert abs(dens - 0.22936) <= 5e-4
     note(

@@ -198,3 +198,63 @@ def test_config_rejects_an_unknown_key(tmp_path, capsys):
     assert run("--config", cfg, "certify", "--delta-plus", 0.30, "--out", out) == 4
     assert "unknown key 'tail_strat'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_usage_errors_exit_as_input_errors(tmp_path, capsys):
+    out = tmp_path / "u"
+    assert run("graph", "--n", "abc", "--k", 4, "--out", out) == 4
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    assert run("graph", "--k", 4, "--out", out) == 4  # --n is required
+    assert run("nosuchcommand") == 4
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        run("--help")
+    assert exc.value.code == 0
+
+
+@pytest.fixture(scope="module")
+def hexdisk16(tmp_path_factory):
+    out = tmp_path_factory.mktemp("hex16")
+    assert run("construct", "hexdisk", "--n", 16, "--k", 4, "--out", out) == 0
+    return out / "hexdisk_N16_K4.gridset.json"
+
+
+@pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf", "x"])
+def test_paircorr_rejects_a_bad_r_step(hexdisk16, tmp_path, capsys, step):
+    out = tmp_path / "pc"
+    assert run("paircorr", "--set", hexdisk16, "--r-step", step, "--out", out) == 4
+    assert "--r-step" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_rejects_a_zero_r_step(hexdisk16, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r_step": 0}))
+    out = tmp_path / "pc"
+    assert run("--config", cfg, "paircorr", "--set", hexdisk16, "--out", out) == 4
+    assert "'r_step'" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text(json.dumps({"r_step": 0.5}))
+    assert run("--config", cfg, "paircorr", "--set", hexdisk16, "--r-max", 1.0,
+               "--out", out) == 0
+    assert len((out / "paircorr.csv").read_text().strip().splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("seeds", ["a", ",", "", "1,b"])
+def test_sample_rejects_bad_seeds(tmp_path, capsys, seeds):
+    out = tmp_path / "s"
+    assert run("sample", "--n", 4, "--k", 4, "--seeds", seeds, "--out", out) == 4
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": seeds}))
+    assert run("--config", cfg, "sample", "--n", 4, "--k", 4, "--out", out) == 4
+    assert "'seeds'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_manifest_keeps_the_seeds_text(tmp_path):
+    out = tmp_path / "s"
+    assert run("sample", "--n", 4, "--k", 4, "--seeds", "0,1", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["seeds"] == "0,1" and manifest["seeds"] == [0, 1]

@@ -62,12 +62,10 @@ def test_croft_limit_matches_hexdisk():
 
 
 def test_optimize_croft_reference_values():
-    x_star, dens = optimize_croft(1e-4)
+    x_star, dens = optimize_croft()
     assert x_star == pytest.approx(0.96553, abs=2e-3)
     assert dens == pytest.approx(0.22936, abs=5e-4)
     assert dens >= HEX_DISK_DENSITY
-    with pytest.raises(DomainError):
-        optimize_croft(1e-3)
 
 
 def test_embedding_is_deterministic_and_certified():

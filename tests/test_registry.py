@@ -7,21 +7,44 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from udsets.bessel import J0_ABS_ERROR
+from udsets.bessel import J0_ABS_ERROR, j0_combination
 from udsets.errors import AlphaMismatchError, GeometryError, SchemaError
 from udsets.registry import (
     CTPair,
     builtin_registry,
     constraint_rhs_check,
     ct_constraint_check,
-    ct_profile,
     ct_profile_terms,
     load_registry,
-    m_profile,
     profile_terms,
-    t_profile,
 )
 from udsets.torus import GridSet, pair_correlation, random_gridset, spectrum
+from udsets.udgraph import SmallGraph, max_is_exact
+
+
+def alpha_oracle(n, edges) -> int:
+    """Independence number by plain branch and bound over vertex bitsets:
+    take or drop the lowest candidate, pruned only by the candidate count."""
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    best = 0
+
+    def rec(cand, size):
+        nonlocal best
+        if size + cand.bit_count() <= best:
+            return
+        if cand == 0:
+            best = max(best, size)
+            return
+        v = (cand & -cand).bit_length() - 1
+        b = 1 << v
+        rec(cand & ~(adj[v] | b), size + 1)
+        rec(cand & ~b, size)
+
+    rec((1 << n) - 1, 0)
+    return best
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +59,7 @@ def test_builtin_spindle_shape(reg):
     assert m.n_vertices == 7 and m.n_edges == 11 and m.alpha == 2
     assert t.n_vertices == 7 and t.n_edges == 11 and t.alpha == 2
     assert np.allclose(m.vertices[0], (0.0, 0.0))
-    assert reg.max_radius <= 2.0
+    assert max(float(profile_terms(g)[0].max()) for g in reg.graphs) <= 2.0
 
 
 def test_load_empty_file(tmp_path):
@@ -84,6 +107,44 @@ def test_load_rejects_alpha_mismatch(tmp_path):
         load_registry(p)
 
 
+def test_exact_alpha_matches_the_oracle_on_random_graphs():
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        n = int(rng.integers(1, 21))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        if pairs:
+            keep = rng.random(len(pairs)) < rng.uniform(0.05, 0.6)
+            edges = [pairs[i] for i in np.flatnonzero(keep)]
+        else:
+            edges = []
+        # repeat some edges, some reversed: the registry admits duplicates
+        edges += [(b, a) for a, b in edges[: int(rng.integers(0, 4))]]
+        assert max_is_exact(SmallGraph(n, edges)).size == alpha_oracle(n, edges), (n, edges)
+
+
+def _grid_graph_doc(alpha):
+    """A 4 x 5 unit square grid: 20 vertices (the alpha check limit), alpha 10."""
+    verts = [[str(x), str(y)] for y in range(4) for x in range(5)]
+    edges = [[i, i + 1] for i in range(20) if i % 5 != 4]
+    edges += [[i, i + 5] for i in range(15)]
+    graph = {"name": "grid", "kind": "subgraph", "vertices": verts,
+             "edges": edges, "alpha": alpha}
+    return {"schema_version": 1, "graphs": [graph]}
+
+
+def test_alpha_is_checked_at_twenty_vertices(tmp_path):
+    p = tmp_path / "grid.json"
+    p.write_text(json.dumps(_grid_graph_doc(10)))
+    g = load_registry(p).graphs[0]
+    assert g.n_vertices == 20 and g.n_edges == 31 and g.alpha == 10
+    edges = [tuple(e) for e in _grid_graph_doc(10)["graphs"][0]["edges"]]
+    assert alpha_oracle(20, edges) == 10
+    for wrong in (9, 11):
+        p.write_text(json.dumps(_grid_graph_doc(wrong)))
+        with pytest.raises(AlphaMismatchError):
+            load_registry(p)
+
+
 def test_load_requires_schema_version(tmp_path):
     p = tmp_path / "nover.json"
     p.write_text('{"graphs": []}')
@@ -93,13 +154,13 @@ def test_load_requires_schema_version(tmp_path):
 
 def test_m_profile_values(reg):
     m = reg.m_graphs[0]
-    assert m_profile(m, 0.0) == pytest.approx(7.0, abs=1e-12)
+    assert j0_combination(*profile_terms(m), 0.0) == pytest.approx(7.0, abs=1e-12)
     # self-consistency: term evaluation equals a direct loop over vertices
     from udsets.bessel import j0
 
     t = 1.0
     direct = sum(j0(t * float(np.hypot(*v))).value for v in m.vertices)
-    assert m_profile(m, t) == pytest.approx(direct, abs=1e-12)
+    assert j0_combination(*profile_terms(m), t) == pytest.approx(direct, abs=1e-12)
 
 
 def test_single_vertex_at_origin_profile():
@@ -107,12 +168,12 @@ def test_single_vertex_at_origin_profile():
 
     g = ConstraintGraph("pt", "vertex_sum", np.array([[0.0, 0.0]]), (), 1)
     for t in (0.0, 1.0, 17.3):
-        assert m_profile(g, t) == 1.0
+        assert j0_combination(*profile_terms(g), t) == 1.0
 
 
 def test_t_profile_values(reg):
     t_graph = reg.t_graphs[0]
-    assert t_profile(t_graph, 0.0) == pytest.approx(7.0 - 11.0, abs=1e-12)
+    assert j0_combination(*profile_terms(t_graph), 0.0) == pytest.approx(7.0 - 11.0, abs=1e-12)
     radii, coeffs = profile_terms(t_graph)
     # all 11 unit edges collapse onto the radius-1 term together with the
     # four unit-radius vertices: net coefficient 4 - 11 = -7
@@ -136,20 +197,22 @@ def test_equilateral_triangle_t_profile_is_zero_at_zero(tmp_path):
     p = tmp_path / "tri.json"
     p.write_text(json.dumps(doc))
     g = load_registry(p).graphs[0]
-    assert t_profile(g, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert j0_combination(*profile_terms(g), 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ct_profile_counts_and_scaling():
     g1 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     g2 = np.array([[0.5, 0.5], [2.0, 0.0]])
     p = CTPair("ct", 0.0, g1, g2, 1.0)
-    assert ct_profile(p, 0.0) == pytest.approx(3.0 - 2.0, abs=1e-12)
+    assert j0_combination(*ct_profile_terms(p), 0.0) == pytest.approx(3.0 - 2.0, abs=1e-12)
     # doubling coordinates and halving t leaves every J0 argument unchanged
     p2 = CTPair("ct2", 0.0, 2 * g1, 2 * g2, 1.0)
     for t in (0.7, 2.3):
-        assert ct_profile(p2, t / 2) == pytest.approx(ct_profile(p, t), abs=1e-12)
+        assert j0_combination(*ct_profile_terms(p2), t / 2) == pytest.approx(
+            j0_combination(*ct_profile_terms(p), t), abs=1e-12
+        )
     empty = CTPair("none", 0.0, np.zeros((0, 2)), np.zeros((0, 2)), 0.0)
-    assert ct_profile(empty, 1.0) == 0.0
+    assert j0_combination(*ct_profile_terms(empty), 1.0) == 0.0
     assert len(ct_profile_terms(empty)[0]) == 0
 
 
@@ -159,7 +222,7 @@ def test_profiles_lipschitz_in_t(reg):
     radii, coeffs = profile_terms(g)
     L = 0.6 * float(np.sum(np.abs(coeffs) * radii))
     ts = np.linspace(0.0, 30.0, 4001)
-    vals = t_profile(g, ts)
+    vals = j0_combination(radii, coeffs, ts)
     slopes = np.abs(np.diff(vals)) / np.diff(ts)
     assert np.max(slopes) <= L + 1e-6
 

@@ -243,9 +243,10 @@ def test_pair_correlation_r0_and_translation_invariance():
 
 
 def test_work_budget_error():
-    A = random_gridset(4, 4, seed=0)
-    with pytest.raises(WorkBudgetError):
-        spectrum(A, 10**9, work_budget=1e6)
+    A = random_gridset(256, 4, seed=0)  # (NK)^2 = 2^20
+    # 2^25 is within MAX_CUTOFF_M, but 2^25 * 2^20 exceeds DEFAULT_WORK_BUDGET
+    with pytest.raises(WorkBudgetError, match="work budget"):
+        spectrum(A, 2**25)
 
 
 def bilinear_counts(counts, sx, sy):

@@ -7,7 +7,7 @@ import pytest
 
 from udsets.constructions import hex_disk_packing, optimize_croft, rasterize
 from udsets.errors import DomainError, FeasibilityError, SchemaError
-from udsets.registry import CTPair, Registry, builtin_registry
+from udsets.registry import ConstraintGraph, CTPair, Registry, builtin_registry
 from udsets.torus import random_gridset, spectrum, spectrum_auto
 from udsets.witness import (
     CROFT_TARGET_DENSITY,
@@ -45,7 +45,7 @@ def coeffs(reg, **kw):
 
 
 def test_croft_target_matches_constructions():
-    assert optimize_croft(1e-4)[1] == pytest.approx(CROFT_TARGET_DENSITY, abs=1e-10)
+    assert optimize_croft()[1] == pytest.approx(CROFT_TARGET_DENSITY, abs=1e-10)
 
 
 def test_witness_trivials(reg):
@@ -120,8 +120,15 @@ def test_variable_table_matches_explicit_formulas(reg):
 
 def test_lipschitz_zero_and_radius_guard(reg):
     assert witness_lipschitz(coeffs(reg)) == 0.0
-    with pytest.raises(DomainError):
-        witness_lipschitz(coeffs(reg, v0=1.0), r_max=1.5)
+
+    def one_vertex_at(x):
+        g = ConstraintGraph("far", "vertex_sum", np.array([[x, 0.0]]), (), 1)
+        far = Registry((g,), (), "far")
+        return WitnessCoefficients(1.0, 0.0, 0.0, (0.0,), (), (), far)
+
+    assert witness_lipschitz(one_vertex_at(4.0)) == 0.0
+    with pytest.raises(DomainError, match="radius 5.0 exceeds"):
+        witness_lipschitz(one_vertex_at(5.0))
 
 
 def test_lipschitz_bounds_empirical_slopes(reg):
@@ -274,12 +281,12 @@ def test_solve_infeasible_reports_farkas(reg):
     assert res.farkas_valid
 
 
-def test_certify_bound_monotone_under_registry_growth(reg):
+def test_certify_bound_monotone_under_registry_growth(certified):
     # the trivial-columns-only registry already certifies some bound; adding
     # spindle constraints can only keep or shrink the feasible target
     empty = Registry((), (), "empty")
-    out_empty = certify_bound(empty, bisect_tol=5e-3)
-    out_full = certify_bound(reg, bisect_tol=5e-3)
+    out_empty = certify_bound(empty)
+    out_full = certified
     assert out_full.best_delta <= out_empty.best_delta + 5e-3
     assert out_full.report.certified
 
