@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import constructions, gridio, torus, udgraph, witness
-from .errors import SearchTimeout, UdsetsError
+from .errors import DomainError, FeasibilityError, SearchTimeout, UdsetsError
 from .registry import builtin_registry, load_registry
 
 TOOL_VERSION = "0.1.0"
@@ -76,9 +76,10 @@ def positive_float(text: str) -> float:
 
 
 def seed_list(text: str) -> str:
-    """The --seeds type: at least one comma-separated int, kept as text so
-    the manifest records it as given (``cmd_sample`` splits it)."""
-    if not [int(s) for s in text.split(",") if s != ""]:
+    """The --seeds type: at least one comma-separated int, none repeated, kept
+    as text so the manifest records it as given (``cmd_sample`` splits it)."""
+    seeds = [int(s) for s in text.split(",") if s != ""]
+    if not seeds or len(set(seeds)) != len(seeds):
         raise ValueError(text)
     return text
 
@@ -128,6 +129,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_paircorr(args) -> int:
+    if not (math.isfinite(args.r_max) and 0.0 <= args.r_min <= args.r_max):
+        raise DomainError(f"need finite 0 <= --r-min <= --r-max: {args.r_min}, {args.r_max}")
     out = _outdir(args)
     A = gridio.load_gridset(args.set)
     spec = torus.spectrum(A, args.cutoff_m)
@@ -295,8 +298,6 @@ def cmd_gamma(args) -> int:
     reg = _load_registry_arg(args.registry)
     doc = witness.load_certificate(args.certificate)
     coeffs = witness.certificate_coefficients(doc, reg)
-    from .errors import FeasibilityError
-
     try:
         gamma = witness.gamma_extract(coeffs, args.epsilon)
     except FeasibilityError as exc:

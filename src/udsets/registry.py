@@ -14,9 +14,9 @@ built in.
 
 Everything is loaded from a JSON schema (documented in the README), validated
 geometrically (edges unit within 1e-9) and combinatorially (declared alpha
-re-derived by ``udgraph.max_is_exact`` for graphs with at most 20 vertices).
-The shipped registry contains the Moser spindle, hub vertex at the origin, as
-both kinds.
+re-derived by ``udgraph.max_is_exact``, which loads no scipy, for graphs with
+at most 20 vertices).  The shipped registry holds the Moser spindle, hub vertex
+at the origin, as both kinds.
 
 Profiles are exposed as (radius, coefficient) term lists with equal radii
 merged; every profile value is a finite sum of J0 terms, evaluated by
@@ -38,7 +38,8 @@ import numpy as np
 
 from .bessel import j0_combination, j0_combination_error
 from .errors import AlphaMismatchError, GeometryError, SchemaError
-from .torus import Spectrum, pair_correlation
+from .torus import SPECTRUM_FFT_SLACK, Spectrum, pair_correlation
+from .udgraph import SmallGraph, max_is_exact
 
 __all__ = [
     "ConstraintGraph",
@@ -151,11 +152,6 @@ def _validate_graph(entry, idx) -> ConstraintGraph:
     if alpha < 1:
         raise SchemaError(f"{where}: alpha must be >= 1")
     if n <= ALPHA_CHECK_LIMIT:
-        # imported here: loading udgraph (and scipy.ndimage) inside this module's
-        # import shifts the cyclic GC's collections and slows `import udsets` by
-        # about 20-40 ms (python -X importtime, alternating runs)
-        from .udgraph import SmallGraph, max_is_exact
-
         true_alpha = max_is_exact(SmallGraph(n, edges)).size
         if true_alpha != alpha:
             raise AlphaMismatchError(
@@ -281,7 +277,7 @@ def _profile_pairing(S: Spectrum, radii, coeffs):
     rigor = (
         S.tail_mass * float(np.abs(coeffs).sum())
         + j0_combination_error(coeffs) * float(S.kappas.sum())
-        + 1e-10
+        + SPECTRUM_FFT_SLACK
     )
     return lhs, rigor
 

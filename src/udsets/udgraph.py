@@ -21,7 +21,8 @@ geometry such as abstract unit-distance graphs.  Glauber keeps a count of
 occupied neighbors per vertex, so only a change of state reads a neighbor
 list; the exact solver prunes by the candidate popcount and then by a
 greedy clique cover of the candidates, which bounds their independence
-number from above.  Both give exactly the results of the plain loops.
+number from above.  Both give exactly the results of the plain loops.  scipy
+loads in the block decomposition, on first use: importing needs numpy alone.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import DomainError
+from .errors import DomainError, SearchTimeout
 from .torus import GridSet, pair_counts
 
 __all__ = [
@@ -335,8 +335,6 @@ def max_is_exact(G, time_budget: float = 60.0) -> MaxISResult:
     SearchTimeout carrying the incumbent and the root bound: the greedy
     clique cover of all vertices (at most n).
     """
-    from .errors import SearchTimeout
-
     n = G.n_vertices
     if n > MAX_EXACT_VERTICES:
         raise DomainError(f"exact search capped at {MAX_EXACT_VERTICES} vertices")
@@ -521,6 +519,7 @@ def block_decomposition(A) -> BlockReport:
     js, ks = np.nonzero(grid)
     if N >= 3:
         # 8-adjacent cells always satisfy dmax < 1; label then torus-merge
+        from scipy import ndimage
         lab, n_lab = ndimage.label(grid, structure=np.ones((3, 3), dtype=int))
         parent = list(range(n_lab + 1))
         for shift in (-1, 0, 1):

@@ -47,6 +47,7 @@ import numpy as np
 
 from .bessel import j0_combination, j0_combination_envelope, j0_combination_error
 from .errors import DomainError, FeasibilityError, SchemaError
+from .gridio import dumps_json
 from .registry import (
     CheckResult,
     Registry,
@@ -778,7 +779,7 @@ def write_certificate(path, c: WitnessCoefficients, report: CertificateReport):
         "gamma": report.gamma,
         "verdict": report.verdict,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(dumps_json(doc))
 
 
 def load_certificate(path) -> dict:

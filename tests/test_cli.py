@@ -240,7 +240,29 @@ def test_config_rejects_a_zero_r_step(hexdisk16, tmp_path, capsys):
     assert len((out / "paircorr.csv").read_text().strip().splitlines()) == 1 + 3
 
 
-@pytest.mark.parametrize("seeds", ["a", ",", "", "1,b"])
+@pytest.mark.parametrize(
+    "r_min, r_max", [("2", "1"), ("-0.5", "1"), ("0", "inf"), ("nan", "1")]
+)
+def test_paircorr_rejects_a_bad_r_range(hexdisk16, tmp_path, capsys, r_min, r_max):
+    out = tmp_path / "pc"
+    assert run("paircorr", "--set", hexdisk16, "--r-min", r_min, "--r-max", r_max,
+               "--out", out) == 4
+    assert "--r-max" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r_min": float(r_min), "r_max": float(r_max)}))
+    assert run("--config", cfg, "paircorr", "--set", hexdisk16, "--out", out) == 4
+    assert not out.exists()
+
+
+def test_paircorr_single_point_range(hexdisk16, tmp_path):
+    out = tmp_path / "pc"
+    assert run("paircorr", "--set", hexdisk16, "--r-min", 1, "--r-max", 1,
+               "--out", out) == 0
+    assert len((out / "paircorr.csv").read_text().strip().splitlines()) == 1 + 1
+
+
+@pytest.mark.parametrize("seeds", ["a", ",", "", "1,b", "1,1", "2,3,2"])
 def test_sample_rejects_bad_seeds(tmp_path, capsys, seeds):
     out = tmp_path / "s"
     assert run("sample", "--n", 4, "--k", 4, "--seeds", seeds, "--out", out) == 4

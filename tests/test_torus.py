@@ -1,5 +1,6 @@
 """GridSet / Spectrum behavior against independent small-scale oracles."""
 
+import json
 import math
 import os
 import subprocess
@@ -458,6 +459,44 @@ def test_gridset_file_roundtrip(tmp_path):
     text1 = p.read_text()
     save_gridset(p, B)
     assert p.read_text() == text1
+
+
+def _gridset_doc(N, K, payload):
+    return json.dumps({"schema_version": 1, "kind": "gridset", "K": K, "N": N,
+                       "encoding": "rle0-leb128-base64", "payload": payload})
+
+
+@pytest.mark.parametrize(
+    "N, K, flat, payload",
+    [
+        # a first bit of 1 opens with a zero-length 0-run: runs 0, 1, 2, 1
+        (1, 2, [1, 0, 0, 1], "AAECAQ=="),
+        # runs 300 and 100; 300 takes the two-byte varint AC 02
+        (4, 5, [0] * 300 + [1] * 100, "rAJk"),
+    ],
+    ids=["leading 1", "run of 300"],
+)
+def test_gridset_file_golden_payloads(tmp_path, N, K, flat, payload):
+    A = GridSet.from_flat(np.array(flat, dtype=bool), N, K)
+    p = tmp_path / "set.json"
+    save_gridset(p, A)
+    assert json.loads(p.read_text())["payload"] == payload
+    assert np.array_equal(load_gridset(p).to_flat(), A.to_flat())
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ("gA==", "truncated varint"),  # 80: continuation bit, no last byte
+        ("BQ==", "longer than"),  # one 0-run of 5 bits on a 4-bit set
+        ("Aw==", "shorter than"),  # one 0-run of 3 bits on a 4-bit set
+    ],
+)
+def test_gridset_payload_errors(tmp_path, payload, message):
+    p = tmp_path / "bad.json"
+    p.write_text(_gridset_doc(1, 2, payload))
+    with pytest.raises(SchemaError, match=message):
+        load_gridset(p)
 
 
 def test_gridset_file_schema_errors(tmp_path):
