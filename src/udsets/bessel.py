@@ -127,8 +127,8 @@ class BesselEval:
 
 
 def _check_domain(x):
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"argument must be finite and >= 0, got {x!r}")
+    if not 0.0 <= x <= FLAT_BOUND_MAX_ARG:
+        raise DomainError(f"argument must lie in [0, 2**26], got {x!r}")
 
 
 def _horner_ld(coeffs, u):
@@ -182,21 +182,20 @@ def _asymptotic_bound(x, amp):
 
 
 def j0(x: float) -> BesselEval:
-    """J0(x) with a certified absolute error bound.
+    """J0(x) with a certified absolute error bound: the value of
+    ``j0_values`` and the bound of its branch at x.
 
-    Raises DomainError for negative or non-finite arguments.
+    Raises DomainError for arguments outside [0, 2**26].
     """
     _check_domain(x)
+    value = j0_values(x)
     if x == 0.0:
-        return BesselEval(1.0, 0.0)
+        return BesselEval(value, 0.0)
     if x < SERIES_CUTOFF:
         u = _LD(x) * _LD(x) / 4
-        value = float(_horner_ld(_J0_COEFFS, u))
-        err = float(_series_error_bound(_J0_ERRW, u))
-        return BesselEval(value, err + 2e-16)
-    value = np.empty(1)
-    amp = _asymptotic(np.array([x]), value, np.empty((4, 1)))[0]
-    return BesselEval(float(value[0]), float(_asymptotic_bound(x, amp)))
+        return BesselEval(value, float(_series_error_bound(_J0_ERRW, u)) + 2e-16)
+    amp = math.sqrt(2.0 / (math.pi * x))  # as _asymptotic computes it
+    return BesselEval(value, float(_asymptotic_bound(x, amp)))
 
 
 def j0_envelope(x: float) -> float:

@@ -43,6 +43,8 @@ S_PROBES = (0.5, 1.0, 1.96, 2.0)
 
 
 def _outdir(args) -> Path:
+    """Create --out.  Callers run it just before their first write, once
+    every input is read, so an input error leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -95,7 +97,6 @@ def _load_registry_arg(spec: str):
 # ---------------------------------------------------------------------------
 
 def cmd_construct(args) -> int:
-    out = _outdir(args)
     if args.pattern == "hexdisk":
         pattern = constructions.hex_disk_packing()
         x_used = None
@@ -105,6 +106,7 @@ def cmd_construct(args) -> int:
             x_used, _ = constructions.optimize_croft()
         pattern = constructions.croft_tortoise(x_used)
     rep = constructions.rasterize_report(pattern, args.n, args.k, args.beta)
+    out = _outdir(args)
     grid_path = out / f"{args.pattern}_N{args.n}_K{args.k}.gridset.json"
     gridio.save_gridset(grid_path, rep.grid)
     stats = {
@@ -131,7 +133,6 @@ def cmd_construct(args) -> int:
 def cmd_paircorr(args) -> int:
     if not (math.isfinite(args.r_max) and 0.0 <= args.r_min <= args.r_max):
         raise DomainError(f"need finite 0 <= --r-min <= --r-max: {args.r_min}, {args.r_max}")
-    out = _outdir(args)
     A = gridio.load_gridset(args.set)
     spec = torus.spectrum(A, args.cutoff_m)
     rs = np.arange(args.r_min, args.r_max + args.r_step / 2, args.r_step)
@@ -139,6 +140,7 @@ def cmd_paircorr(args) -> int:
     for r in rs:
         ev = torus.pair_correlation(spec, float(r))
         rows.append((ev.r, ev.value, ev.rigor_bound))
+    out = _outdir(args)
     csv_path = out / "paircorr.csv"
     gridio.write_paircorr_csv(csv_path, rows, spec.density)
     _manifest(out, "paircorr", args, [], [csv_path])
@@ -157,10 +159,10 @@ def _sample_stats(A: torus.GridSet, G: udgraph.UDGraph) -> dict:
 
 
 def cmd_sample(args) -> int:
-    out = _outdir(args)
     seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
     G = udgraph.build(args.n, args.k)
     steps = args.steps if args.steps else 100 * G.n_vertices
+    out = _outdir(args)
     outputs = []
     per_seed = {}
     for seed in seeds:
@@ -196,7 +198,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_search(args) -> int:
-    out = _outdir(args)
     G = udgraph.build(args.n, args.k)
     try:
         res = udgraph.max_is_exact(G, time_budget=args.time_budget)
@@ -209,6 +210,7 @@ def cmd_search(args) -> int:
         exact = False
         code = EXIT_TIMEOUT
     A = ind.to_gridset()
+    out = _outdir(args)
     p = out / "best.gridset.json"
     gridio.save_gridset(p, A)
     blocks = udgraph.block_decomposition(A)
@@ -232,7 +234,6 @@ def cmd_search(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    out = _outdir(args)
     G = udgraph.build(args.n, args.k)
     doc = {
         "N": args.n,
@@ -241,6 +242,7 @@ def cmd_graph(args) -> int:
         "edges": G.edge_count,
         "max_degree": G.max_degree,
     }
+    out = _outdir(args)
     p = out / "graph.json"
     p.write_text(gridio.dumps_json(doc))
     _manifest(out, "graph", args, [], [p])
@@ -250,7 +252,6 @@ def cmd_graph(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    out = _outdir(args)
     reg = _load_registry_arg(args.registry)
     knobs = dict(budget=args.budget, margin=args.margin, tail_start=args.tail_start)
     if args.delta_plus is not None:
@@ -273,6 +274,7 @@ def cmd_certify(args) -> int:
             print(f"certification failed: {exc}")
             return EXIT_INFEASIBLE
         coeffs, report = outcome.coefficients, outcome.report
+    out = _outdir(args)
     cert_path = out / "certificate.json"
     witness.write_certificate(cert_path, coeffs, report)
     _manifest(out, "certify", args, [], [cert_path])

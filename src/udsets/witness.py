@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -104,6 +104,10 @@ class WitnessCoefficients:
     w_t: tuple
     w_theta: tuple
     registry: Registry
+    # set by __post_init__: W as one _Var, sum x_i var_i over _var_terms
+    # (equal radii merged, arrays read-only), and the largest profile radius
+    _total: _Var = field(init=False, repr=False, compare=False)
+    _max_radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "v0", float(self.v0))
@@ -118,14 +122,31 @@ class WitnessCoefficients:
             raise DomainError("w_t length disagrees with registry")
         if len(self.w_theta) != len(self.registry.ct_pairs):
             raise DomainError("w_theta length disagrees with registry")
-        for v in (self.v0, self.v1, self.v196, *self.w_m, *self.w_t, *self.w_theta):
+        x = (self.v0, self.v1, self.v196, *self.w_m, *self.w_t, *self.w_theta)
+        for v in x:
             if not (v >= 0.0 and math.isfinite(v)):
                 raise DomainError("witness coefficients must be finite and >= 0")
+        # one pass in LP order, each sum one term at a time (the order fixes
+        # the last bits); J0 terms of zero-weight variables are left out
+        sums = dict.fromkeys(_SUMS, 0.0)
+        all_radii, all_coeffs = [], []
+        max_radius = 0.0
+        for xi, var in zip(x, _var_terms(self.registry)):
+            for name in sums:
+                sums[name] += xi * getattr(var, name)
+            max_radius = max(max_radius, float(var.radii.max(initial=0.0)))
+            if xi != 0.0:
+                all_radii.extend(var.radii)
+                all_coeffs.extend(xi * float(co) for co in var.coeffs)
+        radii, coeffs = _grouped(all_radii, all_coeffs)
+        radii.flags.writeable = coeffs.flags.writeable = False
+        object.__setattr__(self, "_total", _Var(radii=radii, coeffs=coeffs, **sums))
+        object.__setattr__(self, "_max_radius", max_radius)
 
     @property
     def budget_sum(self) -> float:
         """Budget-weighted coefficient sum: T and CT weights count twice."""
-        return _weighted_sums(self, "budget")[0]
+        return self._total.budget
 
     def as_dict(self) -> dict:
         return {
@@ -154,6 +175,7 @@ class _Var(NamedTuple):
 
 
 _NO_TERMS = np.array([])
+_SUMS = ("const", "budget", "quad_a", "quad_b", "quad_c", "gamma")  # scalar _Var fields
 
 
 def _var_terms(registry: Registry) -> list[_Var]:
@@ -186,39 +208,9 @@ def _var_terms(registry: Registry) -> list[_Var]:
     return out
 
 
-def _coeff_vector(c: WitnessCoefficients) -> np.ndarray:
-    return np.array(
-        [c.v0, c.v1, c.v196, *c.w_m, *c.w_t, *c.w_theta], dtype=float
-    )
-
-
-def _weighted_sums(c: WitnessCoefficients, *fields: str) -> list[float]:
-    """sum x_i * field_i over the LP variables for each field, added in LP
-    order, one term at a time (the order fixes the last bits)."""
-    table = _var_terms(c.registry)
-    x = _coeff_vector(c).tolist()
-    sums = []
-    for field in fields:
-        total = 0.0
-        for xi, var in zip(x, table):
-            total += xi * getattr(var, field)
-        sums.append(total)
-    return sums
-
-
 def witness_terms(c: WitnessCoefficients):
     """(constant, radii, coefficients) of W with equal radii merged."""
-    x = _coeff_vector(c)
-    const = 0.0
-    all_radii = []
-    all_coeffs = []
-    for xi, var in zip(x, _var_terms(c.registry)):
-        if xi == 0.0:
-            continue
-        const += xi * var.const
-        all_radii.extend(var.radii)
-        all_coeffs.extend(xi * float(co) for co in var.coeffs)
-    return (const, *_grouped(all_radii, all_coeffs))
+    return c._total.const, c._total.radii, c._total.coeffs
 
 
 def witness_eval(c: WitnessCoefficients, t):
@@ -236,7 +228,7 @@ def witness_lipschitz(c: WitnessCoefficients) -> float:
     LP variable (``_var_terms``) exceeds DEFAULT_RMAX = 4, which would
     invalidate the documented budget chain.
     """
-    r = max(float(var.radii.max(initial=0.0)) for var in _var_terms(c.registry))
+    r = c._max_radius
     if r > DEFAULT_RMAX:
         raise DomainError(f"registry radius {r} exceeds r_max {DEFAULT_RMAX}")
     _, radii, coeffs = witness_terms(c)
@@ -268,8 +260,7 @@ def verification_step(c: WitnessCoefficients, margin: float = DEFAULT_MARGIN) ->
 
 def quadratic_coefficients(c: WitnessCoefficients):
     """(a, b, c) of the certified quadratic a d^2 + b d + c >= 0."""
-    a, b, qc = _weighted_sums(c, "quad_a", "quad_b", "quad_c")
-    return -(1.0 - a), b, qc
+    return -(1.0 - c._total.quad_a), c._total.quad_b, c._total.quad_c
 
 
 def quadratic_root(c: WitnessCoefficients):
@@ -306,7 +297,7 @@ def quadratic_root(c: WitnessCoefficients):
 
 def gamma_coefficient(c: WitnessCoefficients) -> float:
     """The gamma perturbation weight Gamma."""
-    return _weighted_sums(c, "gamma")[0]
+    return c._total.gamma
 
 
 def _quadratic_interval_max(a, b, qc, lo, hi):
@@ -318,50 +309,55 @@ def _quadratic_interval_max(a, b, qc, lo, hi):
     return max(vals)
 
 
-def _gamma_search(c: WitnessCoefficients, epsilon: float):
-    """(gamma, None) on success, (0.0, reason) when no gamma is extractable."""
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be > 0")
-    delta_star, (a, b, qc) = quadratic_root(c)
+_GAMMA_CAP = 2.0**19  # reported when every gamma up to it is admissible
+
+
+def _gamma_search(c: WitnessCoefficients, epsilon: float, root):
+    """(gamma, None) on success, (0.0, reason) when no gamma is extractable.
+
+    ``root`` is ``quadratic_root(c)``.  With Q the quadratic's maximum on
+    [delta_star + epsilon, 1], gamma is the largest float g with
+    Q + g * Gamma < 0, capped at 2**19: -Q / Gamma moved in ulp steps.
+    """
+    delta_star, (a, b, qc) = root
     if delta_star + epsilon >= CROFT_TARGET_DENSITY:
         return 0.0, (
             f"delta_star + epsilon = {delta_star + epsilon} reaches the target "
             f"density {CROFT_TARGET_DENSITY}; no clumpiness constant extractable"
         )
     Gamma = gamma_coefficient(c)
-    lo_d, hi_d = delta_star + epsilon, 1.0
+    Q = _quadratic_interval_max(a, b, qc, delta_star + epsilon, 1.0)
 
     def admissible(gamma):
-        return _quadratic_interval_max(a, b, qc, lo_d, hi_d) + gamma * Gamma < 0.0
+        return Q + gamma * Gamma < 0.0
 
     if not admissible(0.0):
         return 0.0, "quadratic not negative beyond delta_star + epsilon"
     if Gamma == 0.0:
         return 1.0, None  # no gamma sensitivity at all; any gamma <= 1 works
-    lo, hi = 0.0, 1.0
-    while admissible(hi):
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e6:
-            return lo, None
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo <= 0.0:
+    if admissible(_GAMMA_CAP):
+        return _GAMMA_CAP, None
+    g = -Q / Gamma  # within a few ulps; admissible is monotone in g
+    while not admissible(g):
+        g = math.nextafter(g, 0.0)
+    while admissible(math.nextafter(g, math.inf)):
+        g = math.nextafter(g, math.inf)
+    if g <= 0.0:
         return 0.0, "no positive gamma admissible at this epsilon"
-    return lo, None
+    return g, None
 
 
 def gamma_extract(c: WitnessCoefficients, epsilon: float) -> float:
-    """Largest gamma (by bisection) keeping the perturbed quadratic negative
-    on [delta_star + epsilon, 1].
+    """Largest float gamma keeping the perturbed quadratic
+    a d^2 + b d + qc + gamma * Gamma negative on [delta_star + epsilon, 1],
+    capped at 2**19.
 
     Precondition: delta_star + epsilon < CROFT_TARGET_DENSITY, so the bound
     still separates from the Croft construction; FeasibilityError otherwise.
     """
-    gamma, reason = _gamma_search(c, epsilon)
+    if epsilon <= 0.0:
+        raise DomainError("epsilon must be > 0")
+    gamma, reason = _gamma_search(c, epsilon, quadratic_root(c))
     if reason is not None:
         raise FeasibilityError(reason)
     return gamma
@@ -457,17 +453,17 @@ def verify_witness(
             f"tail floor {tail_floor} not positive at tail_start {tail_start}"
         )
 
-    delta_star = math.nan
-    quad = (math.nan, math.nan, math.nan)
+    root = (math.nan, (math.nan, math.nan, math.nan))
     gamma = 0.0
     try:
-        delta_star, quad = quadratic_root(c)
+        root = quadratic_root(c)
     except DomainError as exc:
         reasons.append(str(exc))
+    delta_star, quad = root
 
     verdict = "certified" if not reasons else "failed: " + "; ".join(reasons)
     if verdict == "certified":
-        gamma, _ = _gamma_search(c, 1e-3)
+        gamma, _ = _gamma_search(c, 1e-3, root)
     return CertificateReport(
         w_at_zero=w0,
         min_grid_value=min_grid,

@@ -173,6 +173,24 @@ def test_input_error_exit(tmp_path):
                "--out", tmp_path / "x") == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("paircorr", "--set", "{tmp}/nosuch.json"),
+        ("graph", "--n", "1", "--k", "2"),
+        ("certify", "--registry", "{tmp}/nosuch.json"),
+        ("sample", "--n", "1", "--k", "2"),
+        ("construct", "hexdisk", "--n", "8", "--k", "4"),
+        ("search", "--n", "60", "--k", "10"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_input_errors_leave_no_out_directory(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run(*(a.format(tmp=tmp_path) for a in argv), "--out", out) == 4
+    assert not out.exists()
+
+
 def test_config_overrides_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 1, "k": 3}))

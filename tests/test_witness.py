@@ -1,10 +1,13 @@
 """Witness evaluation, the quadratic, gamma extraction, LP, certificates."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from udsets import witness as witness_module
 from udsets.constructions import hex_disk_packing, optimize_croft, rasterize
 from udsets.errors import DomainError, FeasibilityError, SchemaError
 from udsets.registry import ConstraintGraph, CTPair, Registry, builtin_registry
@@ -30,6 +33,7 @@ from udsets.witness import (
     witness_eval,
     witness_lipschitz,
     write_certificate,
+    _quadratic_interval_max,
 )
 
 
@@ -180,6 +184,18 @@ def test_quadratic_root_trivial_and_family(reg):
         quadratic_root(coeffs(reg, v196=1.0))
 
 
+def _assert_gamma_is_largest(c, epsilon):
+    # gamma is the largest float keeping Q + gamma * Gamma negative, where
+    # Q is the quadratic's maximum on [delta_star + epsilon, 1]
+    gamma = gamma_extract(c, epsilon)
+    delta, (a, b, qc) = quadratic_root(c)
+    Q = _quadratic_interval_max(a, b, qc, delta + epsilon, 1.0)
+    Gamma = gamma_coefficient(c)
+    assert Q + gamma * Gamma < 0.0
+    assert Q + math.nextafter(gamma, math.inf) * Gamma >= 0.0
+    return gamma
+
+
 def test_gamma_extract_reduces_and_monotone(reg):
     c = coeffs(reg, v0=0.12, v1=0.5, v196=0.2, w_m=(0.01,), w_t=(0.005,))
     delta, (a, b, qc) = quadratic_root(c)
@@ -196,6 +212,11 @@ def test_gamma_extract_reduces_and_monotone(reg):
     # scaling the gamma-carrying coefficients up shrinks gamma
     c_big = coeffs(reg, v0=0.12, v1=2.0, v196=0.2, w_m=(0.01,), w_t=(0.005,))
     assert gamma_extract(c_big, 1e-3) < g1
+    for witness, eps in ((c, 1e-3), (c, 5e-3), (c_big, 1e-3)):
+        _assert_gamma_is_largest(witness, eps)
+    # at epsilon = 1e-9, gamma ~ 1.7e-10 < 2**-28: 80 bisection steps from
+    # [0, 1] would stop short of the largest admissible float here
+    assert 0.0 < _assert_gamma_is_largest(c, 1e-9) < 2.0**-28
 
 
 def test_published_coefficient_table_quadratic():
@@ -228,7 +249,7 @@ def test_published_coefficient_table_quadratic():
     assert a > 0.0  # upward branch
     assert delta <= 0.229
     assert delta == pytest.approx(0.228983, abs=1e-5)
-    assert gamma_extract(c, 1e-4) > 0.0
+    assert _assert_gamma_is_largest(c, 1e-4) > 0.0
 
 
 def test_gamma_extract_infeasible_when_bound_too_weak(reg):
@@ -343,10 +364,49 @@ def test_builtin_infeasibility_does_not_depend_on_the_tail(reg):
     assert results[80.0].status == "infeasible"
 
 
+# certify_bound(builtin), pinned field by field: any change here changes the
+# certificate files
+_BUILTIN_REPORT = {
+    "w_at_zero": "1.000000001",
+    "min_grid_value": "0.0049738386336240885",
+    "argmin_t": "4.3828125",
+    "grid_step": "0.00390625",
+    "margin": "0.003",
+    "lipschitz_bound": "0.6025050663819848",
+    "eval_error": "7.97484499381903e-13",
+    "tail_floor": "0.07120941957548443",
+    "tail_start": "20.0",
+    "tail_const": "0.20251550161809698",
+    "tail_osc": "0.13130608204261254",
+    "quadratic": "(-0.784697279942981, 0.20251550161809698, 0.0)",
+    "delta_star": "0.2580810546875",
+    "gamma": "0.0",
+    "verdict": "'certified'",
+}
+_STOP = LP_INFEASIBLE_WITHOUT_TAIL
+_BUILTIN_ATTEMPTS = (
+    (0.95, 20.0, "certified"),
+    (0.5, 20.0, "certified"),
+    (0.275, 20.0, "certified"),
+    (0.1625, 20.0, _STOP),
+    (0.21875, 20.0, _STOP),
+    (0.246875, 20.0, _STOP),
+    (0.26093750000000004, 20.0, "certified"),
+    (0.25390625, 20.0, _STOP),
+    (0.257421875, 20.0, _STOP),
+    (0.25917968750000003, 20.0, "certified"),
+    (0.25830078125, 20.0, "certified"),
+    (0.257861328125, 20.0, _STOP),
+    (0.2580810546875, 20.0, "certified"),
+    (0.25797119140625, 20.0, _STOP),
+)
+_BUILTIN_CERTIFICATE_SHA256 = "e48b82e6e6fd7d475b7d3d7f195c3a18ad2f43c27b5a49f8d7cf97acf891825e"
+
+
 def test_certify_bound_stops_futile_escalation(certified):
     assert certified.best_delta == 0.2580810546875
     attempts = certified.attempts
-    assert len(attempts) == 14
+    assert attempts == _BUILTIN_ATTEMPTS
     deltas = [d for d, _, _ in attempts]
     stopped = [d for d, _, v in attempts if v == LP_INFEASIBLE_WITHOUT_TAIL]
     assert len(stopped) == 7
@@ -354,6 +414,33 @@ def test_certify_bound_stops_futile_escalation(certified):
     for d in stopped:
         assert deltas.count(d) == 1
     assert sum(1 for *_, v in attempts if v == "certified") == 7
+
+
+def test_certify_bound_builtin_golden(certified, tmp_path):
+    report = certified.report
+    got = {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)}
+    assert got == _BUILTIN_REPORT
+    path = tmp_path / "certificate.json"
+    write_certificate(path, certified.coefficients, report)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _BUILTIN_CERTIFICATE_SHA256
+
+
+def test_verify_witness_reuses_the_witness_terms(certified, monkeypatch):
+    # everything verify_witness and gamma_extract read was derived when the
+    # witness was built; neither reaches the registry's profiles again
+    c = certified.coefficients
+    small = coeffs(c.registry, v0=0.12, v1=0.5, v196=0.2, w_m=(0.01,), w_t=(0.005,))
+    calls = []
+    real = witness_module.profile_terms
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(witness_module, "profile_terms", counting)
+    verify_witness(c, verification_step(c), DEFAULT_MARGIN, 5.0)
+    gamma_extract(small, 1e-3)
+    assert calls == []
 
 
 def test_step_1e5_certificate_still_reproduces(certified, reg, tmp_path):
