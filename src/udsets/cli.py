@@ -450,7 +450,7 @@ def main(argv=None) -> int:
     except UdsetsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable file, a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

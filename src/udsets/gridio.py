@@ -75,18 +75,19 @@ def _rle_decode(data: bytes, n_bits: int) -> np.ndarray:
             shift = 0
     if shift != 0:
         raise SchemaError("truncated varint in RLE payload")
+    # checked before allocating, so a file cannot ask for more bits than it holds
+    total = sum(runs)
+    if total != n_bits:
+        side = "longer" if total > n_bits else "shorter"
+        raise SchemaError(f"RLE payload {side} than (NK)^2 bits")
     bits = np.zeros(n_bits, dtype=bool)
     pos = 0
     val = False
     for run in runs:
-        if pos + run > n_bits:
-            raise SchemaError("RLE payload longer than (NK)^2 bits")
         if val:
             bits[pos : pos + run] = True
         pos += run
         val = not val
-    if pos != n_bits:
-        raise SchemaError("RLE payload shorter than (NK)^2 bits")
     return bits
 
 
@@ -113,13 +114,21 @@ def load_gridset(path) -> GridSet:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: top level must be an object")
     for key in ("schema_version", "kind", "K", "N", "encoding", "payload"):
         if key not in doc:
             raise SchemaError(f"gridset file missing field {key!r}")
     if doc["kind"] != "gridset" or doc["encoding"] != "rle0-leb128-base64":
         raise SchemaError("unknown gridset kind or encoding")
-    N, K = int(doc["N"]), int(doc["K"])
-    bits = _rle_decode(base64.b64decode(doc["payload"]), (N * K) ** 2)
+    N, K = doc["N"], doc["K"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (N, K)):
+        raise SchemaError(f"gridset N and K must be integers, got {N!r} and {K!r}")
+    try:
+        data = base64.b64decode(doc["payload"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"gridset payload is not base64: {exc}") from exc
+    bits = _rle_decode(data, (N * K) ** 2)
     return GridSet.from_flat(bits, N, K)
 
 

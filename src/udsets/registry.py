@@ -18,11 +18,11 @@ re-derived by ``udgraph.max_is_exact``, which loads no scipy, for graphs with
 at most 20 vertices).  The shipped registry holds the Moser spindle, hub vertex
 at the origin, as both kinds.
 
-Profiles are exposed as (radius, coefficient) term lists with equal radii
-merged; every profile value is a finite sum of J0 terms, evaluated by
-``bessel.j0_combination`` with error <= J0_ABS_ERROR * sum |coefficient|.
-The profile-vs-kappa checks (graph rows and CT rows) and their rigor formula
-live here too.
+A profile is (const, radii, coeffs) for const + sum_i c_i J0(r_i t), every
+r_i > 0: equal radii merged, each vertex at the origin adding the exact
+J0(0) = 1 to const.  Each graph and CT pair builds it once, when it is made,
+for the LP variables of ``witness`` and for the graph and CT rows here, which
+pair it with kappa through ``torus._pair_profile``, the kernel of f(r).
 """
 
 from __future__ import annotations
@@ -30,15 +30,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .bessel import j0_combination, j0_combination_error
 from .errors import AlphaMismatchError, GeometryError, SchemaError
-from .torus import SPECTRUM_FFT_SLACK, Spectrum, pair_correlation
+from .torus import Spectrum, _pair_profile, pair_correlation
 from .udgraph import SmallGraph, max_is_exact
 
 __all__ = [
@@ -73,6 +72,10 @@ class ConstraintGraph:
     vertices: np.ndarray  # (n, 2)
     edges: tuple
     alpha: int
+    _profile: tuple = field(init=False, repr=False, compare=False)  # profile_terms(self)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_profile", profile_terms(self))
 
     @property
     def n_vertices(self) -> int:
@@ -94,6 +97,10 @@ class CTPair:
     g1: np.ndarray  # (n1, 2)
     g2: np.ndarray  # (n2, 2)
     c_ct: float
+    _profile: tuple = field(init=False, repr=False, compare=False)  # ct_profile_terms(self)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_profile", ct_profile_terms(self))
 
 
 @dataclass(frozen=True)
@@ -213,22 +220,28 @@ def builtin_registry() -> Registry:
 # ---------------------------------------------------------------------------
 
 def _grouped(radii, coeffs):
-    """Collapse radii equal to 12 decimals (far below UNIT_EDGE_TOL).
+    """(const, radii, coeffs) of sum_i c_i J0(r_i t), arrays read-only: radii
+    equal to 12 decimals (far below UNIT_EDGE_TOL) merged and ascending, the
+    radius-0 terms summed into const, since J0(0) = 1 exactly.
 
     The quantization moves each radius by < 5e-13, shifting J0(r t) by at
     most 0.3e-12 t.  No caller charges that shift yet: it is an open error
-    source of the certified margins (ROADMAP item 3).
+    source of the certified margins (ROADMAP item 6).
     """
     out = {}
     for r, c in zip(radii, coeffs):
         key = round(float(r), 12)
         out[key] = out.get(key, 0.0) + float(c)
+    const = out.pop(0.0, 0.0)
     items = sorted(out.items())
-    return np.array([r for r, _ in items]), np.array([c for _, c in items])
+    radii, coeffs = np.array([r for r, _ in items]), np.array([c for _, c in items])
+    radii.flags.writeable = coeffs.flags.writeable = False
+    return const, radii, coeffs
 
 
 def profile_terms(g: ConstraintGraph):
-    """(radii, coefficients) of the graph's profile sum_i c_i J0(r_i t)."""
+    """(const, radii, coefficients) of the graph's profile
+    const + sum_i c_i J0(r_i t), every r_i > 0."""
     radii = list(g.vertex_radii)
     coeffs = [1.0] * g.n_vertices
     if g.kind == "subgraph":
@@ -239,7 +252,8 @@ def profile_terms(g: ConstraintGraph):
 
 
 def ct_profile_terms(p: CTPair):
-    """(radii, coefficients) of the CT profile: G1 pair sum minus G2 vertex sum."""
+    """(const, radii, coefficients) of the CT profile, G1 pair sum minus G2
+    vertex sum, in the form of ``profile_terms``."""
     radii = []
     coeffs = []
     n1 = len(p.g1)
@@ -266,22 +280,6 @@ class CheckResult:
     ok: bool
 
 
-def _profile_pairing(S: Spectrum, radii, coeffs):
-    """(sum_m kappa(m) profile(|xi_m|), rigor) for a profile's J0 terms.
-
-    The rigor charges the truncated spectral mass against sup |profile| <=
-    sum |c|, and the Bessel error of every evaluated profile value.
-    """
-    vals = j0_combination(radii, coeffs, S.frequency(S.ms))
-    lhs = float(vals @ S.kappas)
-    rigor = (
-        S.tail_mass * float(np.abs(coeffs).sum())
-        + j0_combination_error(coeffs) * float(S.kappas.sum())
-        + SPECTRUM_FFT_SLACK
-    )
-    return lhs, rigor
-
-
 def constraint_rhs_check(S: Spectrum, g: ConstraintGraph) -> CheckResult:
     """The graph constraint sum_t kappa(t) profile_G(t) <= rhs.
 
@@ -289,7 +287,7 @@ def constraint_rhs_check(S: Spectrum, g: ConstraintGraph) -> CheckResult:
     unconditionally.  Vertex-sum profiles drop the subtraction, so the edge
     mass |E| f(1) is added back on the right; it vanishes for 1-avoiding sets.
     """
-    lhs, rigor = _profile_pairing(S, *profile_terms(g))
+    lhs, rigor = _pair_profile(S, *g._profile)
     rhs = g.alpha * S.density
     if g.kind == "vertex_sum" and g.n_edges:
         f1 = pair_correlation(S, 1.0)
@@ -300,7 +298,7 @@ def constraint_rhs_check(S: Spectrum, g: ConstraintGraph) -> CheckResult:
 
 def ct_constraint_check(S: Spectrum, p: CTPair) -> CheckResult:
     """The CT constraint sum_t kappa(t) CT-profile(t) >= 5 delta - 1 - c_ct f(1)."""
-    lhs, rigor = _profile_pairing(S, *ct_profile_terms(p))
+    lhs, rigor = _pair_profile(S, *p._profile)
     f1 = pair_correlation(S, 1.0)
     rhs = 5.0 * S.density - 1.0 - p.c_ct * f1.value
     rigor += p.c_ct * f1.rigor_bound

@@ -9,9 +9,11 @@ Two independent pipelines compute the pair correlation f(r):
   DFT (one FFT of the occupancy grid) and sinc factors, grouped by the squared
   lattice index m = a^2 + b^2, giving the radial mass function kappa(m); then
   f(r) = sum_m J0(r * (2 pi / K) sqrt(m)) kappa(m) with a rigorous truncation
-  bound tail_mass * envelope(...).  The lattice disk a^2 + b^2 <= cutoff is
-  walked row by row in blocks of SPECTRUM_BLOCK points, so memory is O(cutoff)
-  for kappa plus one bounded block; cutoffs stop at MAX_CUTOFF_M = 2^26.
+  bound tail_mass * envelope(...), the one-term case of the kernel that pairs
+  the registry's profiles with kappa (one rigor formula for both; a profile's
+  constant is exact).  The lattice disk a^2 + b^2 <= cutoff is walked row by
+  row in blocks of SPECTRUM_BLOCK points, so memory is O(cutoff) for kappa
+  plus one bounded block; cutoffs stop at MAX_CUTOFF_M = 2^26.
   ``spectrum_auto`` grows the cutoff by walking only the new annulus.
 * direct geometry: the autocorrelation of a cell union is the bilinear
   interpolation of the integer pair-count array (an exact identity, since the
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import J0_ABS_ERROR, j0_envelope, j0_values
+from .bessel import j0_combination, j0_combination_error, j0_envelope
 from .errors import DegenerateSetError, DomainError, WorkBudgetError
 
 __all__ = [
@@ -291,20 +293,28 @@ def spectrum_auto(A: GridSet, r_min: float = 0.5, tail_target: float = 1e-4) -> 
         cutoff = grown
 
 
+def _pair_profile(S: Spectrum, const: float, radii, coeffs):
+    """(sum_m kappa(m) P(|xi_m|), rigor) for P(t) = const + sum_i c_i J0(r_i t),
+    every r_i > 0: the tail mass meets |P| <= |const| + sum |c_i| env(r_i
+    |xi_cut|), and only the J0 terms carry Bessel error (J0(0) = 1 is exact)."""
+    value = float(j0_combination(radii, coeffs, S.frequency(S.ms), const) @ S.kappas)
+    args = [r * (2.0 * math.pi / S.K) * math.sqrt(S.cutoff_m) for r in radii]
+    osc = sum(abs(c) * (j0_envelope(a) if a > 0 else 1.0) for a, c in zip(args, coeffs))
+    rigor = (
+        S.tail_mass * (abs(const) + osc)
+        + j0_combination_error(coeffs) * float(S.kappas.sum())
+        + SPECTRUM_FFT_SLACK
+    )
+    return value, float(rigor)
+
+
 def pair_correlation(S: Spectrum, r: float) -> PairCorrEval:
     """f(r) from the spectrum, with a rigorous truncation + evaluation bound."""
     if not math.isfinite(r) or r < 0:
         raise DomainError("r must be finite and >= 0")
     if r == 0.0:
         return PairCorrEval(0.0, S.density, 0.0)
-    args = r * S.frequency(S.ms)
-    value = float(j0_values(args) @ S.kappas)
-    tail_arg = r * (2.0 * math.pi / S.K) * math.sqrt(S.cutoff_m)
-    env = 1.0 if tail_arg <= 0 else j0_envelope(tail_arg)
-    rigor = (
-        S.tail_mass * env + J0_ABS_ERROR * float(S.kappas.sum()) + SPECTRUM_FFT_SLACK
-    )
-    return PairCorrEval(r, value, rigor)
+    return PairCorrEval(r, *_pair_profile(S, 0.0, (r,), (1.0,)))
 
 
 def pair_counts(A: GridSet) -> np.ndarray:

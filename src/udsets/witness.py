@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import j0_combination, j0_combination_envelope, j0_combination_error
+from .bessel import J0_ABS_ERROR, j0_combination, j0_combination_envelope, j0_combination_error
 from .errors import DomainError, FeasibilityError, SchemaError
 from .gridio import dumps_json
 from .registry import (
@@ -54,8 +54,6 @@ from .registry import (
     _grouped,
     constraint_rhs_check,
     ct_constraint_check,
-    ct_profile_terms,
-    profile_terms,
 )
 from .simplex import solve_lp
 from .torus import GridSet, Spectrum, pair_correlation, pair_correlation_direct
@@ -138,8 +136,7 @@ class WitnessCoefficients:
             if xi != 0.0:
                 all_radii.extend(var.radii)
                 all_coeffs.extend(xi * float(co) for co in var.coeffs)
-        radii, coeffs = _grouped(all_radii, all_coeffs)
-        radii.flags.writeable = coeffs.flags.writeable = False
+        _, radii, coeffs = _grouped(all_radii, all_coeffs)
         object.__setattr__(self, "_total", _Var(radii=radii, coeffs=coeffs, **sums))
         object.__setattr__(self, "_max_radius", max_radius)
 
@@ -181,8 +178,8 @@ _SUMS = ("const", "budget", "quad_a", "quad_b", "quad_c", "gamma")  # scalar _Va
 def _var_terms(registry: Registry) -> list[_Var]:
     """The LP variables in order: v0, v1, v196, w_m..., w_t..., w_theta....
 
-    The CT sign flip (the witness subtracts CT profiles) is already folded
-    into the CT profile terms.
+    Each profile is the one its graph or CT pair builds once (``_profile``);
+    the CT sign flip (the witness subtracts CT profiles) is applied here.
     """
     out = [
         _Var(1.0, _NO_TERMS, _NO_TERMS, 1.0, 0.0, 1.0, 0.0, 0.0),  # v0
@@ -191,20 +188,10 @@ def _var_terms(registry: Registry) -> list[_Var]:
     ]
     for budget, graphs in ((1.0, registry.m_graphs), (2.0, registry.t_graphs)):
         for g in graphs:
-            radii, coeffs = profile_terms(g)
-            const = float(coeffs[radii == 0.0].sum())
-            keep = radii > 0.0
-            out.append(_Var(const, radii[keep], coeffs[keep], budget,
-                            0.0, float(g.alpha), 0.0, float(g.n_edges)))
+            out.append(_Var(*g._profile, budget, 0.0, float(g.alpha), 0.0, float(g.n_edges)))
     for p in registry.ct_pairs:
-        radii, coeffs = ct_profile_terms(p)
-        if len(radii) == 0:
-            const, radii, coeffs = 0.0, _NO_TERMS, _NO_TERMS
-        else:
-            const = -float(coeffs[radii == 0.0].sum())
-            keep = radii > 0.0
-            radii, coeffs = radii[keep], -coeffs[keep]
-        out.append(_Var(const, radii, coeffs, 2.0, 0.0, -5.0, 1.0, float(p.c_ct)))
+        const, radii, coeffs = p._profile
+        out.append(_Var(-const, radii, -coeffs, 2.0, 0.0, -5.0, 1.0, float(p.c_ct)))
     return out
 
 
@@ -426,6 +413,8 @@ def verify_witness(
     as a failed verdict, never exceptions.  The reported ``gamma`` is
     extracted at epsilon = 1e-3 against the Croft target density.
     """
+    if not (0.0 < grid_step < math.inf and 0.0 < tail_start < math.inf):
+        raise DomainError(f"grid_step {grid_step!r}, tail_start {tail_start!r}: need finite > 0")
     L = witness_lipschitz(c)
     if L > 0 and grid_step > margin / L:
         raise DomainError(
@@ -506,7 +495,6 @@ _SOLVE_GRID_MAX = 40.0  # the solve grid stops here whatever the tail start (LP 
 # W >= _GRID_SLACK on the solve grid: deliberately above the verification
 # margin so the rounded float64 solution still verifies on the dense grid
 _GRID_SLACK = 5e-3
-_W0_SLACK = 1e-9  # W(0) >= 1 + _W0_SLACK
 
 
 def default_solve_grid(tail_start: float = DEFAULT_TAIL_START):
@@ -526,12 +514,13 @@ def solve_feasibility(
     """Find nonnegative witness coefficients for the density target delta_plus.
 
     Rows, in order: W >= 5e-3 on ``default_solve_grid(min(tail_start, 40))``,
-    W(0) >= 1 + 1e-9, the weighted coefficient budget, the quadratic
-    inequality at delta_plus, and the envelope tail row at tail_start (the
-    constant part beats the oscillatory envelope by 2 * margin), which is
-    always the last row.  The grid slack exceeds the verification margin so
-    the rounded float64 solution still verifies on the dense verification
-    grid (step <= margin / L, e.g. 2**-8 for the builtin witness).
+    W(0) >= 1 + max(1e-9, 2 J0_ABS_ERROR budget), the weighted coefficient
+    budget, the quadratic inequality at delta_plus, and the envelope tail row
+    at tail_start (the constant part beats the oscillatory envelope by
+    2 * margin), which is always the last row.  The grid slack exceeds the
+    verification margin so the rounded float64 solution still verifies on the
+    dense verification grid (step <= margin / L, e.g. 2**-8 for the builtin
+    witness).
 
     With minimize_quadratic the solver minimizes the quadratic row instead of
     stopping at the first feasible vertex, driving delta_star below the
@@ -561,9 +550,12 @@ def solve_feasibility(
         qrow,                                   # quadratic at delta_plus
         trow,                                   # tail: constant beats envelope
     ])
+    # verify_witness needs W(0) >= 1 + J0_ABS_ERROR sum |c|: reserve twice
+    # that at the budget, or 1e-9 where that is less (80-bit longdouble)
+    w0_slack = max(1e-9, 2.0 * J0_ABS_ERROR * budget)
     b = np.concatenate([
         np.full(len(t_grid), -_GRID_SLACK),
-        [-(1.0 + _W0_SLACK), budget - 1e-9, d * d, -2.0 * margin],
+        [-(1.0 + w0_slack), budget - 1e-9, d * d, -2.0 * margin],
     ])
     objective = qrow if minimize_quadratic else None
     res = solve_lp(A, b, n, objective=objective)
@@ -723,38 +715,24 @@ def kappa_constraint_audit(
     direct-geometry value when the originating GridSet is supplied; the two
     must agree within the spectral rigor bound plus 1e-9 of roundoff.
     """
-    items = []
+    def agreement(name, lhs, rhs, tol):
+        return CheckResult(name, lhs, rhs, tol, bool(abs(lhs - rhs) <= tol))
+
     dens = S.density
     kappa0 = float(S.kappas[S.ms == 0][0]) if np.any(S.ms == 0) else 0.0
-    items.append(
-        CheckResult(
-            "D: kappa(0) = density^2", kappa0, dens * dens, 1e-9,
-            bool(abs(kappa0 - dens**2) <= 1e-9),
-        )
-    )
     total = float(S.kappas.sum()) + S.tail_mass
-    items.append(
-        CheckResult("F2: sum kappa + tail = density", total, dens, 1e-9,
-                    bool(abs(total - dens) <= 1e-9))
-    )
+    items = [
+        agreement("D: kappa(0) = density^2", kappa0, dens * dens, 1e-9),
+        agreement("F2: sum kappa + tail = density", total, dens, 1e-9),
+    ]
     if gridset is not None:
         directs = pair_correlation_direct(gridset, np.asarray(r_probes, dtype=float))
         for r, direct in zip(r_probes, directs):
             ev = pair_correlation(S, float(r))
-            tol = ev.rigor_bound + 1e-9
-            items.append(
-                CheckResult(
-                    f"A: synthesis vs direct at r={r}",
-                    ev.value,
-                    float(direct),
-                    tol,
-                    bool(abs(ev.value - direct) <= tol),
-                )
-            )
-    for g in registry.graphs:
-        items.append(constraint_rhs_check(S, g))
-    for p in registry.ct_pairs:
-        items.append(ct_constraint_check(S, p))
+            items.append(agreement(f"A: synthesis vs direct at r={r}", ev.value,
+                                   float(direct), ev.rigor_bound + 1e-9))
+    items += [constraint_rhs_check(S, g) for g in registry.graphs]
+    items += [ct_constraint_check(S, p) for p in registry.ct_pairs]
     return AuditReport(tuple(items), all(i.ok for i in items))
 
 
@@ -783,12 +761,17 @@ def load_certificate(path) -> dict:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: top level must be an object")
     for key in ("schema_version", "kind", "registry_hash", "coefficients",
                 "grid_step", "margin", "tail_start", "verdict"):
         if key not in doc:
             raise SchemaError(f"certificate missing field {key!r}")
     if doc["kind"] != "witness_certificate":
         raise SchemaError("not a witness certificate file")
+    for key in ("grid_step", "margin", "tail_start"):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
+            raise SchemaError(f"certificate field {key!r} must be a number")
     return doc
 
 
@@ -802,17 +785,11 @@ def certificate_coefficients(doc: dict, registry: Registry) -> WitnessCoefficien
         raise SchemaError("certificate registry hash does not match the registry")
     raw = doc["coefficients"]
     try:
-        return WitnessCoefficients(
-            v0=float(raw["v0"]),
-            v1=float(raw["v1"]),
-            v196=float(raw["v196"]),
-            w_m=tuple(raw["w_m"]),
-            w_t=tuple(raw["w_t"]),
-            w_theta=tuple(raw["w_theta"]),
-            registry=registry,
-        )
-    except (KeyError, TypeError) as exc:
+        values = {k: float(raw[k]) for k in ("v0", "v1", "v196")}
+        values.update({k: tuple(float(x) for x in raw[k]) for k in ("w_m", "w_t", "w_theta")})
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed coefficients: {exc}") from exc
+    return WitnessCoefficients(**values, registry=registry)
 
 
 def verify_certificate_file(path, registry: Registry):

@@ -191,6 +191,70 @@ def test_input_errors_leave_no_out_directory(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def good_certificate(tmp_path_factory):
+    out = tmp_path_factory.mktemp("good")
+    assert run("certify", "--delta-plus", 0.30, "--tail-start", 40, "--out", out) == 0
+    assert run("verify", "--certificate", out / "certificate.json") == 0
+    return json.loads((out / "certificate.json").read_text())
+
+
+def _with_coefficient(cert, **fields):
+    return dict(cert, coefficients=dict(cert["coefficients"], **fields))
+
+
+MALFORMED_FILES = {
+    "five": lambda cert: 5,
+    "gridset_K_x": lambda cert: {"schema_version": 1, "kind": "gridset", "K": "x", "N": 1,
+                                 "encoding": "rle0-leb128-base64", "payload": "BA=="},
+    # a 4-bit payload declaring (10^10)^2 cells, more than numpy can allocate
+    "gridset_huge": lambda cert: {"schema_version": 1, "kind": "gridset", "K": 10**5,
+                                  "N": 10**5, "encoding": "rle0-leb128-base64",
+                                  "payload": "BA=="},
+    "v0_abc": lambda cert: _with_coefficient(cert, v0="abc"),
+    "w_m_a": lambda cert: _with_coefficient(cert, w_m=["a"]),
+    "grid_step_x": lambda cert: dict(cert, grid_step="x"),
+    "grid_step_0": lambda cert: dict(cert, grid_step=0),
+    "tail_start_nan": lambda cert: dict(cert, tail_start=math.nan),
+}
+
+
+@pytest.mark.parametrize(
+    "command, name, code",
+    [
+        ("paircorr", "five", 4),
+        ("paircorr", "gridset_K_x", 4),
+        ("paircorr", "directory", 4),
+        ("paircorr", "gridset_huge", 4),
+        ("verify", "five", 2),
+        ("gamma", "five", 4),
+        ("verify", "v0_abc", 2),
+        ("gamma", "v0_abc", 4),
+        ("verify", "w_m_a", 2),
+        ("verify", "grid_step_x", 2),
+        ("gamma", "grid_step_x", 4),
+        ("verify", "grid_step_0", 2),
+        ("verify", "tail_start_nan", 2),
+        ("verify", "directory", 4),
+    ],
+)
+def test_malformed_input_files_exit_with_their_code(tmp_path, good_certificate,
+                                                    command, name, code):
+    # a file that cannot be read is an input error (4); a certificate that
+    # can be read but is malformed fails verification (2); none is a traceback
+    path = tmp_path / name
+    if name == "directory":
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(MALFORMED_FILES[name](good_certificate)))
+    if command == "paircorr":
+        out = tmp_path / "out"
+        assert run("paircorr", "--set", path, "--out", out) == code
+        assert not out.exists()
+    else:
+        assert run(command, "--certificate", path) == code
+
+
 def test_config_overrides_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 1, "k": 3}))

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from udsets import bessel
 from udsets.bessel import J0_ABS_ERROR, j0_combination
 from udsets.errors import AlphaMismatchError, GeometryError, SchemaError
 from udsets.registry import (
@@ -18,8 +19,14 @@ from udsets.registry import (
     load_registry,
     profile_terms,
 )
-from udsets.torus import GridSet, pair_correlation, random_gridset, spectrum
+from udsets.torus import GridSet, _pair_profile, pair_correlation, random_gridset, spectrum
 from udsets.udgraph import SmallGraph, max_is_exact
+
+
+def profile_value(profile, t):
+    """const + sum_i c_i J0(r_i t) for a (const, radii, coeffs) profile."""
+    const, radii, coeffs = profile
+    return j0_combination(radii, coeffs, t, const)
 
 
 def alpha_oracle(n, edges) -> int:
@@ -59,7 +66,7 @@ def test_builtin_spindle_shape(reg):
     assert m.n_vertices == 7 and m.n_edges == 11 and m.alpha == 2
     assert t.n_vertices == 7 and t.n_edges == 11 and t.alpha == 2
     assert np.allclose(m.vertices[0], (0.0, 0.0))
-    assert max(float(profile_terms(g)[0].max()) for g in reg.graphs) <= 2.0
+    assert max(float(profile_terms(g)[1].max()) for g in reg.graphs) <= 2.0
 
 
 def test_load_empty_file(tmp_path):
@@ -154,27 +161,31 @@ def test_load_requires_schema_version(tmp_path):
 
 def test_m_profile_values(reg):
     m = reg.m_graphs[0]
-    assert j0_combination(*profile_terms(m), 0.0) == pytest.approx(7.0, abs=1e-12)
+    assert profile_value(profile_terms(m), 0.0) == pytest.approx(7.0, abs=1e-12)
     # self-consistency: term evaluation equals a direct loop over vertices
     from udsets.bessel import j0
 
     t = 1.0
     direct = sum(j0(t * float(np.hypot(*v))).value for v in m.vertices)
-    assert j0_combination(*profile_terms(m), t) == pytest.approx(direct, abs=1e-12)
+    assert profile_value(profile_terms(m), t) == pytest.approx(direct, abs=1e-12)
 
 
 def test_single_vertex_at_origin_profile():
     from udsets.registry import ConstraintGraph
 
     g = ConstraintGraph("pt", "vertex_sum", np.array([[0.0, 0.0]]), (), 1)
+    const, radii, coeffs = profile_terms(g)
+    assert const == 1.0 and len(radii) == len(coeffs) == 0
     for t in (0.0, 1.0, 17.3):
-        assert j0_combination(*profile_terms(g), t) == 1.0
+        assert profile_value(profile_terms(g), t) == 1.0
 
 
 def test_t_profile_values(reg):
     t_graph = reg.t_graphs[0]
-    assert j0_combination(*profile_terms(t_graph), 0.0) == pytest.approx(7.0 - 11.0, abs=1e-12)
-    radii, coeffs = profile_terms(t_graph)
+    assert profile_value(profile_terms(t_graph), 0.0) == pytest.approx(7.0 - 11.0, abs=1e-12)
+    const, radii, coeffs = profile_terms(t_graph)
+    # the hub vertex at the origin is the exact constant J0(0) = 1
+    assert const == 1.0 and np.all(radii > 0.0)
     # all 11 unit edges collapse onto the radius-1 term together with the
     # four unit-radius vertices: net coefficient 4 - 11 = -7
     idx = np.argmin(np.abs(radii - 1.0))
@@ -197,32 +208,33 @@ def test_equilateral_triangle_t_profile_is_zero_at_zero(tmp_path):
     p = tmp_path / "tri.json"
     p.write_text(json.dumps(doc))
     g = load_registry(p).graphs[0]
-    assert j0_combination(*profile_terms(g), 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert profile_value(profile_terms(g), 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ct_profile_counts_and_scaling():
     g1 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     g2 = np.array([[0.5, 0.5], [2.0, 0.0]])
     p = CTPair("ct", 0.0, g1, g2, 1.0)
-    assert j0_combination(*ct_profile_terms(p), 0.0) == pytest.approx(3.0 - 2.0, abs=1e-12)
+    assert profile_value(ct_profile_terms(p), 0.0) == pytest.approx(3.0 - 2.0, abs=1e-12)
     # doubling coordinates and halving t leaves every J0 argument unchanged
     p2 = CTPair("ct2", 0.0, 2 * g1, 2 * g2, 1.0)
     for t in (0.7, 2.3):
-        assert j0_combination(*ct_profile_terms(p2), t / 2) == pytest.approx(
-            j0_combination(*ct_profile_terms(p), t), abs=1e-12
+        assert profile_value(ct_profile_terms(p2), t / 2) == pytest.approx(
+            profile_value(ct_profile_terms(p), t), abs=1e-12
         )
     empty = CTPair("none", 0.0, np.zeros((0, 2)), np.zeros((0, 2)), 0.0)
-    assert j0_combination(*ct_profile_terms(empty), 1.0) == 0.0
-    assert len(ct_profile_terms(empty)[0]) == 0
+    assert profile_value(ct_profile_terms(empty), 1.0) == 0.0
+    const, radii, coeffs = ct_profile_terms(empty)
+    assert const == 0.0 and len(radii) == len(coeffs) == 0
 
 
 def test_profiles_lipschitz_in_t(reg):
     # |profile(t) - profile(t')| <= 0.6 sum(|c_i| r_i) |t - t'|
     g = reg.t_graphs[0]
-    radii, coeffs = profile_terms(g)
+    const, radii, coeffs = profile_terms(g)
     L = 0.6 * float(np.sum(np.abs(coeffs) * radii))
     ts = np.linspace(0.0, 30.0, 4001)
-    vals = j0_combination(radii, coeffs, ts)
+    vals = j0_combination(radii, coeffs, ts, const)
     slopes = np.abs(np.diff(vals)) / np.diff(ts)
     assert np.max(slopes) <= L + 1e-6
 
@@ -258,24 +270,68 @@ def test_constraint_check_random_sets_theorem_audit(reg):
 
 def test_profile_checks_charge_bessel_error_per_unit_coefficient(reg):
     # with no tail mass, the Bessel term of the rigor is the only part that
-    # scales with the profile: it must be J0_ABS_ERROR * sum|c| * sum kappa,
-    # not J0_ABS_ERROR * (number of merged radii) * sum kappa
+    # scales with the profile: it must be J0_ABS_ERROR * sum|c| * sum kappa
+    # over the J0 terms, not over the merged radii, and the exact constant of
+    # a vertex at the origin carries none
     S = replace(spectrum(random_gridset(8, 4, p=0.4, seed=7), 4000), tail_mass=0.0)
     kappa_sum = float(S.kappas.sum())
     f1 = pair_correlation(S, 1.0)
     t = reg.t_graphs[0]
-    coeff_sum = float(np.abs(profile_terms(t)[1]).sum())
-    assert coeff_sum == 10.0 and len(profile_terms(t)[0]) == 3
+    const, radii, coeffs = profile_terms(t)
+    assert const == 1.0 and float(np.abs(coeffs).sum()) == 9.0 and len(radii) == 2
     bessel_part = constraint_rhs_check(S, t).rigor - 1e-10
-    assert bessel_part == pytest.approx(J0_ABS_ERROR * coeff_sum * kappa_sum, rel=1e-6, abs=0.0)
+    assert bessel_part == pytest.approx(J0_ABS_ERROR * 9.0 * kappa_sum, rel=1e-6, abs=0.0)
     m = reg.m_graphs[0]
-    assert float(np.abs(profile_terms(m)[1]).sum()) == 7.0
+    const, radii, coeffs = profile_terms(m)
+    assert const == 1.0 and float(np.abs(coeffs).sum()) == 6.0
     bessel_part = constraint_rhs_check(S, m).rigor - m.n_edges * f1.rigor_bound - 1e-10
-    assert bessel_part == pytest.approx(J0_ABS_ERROR * 7.0 * kappa_sum, rel=1e-6, abs=0.0)
+    assert bessel_part == pytest.approx(J0_ABS_ERROR * 6.0 * kappa_sum, rel=1e-6, abs=0.0)
     h = math.sqrt(3.0) / 2.0
     p = CTPair("tri", 0.0, np.array([[0.0, 0.0], [1.0, 0.0], [0.5, h]]),
                np.array([[0.0, 0.0]]), 0.0)
-    radii, coeffs = ct_profile_terms(p)
-    assert len(radii) == 2 and float(np.abs(coeffs).sum()) == 4.0
+    const, radii, coeffs = ct_profile_terms(p)
+    assert const == -1.0 and len(radii) == 1 and float(np.abs(coeffs).sum()) == 3.0
     bessel_part = ct_constraint_check(S, p).rigor - 1e-10
-    assert bessel_part == pytest.approx(J0_ABS_ERROR * 4.0 * kappa_sum, rel=1e-6, abs=0.0)
+    assert bessel_part == pytest.approx(J0_ABS_ERROR * 3.0 * kappa_sum, rel=1e-6, abs=0.0)
+
+
+def origin_ct():
+    """A CT pair whose G2 has a vertex at the origin: its profile has the
+    constant -1 besides its J0 terms."""
+    h = math.sqrt(3.0) / 2.0
+    return CTPair("tri", 0.0, np.array([[0.0, 0.0], [1.0, 0.0], [0.5, h]]),
+                  np.array([[0.0, 0.0], [0.5, 0.5]]), 0.0)
+
+
+def test_profile_rigor_covers_a_deeper_cutoff(reg):
+    # the rows charge the tail mass against |const| plus each J0 term's
+    # envelope at the cutoff frequency; that must still cover how far the
+    # pairing moves between a cutoff and a far deeper one
+    profiles = [g._profile for g in reg.graphs] + [origin_ct()._profile]
+    assert all(const != 0.0 for const, _, _ in profiles)
+    for seed in range(6):
+        A = random_gridset(8, 4, p=0.35, seed=seed)
+        deep = spectrum(A, 400_000)
+        for cutoff in (50, 400, 4000):
+            S = spectrum(A, cutoff)
+            for profile in profiles:
+                lhs, rigor = _pair_profile(S, *profile)
+                deep_lhs, deep_rigor = _pair_profile(deep, *profile)
+                assert abs(lhs - deep_lhs) <= rigor + deep_rigor, (seed, cutoff, profile)
+
+
+def test_profile_rows_evaluate_no_j0_at_zero(reg, monkeypatch):
+    # a vertex at the origin adds the exact constant J0(0) = 1; no row may
+    # push a vector of zeros through the Bessel series to get it
+    real = bessel.j0_values
+
+    def guarded(x):
+        x = np.asarray(x)
+        assert x.size == 0 or np.any(x != 0.0), "j0_values on an all-zero array"
+        return real(x)
+
+    monkeypatch.setattr(bessel, "j0_values", guarded)
+    S = spectrum(random_gridset(8, 4, p=0.35, seed=3), 4000)
+    for g in reg.graphs:
+        constraint_rhs_check(S, g)
+    ct_constraint_check(S, origin_ct())

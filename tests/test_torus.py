@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from udsets import torus
+from udsets.bessel import J0_ABS_ERROR, j0_envelope, j0_values
 from udsets.errors import DegenerateSetError, DomainError, SchemaError, WorkBudgetError
 from udsets.gridio import load_gridset, save_gridset
 from udsets.torus import (
@@ -387,6 +388,31 @@ def test_direct_vs_spectral_cross_oracle():
             ev = pair_correlation(spec, r)
             direct = pair_correlation_direct(A, r)
             assert abs(ev.value - direct) <= ev.rigor_bound + 1e-9
+
+
+def one_term_closed_form(spec, r):
+    """f(r) and its rigor bound written out for the single term J0(r t)."""
+    value = float(j0_values(r * spec.frequency(spec.ms)) @ spec.kappas)
+    arg = r * (2.0 * math.pi / spec.K) * math.sqrt(spec.cutoff_m)
+    rigor = (
+        spec.tail_mass * j0_envelope(arg)
+        + J0_ABS_ERROR * float(spec.kappas.sum())
+        + torus.SPECTRUM_FFT_SLACK
+    )
+    return value, rigor
+
+
+def test_pair_correlation_is_the_one_term_closed_form(disk128_spectrum):
+    # f(r) goes through the profile kernel of the constraint rows; at the one
+    # term J0(r t) it must still give these floats bit for bit
+    spectra = [spectrum(random_gridset(2 + seed % 3, 4, p=0.4, seed=seed), cutoff)
+               for seed in range(4) for cutoff in (50, 4000)]
+    spectra.append(disk128_spectrum)
+    rs = [float(r) for r in np.linspace(0.05, 4.0, 80)] + [1.0, 1.96]
+    for spec in spectra:
+        for r in rs:
+            ev = pair_correlation(spec, r)
+            assert (ev.value, ev.rigor_bound) == one_term_closed_form(spec, r), r
 
 
 def test_single_cell_vs_direct():

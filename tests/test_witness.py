@@ -3,10 +3,15 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from udsets import registry as registry_module
 from udsets import witness as witness_module
 from udsets.constructions import hex_disk_packing, optimize_croft, rasterize
 from udsets.errors import DomainError, FeasibilityError, SchemaError
@@ -425,22 +430,58 @@ def test_certify_bound_builtin_golden(certified, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _BUILTIN_CERTIFICATE_SHA256
 
 
-def test_verify_witness_reuses_the_witness_terms(certified, monkeypatch):
-    # everything verify_witness and gamma_extract read was derived when the
-    # witness was built; neither reaches the registry's profiles again
-    c = certified.coefficients
-    small = coeffs(c.registry, v0=0.12, v1=0.5, v196=0.2, w_m=(0.01,), w_t=(0.005,))
+def count_profile_builds(monkeypatch):
+    """The list that every later profile_terms call appends its graph to."""
     calls = []
-    real = witness_module.profile_terms
+    real = registry_module.profile_terms
 
     def counting(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(witness_module, "profile_terms", counting)
+    monkeypatch.setattr(registry_module, "profile_terms", counting)
+    return calls
+
+
+def test_verify_witness_reuses_the_witness_terms(certified, monkeypatch):
+    # everything verify_witness and gamma_extract read was derived when the
+    # witness was built; neither reaches the registry's profiles again
+    c = certified.coefficients
+    small = coeffs(c.registry, v0=0.12, v1=0.5, v196=0.2, w_m=(0.01,), w_t=(0.005,))
+    calls = count_profile_builds(monkeypatch)
     verify_witness(c, verification_step(c), DEFAULT_MARGIN, 5.0)
     gamma_extract(small, 1e-3)
     assert calls == []
+
+
+def test_certify_bound_builds_each_profile_at_most_once(reg, monkeypatch):
+    # a graph builds its profile once, when it is made; the LP rows, every
+    # witness and every verification of a certification read that one copy
+    calls = count_profile_builds(monkeypatch)
+    # count through witness too, should it ever import the name again
+    monkeypatch.setattr(witness_module, "profile_terms", registry_module.profile_terms,
+                        raising=False)
+    assert certify_bound(reg).best_delta == 0.2580810546875
+    assert len(calls) <= len(reg.graphs)
+
+
+def test_float64_longdouble_keeps_the_builtin_bound():
+    # without 80-bit longdouble, J0_ABS_ERROR is 5e-9 and the LP's W(0) row
+    # must reserve more than the verifier's J0_ABS_ERROR * sum |c| charge,
+    # or every witness below 0.8 fails "W(0) not certifiably >= 1"
+    code = (
+        "import numpy as np\n"
+        "np.longdouble = np.float64\n"
+        "from udsets import bessel, witness\n"
+        "from udsets.registry import builtin_registry\n"
+        "assert not bessel.HAVE_EXTENDED_PRECISION\n"
+        "print(witness.certify_bound(builtin_registry()).best_delta)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(witness_module.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert float(out.stdout.split()[-1]) < 0.26
 
 
 def test_step_1e5_certificate_still_reproduces(certified, reg, tmp_path):
