@@ -70,7 +70,7 @@ def _manifest(out: Path, command: str, args, seeds, outputs):
 
 
 def positive_float(text: str) -> float:
-    """The --r-step type: a finite float > 0."""
+    """The type of --r-step, --budget, --margin, --tail-start: finite > 0."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(text)
@@ -270,7 +270,7 @@ def cmd_certify(args) -> int:
     else:
         try:
             outcome = witness.certify_bound(reg, **knobs)
-        except UdsetsError as exc:
+        except FeasibilityError as exc:
             print(f"certification failed: {exc}")
             return EXIT_INFEASIBLE
         coeffs, report = outcome.coefficients, outcome.report
@@ -367,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="solve the witness LP and verify")
     p.add_argument("--registry", default="builtin")
     p.add_argument("--delta-plus", type=float, default=None)
-    p.add_argument("--budget", type=float, default=witness.DEFAULT_BUDGET)
-    p.add_argument("--margin", type=float, default=witness.DEFAULT_MARGIN)
-    p.add_argument("--tail-start", type=float, default=witness.DEFAULT_TAIL_START)
+    p.add_argument("--budget", type=positive_float, default=witness.DEFAULT_BUDGET)
+    p.add_argument("--margin", type=positive_float, default=witness.DEFAULT_MARGIN)
+    p.add_argument("--tail-start", type=positive_float, default=witness.DEFAULT_TAIL_START)
     p.add_argument("--out", default="runs/certify")
     p.set_defaults(func=cmd_certify)
 

@@ -118,17 +118,17 @@ class Registry:
         return [g for g in self.graphs if g.kind == "subgraph"]
 
 
+def _parse_number(value, where) -> float:
+    try:
+        return float(value)  # decimal strings preferred; plain numbers accepted
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: unparseable number {value!r}") from exc
+
+
 def _parse_points(raw, where):
-    pts = []
-    for item in raw:
-        if len(item) != 2:
-            raise SchemaError(f"{where}: vertex entries must be [x, y]")
-        try:
-            # decimal strings preferred; plain numbers accepted
-            pts.append((float(item[0]), float(item[1])))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: unparseable coordinate {item!r}") from exc
-    arr = np.array(pts, dtype=float).reshape(-1, 2)
+    if not (isinstance(raw, list) and all(isinstance(p, list) and len(p) == 2 for p in raw)):
+        raise SchemaError(f"{where}: vertices must be a list of [x, y]")
+    arr = np.array([[_parse_number(v, where) for v in p] for p in raw]).reshape(-1, 2)
     if not np.all(np.isfinite(arr)):
         raise GeometryError(f"{where}: non-finite coordinate")
     return arr
@@ -144,20 +144,24 @@ def _validate_graph(entry, idx) -> ConstraintGraph:
         raise SchemaError(f"{where}: unknown kind {entry['kind']!r}")
     verts = _parse_points(entry["vertices"], where)
     n = len(verts)
+    pairs = entry["edges"]  # JSON integers: type() is int refuses 2.0 and true
+    if not (isinstance(pairs, list) and all(
+        isinstance(e, list) and len(e) == 2 and all(type(i) is int for i in e) for e in pairs
+    )):
+        raise SchemaError(f"{where}: edges must be a list of [i, j] vertex indices")
     edges = []
-    for e in entry["edges"]:
-        a, b = int(e[0]), int(e[1])
+    for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n) or a == b:
-            raise SchemaError(f"{where}: bad edge {e!r}")
+            raise SchemaError(f"{where}: bad edge [{a}, {b}]")
         d = float(np.hypot(*(verts[a] - verts[b])))
         if abs(d - 1.0) > UNIT_EDGE_TOL:
             raise GeometryError(
                 f"{where}: edge ({a},{b}) has length {d!r}, not unit"
             )
         edges.append((a, b))
-    alpha = int(entry["alpha"])
-    if alpha < 1:
-        raise SchemaError(f"{where}: alpha must be >= 1")
+    alpha = entry["alpha"]
+    if not (type(alpha) is int and alpha >= 1):
+        raise SchemaError(f"{where}: alpha must be an integer >= 1, not {alpha!r}")
     if n <= ALPHA_CHECK_LIMIT:
         true_alpha = max_is_exact(SmallGraph(n, edges)).size
         if true_alpha != alpha:
@@ -175,12 +179,13 @@ def _validate_ct(entry, idx) -> CTPair:
             raise SchemaError(f"{where} missing field {key!r}")
     g1 = _parse_points(entry["g1"], where)
     g2 = _parse_points(entry["g2"], where)
-    c_ct = float(entry["c_ct"])
+    c_ct = _parse_number(entry["c_ct"], where)
     if not (c_ct >= 0.0 and math.isfinite(c_ct)):
         raise SchemaError(f"{where}: c_ct must be finite and >= 0")
     g1.setflags(write=False)
     g2.setflags(write=False)
-    return CTPair(str(entry.get("name", f"ct_{idx}")), float(entry["theta"]), g1, g2, c_ct)
+    theta = _parse_number(entry["theta"], where)
+    return CTPair(str(entry.get("name", f"ct_{idx}")), theta, g1, g2, c_ct)
 
 
 def _registry_from_doc(doc, source: str) -> Registry:
@@ -188,10 +193,12 @@ def _registry_from_doc(doc, source: str) -> Registry:
         raise SchemaError(f"{source}: top level must be an object")
     if "schema_version" not in doc:
         raise SchemaError(f"{source}: schema_version field required")
-    graphs = tuple(
-        _validate_graph(e, i) for i, e in enumerate(doc.get("graphs", []))
-    )
-    cts = tuple(_validate_ct(e, i) for i, e in enumerate(doc.get("ct_pairs", [])))
+    entries = {key: doc.get(key, []) for key in ("graphs", "ct_pairs")}
+    for key, items in entries.items():
+        if not (isinstance(items, list) and all(isinstance(e, dict) for e in items)):
+            raise SchemaError(f"{source}: {key} must be a list of objects")
+    graphs = tuple(_validate_graph(e, i) for i, e in enumerate(entries["graphs"]))
+    cts = tuple(_validate_ct(e, i) for i, e in enumerate(entries["ct_pairs"]))
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     return Registry(graphs, cts, digest)

@@ -4,10 +4,16 @@ Solves   find / minimize c.x   subject to  A x <= b,  x >= 0.
 
 The witness-search LP is small (a dozen variables, a few hundred to a few
 thousand grid rows), so a dense tableau is fine.  All arithmetic runs in numpy
-longdouble (x87 80-bit on this platform) and pivoting follows Bland's rule, so
-runs are deterministic and the accumulated pivot error stays orders of
-magnitude below the slack the caller reserves.  Nothing downstream trusts the
-solver: certificates are re-verified independently.
+longdouble (x87 80-bit where numpy has it), so runs are deterministic and the
+accumulated pivot error stays orders of magnitude below the slack the caller
+reserves.  Nothing downstream trusts the solver: certificates are re-verified
+independently.
+
+Pivots follow Bland's rule (R. G. Bland, Math. Oper. Res. 2 (1977) 103-107)
+with a tolerance tol: the entering column is the first whose reduced cost is
+below -tol; among the rows whose entry in that column exceeds tol, the leaving
+row is the one of least basic index whose ratio rhs / entry is within tol of
+the least ratio.
 
 Infeasibility is a first-class result: phase 1 ends with a Farkas-style
 multiplier vector y >= 0 with y.A >= 0 and y.b < 0, which is returned (and
@@ -49,41 +55,24 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _bland_iterate(T, basis, ncols_dec, tol):
+def _bland_iterate(T, basis, tol):
     """Minimize the last row's objective; returns (status, iterations)."""
     m = T.shape[0] - 1
-    it = 0
-    while True:
-        if it >= _MAX_ITER:
-            return "iteration_limit", it
-        obj = T[-1, :ncols_dec]
-        enter = -1
-        for j in range(ncols_dec):
-            if obj[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+    for it in range(_MAX_ITER):
+        entering = np.flatnonzero(T[-1, :-1] < -tol)
+        if entering.size == 0:
             return "optimal", it
-        col = T[:m, enter]
-        best_ratio = None
-        leave = -1
-        for i in range(m):
-            if col[i] > tol:
-                ratio = T[i, -1] / col[i]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - tol
-                    or (abs(ratio - best_ratio) <= tol and basis[leave] > basis[i])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
+        enter = entering[0]
+        rows = np.flatnonzero(T[:m, enter] > tol)
+        if rows.size == 0:
             return "unbounded", it
-        _pivot(T, basis, leave, enter)
-        it += 1
+        ratios = T[rows, -1] / T[rows, enter]
+        ties = rows[ratios <= ratios.min() + tol]
+        _pivot(T, basis, ties[np.argmin(basis[ties])], enter)
+    return "iteration_limit", _MAX_ITER
 
 
-def solve_lp(A_ub, b_ub, n_vars, objective=None):
+def solve_lp(A_ub, b_ub, objective=None):
     """Solve  min objective.x  s.t.  A_ub x <= b_ub, x >= 0  (Bland, 80-bit).
 
     With objective=None this is a pure feasibility solve.
@@ -91,18 +80,15 @@ def solve_lp(A_ub, b_ub, n_vars, objective=None):
     A = np.asarray(A_ub, dtype=_LD)
     b = np.asarray(b_ub, dtype=_LD)
     m, n = A.shape
-    if n != n_vars:
-        raise ValueError("A_ub width disagrees with n_vars")
     c = np.zeros(n, dtype=_LD) if objective is None else np.asarray(objective, dtype=_LD)
 
     # columns: x (n), artificial x0 (1), slacks (m), rhs (1); rows: m + objective
-    width = n + 1 + m + 1
-    T = np.zeros((m + 1, width), dtype=_LD)
+    T = np.zeros((m + 1, n + 1 + m + 1), dtype=_LD)
     T[:m, :n] = A
     T[:m, n] = -1.0  # artificial column
     T[:m, n + 1 : n + 1 + m] = np.eye(m, dtype=_LD)
     T[:m, -1] = b
-    basis = np.array([n + 1 + i for i in range(m)], dtype=int)
+    basis = np.arange(n + 1, n + 1 + m)
 
     scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))) if m else 1.0)
     tol = _LD(_TOL) * _LD(scale)
@@ -110,11 +96,10 @@ def solve_lp(A_ub, b_ub, n_vars, objective=None):
     total_iters = 0
     if np.any(b < 0):
         # phase 1: minimize x0
-        T[-1, :] = 0.0
         T[-1, n] = 1.0
         worst = int(np.argmin(T[:m, -1]))
         _pivot(T, basis, worst, n)
-        status, it = _bland_iterate(T, basis, n + 1 + m, tol)
+        status, it = _bland_iterate(T, basis, tol)
         total_iters += it
         if status != "optimal":
             return SimplexResult(status, None, None, iterations=total_iters)
@@ -135,11 +120,11 @@ def solve_lp(A_ub, b_ub, n_vars, objective=None):
             )
         if n in basis:
             # x0 basic at zero: pivot it out on any eligible column
-            row = int(np.where(basis == n)[0][0])
-            for j in range(n + 1 + m):
-                if j != n and abs(T[row, j]) > tol:
-                    _pivot(T, basis, row, j)
-                    break
+            row = int(np.flatnonzero(basis == n)[0])
+            cols = np.flatnonzero(np.abs(T[row, :-1]) > tol)
+            cols = cols[cols != n]
+            if cols.size:
+                _pivot(T, basis, row, cols[0])
 
     # phase 2
     T[-1, :] = 0.0
@@ -148,17 +133,14 @@ def solve_lp(A_ub, b_ub, n_vars, objective=None):
     for i, bj in enumerate(basis):
         if T[-1, bj] != 0:
             T[-1, :] -= T[-1, bj] * T[i, :]
-    status, it = _bland_iterate(T, basis, n + 1 + m, tol)
+    status, it = _bland_iterate(T, basis, tol)
     total_iters += it
-    if status == "unbounded":
-        return SimplexResult("unbounded", None, None, iterations=total_iters)
     if status != "optimal":
         return SimplexResult(status, None, None, iterations=total_iters)
 
     x = np.zeros(n, dtype=_LD)
-    for i, bj in enumerate(basis):
-        if bj < n:
-            x[bj] = T[i, -1]
+    in_x = basis < n
+    x[basis[in_x]] = T[:m, -1][in_x]
     xf = np.asarray(x, dtype=float)
     xf[xf < 0] = 0.0  # clamp pivot dust; solutions carry reserved slack
     return SimplexResult(

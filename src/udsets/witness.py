@@ -378,6 +378,7 @@ class CertificateReport:
 
 
 _CHUNK = 1 << 20
+_MAX_GRID_POINTS = 1 << 30  # verify_witness refuses more points (1e-5 to 640 is 6.4e7)
 
 
 def _grid_min(c: WitnessCoefficients, grid_step: float, tail_start: float):
@@ -409,12 +410,15 @@ def verify_witness(
     """Grid + Lipschitz + tail-envelope verification of W >= 0 and W(0) >= 1.
 
     ``grid_step`` must be <= margin / L; ``verification_step(c, margin)``
-    gives the coarsest such power of two.  Mathematical failures come back
-    as a failed verdict, never exceptions.  The reported ``gamma`` is
-    extracted at epsilon = 1e-3 against the Croft target density.
+    gives the coarsest such power of two.  A grid of over 2**30 points is
+    refused.  Mathematical failures come back as a failed verdict, never
+    exceptions.  The reported ``gamma`` is extracted at epsilon = 1e-3
+    against the Croft target density.
     """
     if not (0.0 < grid_step < math.inf and 0.0 < tail_start < math.inf):
         raise DomainError(f"grid_step {grid_step!r}, tail_start {tail_start!r}: need finite > 0")
+    if tail_start / grid_step >= _MAX_GRID_POINTS:  # floor(T / step) + 1 points
+        raise DomainError(f"the grid to tail_start exceeds {_MAX_GRID_POINTS} points")
     L = witness_lipschitz(c)
     if L > 0 and grid_step > margin / L:
         raise DomainError(
@@ -529,7 +533,6 @@ def solve_feasibility(
     if not 0.0 < delta_plus < 1.0:
         raise DomainError("delta_plus must lie in (0, 1)")
     var_terms = _var_terms(registry)
-    n = len(var_terms)
     nm, nt = len(registry.m_graphs), len(registry.t_graphs)
 
     def profile_matrix(ts):
@@ -558,7 +561,7 @@ def solve_feasibility(
         [-(1.0 + w0_slack), budget - 1e-9, d * d, -2.0 * margin],
     ])
     objective = qrow if minimize_quadratic else None
-    res = solve_lp(A, b, n, objective=objective)
+    res = solve_lp(A, b, objective=objective)
     if res.status == "infeasible":
         return FeasibilityResult(
             "infeasible", None, res.farkas, res.farkas_valid, res.iterations

@@ -191,6 +191,27 @@ def test_input_errors_leave_no_out_directory(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--margin", "0"), ("--tail-start", "-5"), ("--budget", "-1"), ("--margin", "nan"),
+     ("--budget", "nan"), ("--tail-start", "inf")],
+)
+def test_certify_rejects_a_bad_knob(tmp_path, flags):
+    # an input error (4), not a failed certification (3)
+    out = tmp_path / "out"
+    assert run("certify", *flags, "--out", out) == 4
+    assert not out.exists()
+
+
+def test_config_rejects_a_bad_certify_knob(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"margin": 0}))
+    out = tmp_path / "m0"
+    assert run("--config", cfg, "certify", "--out", out) == 4
+    assert "'margin'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def good_certificate(tmp_path_factory):
     out = tmp_path_factory.mktemp("good")
@@ -216,6 +237,7 @@ MALFORMED_FILES = {
     "grid_step_x": lambda cert: dict(cert, grid_step="x"),
     "grid_step_0": lambda cert: dict(cert, grid_step=0),
     "tail_start_nan": lambda cert: dict(cert, tail_start=math.nan),
+    "grid_step_2m40": lambda cert: dict(cert, grid_step=2.0**-40),  # 4.4e13 points
 }
 
 
@@ -235,6 +257,7 @@ MALFORMED_FILES = {
         ("gamma", "grid_step_x", 4),
         ("verify", "grid_step_0", 2),
         ("verify", "tail_start_nan", 2),
+        ("verify", "grid_step_2m40", 2),
         ("verify", "directory", 4),
     ],
 )

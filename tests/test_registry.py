@@ -3,12 +3,14 @@
 import json
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from udsets import bessel
 from udsets.bessel import J0_ABS_ERROR, j0_combination
+from udsets.cli import main
 from udsets.errors import AlphaMismatchError, GeometryError, SchemaError
 from udsets.registry import (
     CTPair,
@@ -150,6 +152,53 @@ def test_alpha_is_checked_at_twenty_vertices(tmp_path):
         p.write_text(json.dumps(_grid_graph_doc(wrong)))
         with pytest.raises(AlphaMismatchError):
             load_registry(p)
+
+
+def _spindle_with(**fields):
+    """The builtin registry document, its first graph's fields replaced."""
+    doc = json.loads(resources.files("udsets.data").joinpath("moser_spindle.json").read_text())
+    doc["graphs"][0].update(fields)
+    return doc
+
+
+_CT = {"theta": "0.5", "g1": [["0", "0"], ["1", "0"]], "g2": [["0", "0"]], "c_ct": "1"}
+_SPINDLE_EDGES = _spindle_with()["graphs"][0]["edges"]
+
+MALFORMED_REGISTRIES = {
+    "graphs [5]": {"schema_version": 1, "graphs": [5]},
+    "graphs 5": {"schema_version": 1, "graphs": 5},
+    "ct_pairs [5]": {"schema_version": 1, "ct_pairs": [5]},
+    "vertex 5": _spindle_with(vertices=[5]),
+    "vertices 5": _spindle_with(vertices=5),
+    "alpha x": _spindle_with(alpha="x"),
+    "alpha 2.7": _spindle_with(alpha=2.7),  # was truncated to 2, and certified
+    "alpha 2.0": _spindle_with(alpha=2.0),
+    "alpha true": _spindle_with(alpha=True),
+    "edge [a, b]": _spindle_with(edges=[["a", "b"]] + _SPINDLE_EDGES[1:]),
+    "edge [0]": _spindle_with(edges=[[0]] + _SPINDLE_EDGES[1:]),
+    "edge [0.7, 1]": _spindle_with(edges=[[0.7, 1]] + _SPINDLE_EDGES[1:]),  # was (0, 1)
+    "edges 5": _spindle_with(edges=5),
+    "theta x": {"schema_version": 1, "ct_pairs": [dict(_CT, theta="x")]},
+    "c_ct x": {"schema_version": 1, "ct_pairs": [dict(_CT, c_ct="x")]},
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_REGISTRIES)
+def test_malformed_registry_is_a_schema_error(tmp_path, name):
+    p = tmp_path / "reg.json"
+    p.write_text(json.dumps(MALFORMED_REGISTRIES[name]))
+    with pytest.raises(SchemaError):
+        load_registry(p)
+    out = tmp_path / "out"
+    assert main(["certify", "--registry", str(p), "--delta-plus", "0.3", "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+def test_the_unbroken_registries_load(tmp_path):
+    p = tmp_path / "reg.json"
+    for doc in (_spindle_with(), {"schema_version": 1, "ct_pairs": [_CT]}):
+        p.write_text(json.dumps(doc))
+        load_registry(p)
 
 
 def test_load_requires_schema_version(tmp_path):

@@ -1,14 +1,16 @@
-"""Unit checks for the 80-bit simplex on small LPs with known answers."""
+"""Unit checks for the 80-bit simplex on small LPs with known answers, and
+its pivot rule against a sequential scan kept as an oracle."""
 
 import numpy as np
 import pytest
 
+from udsets import simplex, witness
 from udsets.simplex import solve_lp
 
 
 def test_simple_minimization():
     # min -x - y  s.t. x + y <= 1  ->  objective -1 on the face x + y = 1
-    res = solve_lp([[1.0, 1.0]], [1.0], 2, objective=[-1.0, -1.0])
+    res = solve_lp([[1.0, 1.0]], [1.0], objective=[-1.0, -1.0])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-1.0, abs=1e-12)
     assert res.x.sum() == pytest.approx(1.0, abs=1e-12)
@@ -16,7 +18,7 @@ def test_simple_minimization():
 
 def test_feasibility_with_negative_rhs():
     # x >= 2, x <= 3 (first row written as -x <= -2)
-    res = solve_lp([[-1.0], [1.0]], [-2.0, 3.0], 1)
+    res = solve_lp([[-1.0], [1.0]], [-2.0, 3.0])
     assert res.status == "optimal"
     assert 2.0 - 1e-12 <= res.x[0] <= 3.0 + 1e-12
 
@@ -25,7 +27,7 @@ def test_two_phase_known_vertex():
     # min x + y s.t. x + 2y >= 4, 3x + y >= 6, x,y >= 0 -> vertex (8/5, 6/5)
     A = [[-1.0, -2.0], [-3.0, -1.0]]
     b = [-4.0, -6.0]
-    res = solve_lp(A, b, 2, objective=[1.0, 1.0])
+    res = solve_lp(A, b, objective=[1.0, 1.0])
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(1.6, abs=1e-10)
     assert res.x[1] == pytest.approx(1.2, abs=1e-10)
@@ -33,7 +35,7 @@ def test_two_phase_known_vertex():
 
 def test_infeasible_with_farkas():
     # x <= 1 and x >= 2 cannot hold
-    res = solve_lp([[1.0], [-1.0]], [1.0, -2.0], 1)
+    res = solve_lp([[1.0], [-1.0]], [1.0, -2.0])
     assert res.status == "infeasible"
     assert res.farkas is not None and res.farkas_valid
     y = res.farkas
@@ -46,7 +48,7 @@ def test_infeasible_with_farkas():
 
 def test_unbounded():
     # min -x with only x - y <= 0: x can grow along x = y
-    res = solve_lp([[1.0, -1.0]], [0.0], 2, objective=[-1.0, 0.0])
+    res = solve_lp([[1.0, -1.0]], [0.0], objective=[-1.0, 0.0])
     assert res.status == "unbounded"
 
 
@@ -57,7 +59,171 @@ def test_determinism():
     b = rng.uniform(0.5, 2.0, size=40)
     objective = rng.normal(size=5)
     for kwargs in ({"objective": objective}, {}):
-        r1 = solve_lp(A, b, 5, **kwargs)
-        r2 = solve_lp(A, b, 5, **kwargs)
+        r1 = solve_lp(A, b, **kwargs)
+        r2 = solve_lp(A, b, **kwargs)
         assert r1.status == r2.status
         assert np.array_equal(r1.x, r2.x)
+
+
+# ---------------------------------------------------------------------------
+# the pivot rule against the sequential scan
+# ---------------------------------------------------------------------------
+
+def _scan_oracle(T, basis, tol):
+    """One step of the earlier pivot rule, a Python scan: (status, leave, enter).
+
+    It compares each ratio with the best ratio so far, so its tie window can
+    drift from the least ratio; ``_bland_iterate`` measures it from there.
+    """
+    m = T.shape[0] - 1
+    enter = -1
+    for j in range(T.shape[1] - 1):
+        if T[-1, j] < -tol:
+            enter = j
+            break
+    if enter < 0:
+        return "optimal", None, None
+    best_ratio = None
+    leave = -1
+    for i in range(m):
+        if T[i, enter] > tol:
+            ratio = T[i, -1] / T[i, enter]
+            if (
+                best_ratio is None
+                or ratio < best_ratio - tol
+                or (abs(ratio - best_ratio) <= tol and basis[leave] > basis[i])
+            ):
+                best_ratio = ratio
+                leave = i
+    if leave < 0:
+        return "unbounded", None, enter
+    return None, leave, enter
+
+
+@pytest.fixture
+def checked_pivots(monkeypatch):
+    """Check every pivot ``_bland_iterate`` makes, and the status it ends
+    with, against the scan on the tableau it sees; ``["pivots"]`` counts
+    the pivots checked."""
+    seen = {"tol": None, "pivots": 0}
+    bland, pivot = simplex._bland_iterate, simplex._pivot
+
+    def checked_bland(T, basis, tol):
+        seen["tol"] = tol
+        try:
+            status, it = bland(T, basis, tol)
+        finally:
+            seen["tol"] = None
+        if status != "iteration_limit":
+            assert _scan_oracle(T, basis, tol)[0] == status
+        return status, it
+
+    def checked_pivot(T, basis, row, col):
+        if seen["tol"] is not None:  # the phase-1 entry and x0 exit are not Bland's
+            assert _scan_oracle(T, basis, seen["tol"]) == (None, row, col)
+            seen["pivots"] += 1
+        pivot(T, basis, row, col)
+
+    monkeypatch.setattr(simplex, "_bland_iterate", checked_bland)
+    monkeypatch.setattr(simplex, "_pivot", checked_pivot)
+    return seen
+
+
+def _counting_solves(monkeypatch):
+    iterations = []
+
+    def counted(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(witness, "solve_lp", counted)
+    return iterations
+
+
+def test_certify_bound_pivots_match_the_scan(checked_pivots, monkeypatch, registry):
+    iterations = _counting_solves(monkeypatch)
+    witness.certify_bound(registry)
+    assert len(iterations) == 14
+    assert checked_pivots["pivots"] == sum(iterations) == 214
+
+
+def test_single_target_pivots_match_the_scan(checked_pivots, monkeypatch, registry):
+    iterations = _counting_solves(monkeypatch)
+    witness._attempt(
+        registry, 0.30, max_tail=40.0, minimize_quadratic=True,
+        budget=witness.DEFAULT_BUDGET, margin=witness.DEFAULT_MARGIN, tail_start=40.0,
+    )
+    assert iterations and checked_pivots["pivots"] == sum(iterations) > 0
+
+
+def test_random_lp_pivots_match_the_scan(checked_pivots):
+    rng = np.random.default_rng(20261018)
+    total = 0
+    statuses = set()
+    for k in range(300):
+        m, n = int(rng.integers(2, 30)), int(rng.integers(1, 8))
+        if k % 2:  # small integers: exact ties in the ratio test
+            A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        else:
+            A = rng.normal(size=(m, n))
+        if k % 3 == 0:  # degenerate: every ratio 0
+            b = np.zeros(m)
+        else:
+            b = rng.uniform(-1.0, 2.0, size=m)
+        objective = rng.normal(size=n) if k % 5 else None
+        res = solve_lp(A, b, objective=objective)
+        total += res.iterations
+        statuses.add(res.status)
+    assert checked_pivots["pivots"] == total > 300
+    assert {"optimal", "infeasible", "unbounded"} <= statuses
+
+
+_TOL = np.longdouble(2.0**-10)
+
+
+@pytest.mark.parametrize(
+    "ratios, entries, basics, leave, scan_leave",
+    [
+        ([1.0, 1.0], [1.0, 1.0], [7, 3], 1, 1),  # exact tie: least basic index
+        ([1.0, 1.0 + 0.5 * float(_TOL)], [1.0, 1.0], [7, 3], 1, 1),  # within tol
+        ([1.0, 1.0 + 2.0 * float(_TOL)], [1.0, 1.0], [7, 3], 0, 0),  # beyond tol
+        ([1.0, 0.5], [1.0, 0.0], [7, 3], 0, 0),  # an entry of 0 is not eligible
+        ([1.0, 0.5], [1.0, -2.0], [7, 3], 0, 0),  # nor is a negative one
+        # the window runs from the least ratio: 0.9 tol is in it, 1.8 tol is
+        # not, though the scan, comparing with the best so far, takes 1.8 tol
+        ([0.0, 0.9 * float(_TOL), 1.8 * float(_TOL)], [1.0, 1.0, 1.0], [9, 5, 1], 1, 2),
+    ],
+)
+def test_bland_leaving_row(monkeypatch, ratios, entries, basics, leave, scan_leave):
+    m = len(ratios)
+    # columns: one that enters, the rhs; an eligible row's ratio is its rhs
+    T = np.zeros((m + 1, 2), dtype=np.longdouble)
+    T[:m, 0] = entries
+    T[:m, -1] = ratios
+    T[-1, 0] = -1.0
+    basis = np.array(basics)
+    assert _scan_oracle(T, basis, _TOL) == (None, scan_leave, 0)
+    pivots = []
+
+    def record(T, basis, row, col):
+        pivots.append((int(row), int(col)))
+        T[-1, :] = 0.0  # optimal after one pivot
+
+    monkeypatch.setattr(simplex, "_pivot", record)
+    assert simplex._bland_iterate(T, basis, _TOL) == ("optimal", 1)
+    assert pivots == [(leave, 0)]
+
+
+def test_bland_entering_column_and_exits():
+    tol = _TOL
+    T = np.zeros((3, 4), dtype=np.longdouble)
+    T[-1, :3] = [-0.5 * float(tol), -2.0, -1.0]  # column 0 is within tol of 0
+    T[:2, 1] = [-1.0, 0.0]  # column 1 has no positive entry
+    basis = np.array([0, 3])
+    assert simplex._bland_iterate(T, basis, tol) == ("unbounded", 0)
+    T[-1, 1] = 0.0
+    T[:2, 2] = [1.0, 2.0]
+    T[:2, -1] = [4.0, 2.0]
+    assert simplex._bland_iterate(T, basis, tol) == ("optimal", 1)
+    assert basis.tolist() == [0, 2]

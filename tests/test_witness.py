@@ -292,6 +292,29 @@ def test_verify_grid_step_precondition(reg):
         verify_witness(coeffs(reg, v1=1.0), grid_step=0.5, margin=1e-3)
 
 
+def _no_grid(*args):
+    raise AssertionError("_grid_min reached")
+
+
+@pytest.mark.parametrize(
+    "grid_step, tail_start",
+    [(2.0**-40, 40.0), (2.0**-8, 1e12), (2.0**-20, 1024.0), (1e-300, 1e300)],
+    ids=["step 2^-40", "tail 1e12", "one point over", "ratio overflows"],
+)
+def test_verify_refuses_an_oversized_grid_first(reg, monkeypatch, grid_step, tail_start):
+    # over 2**30 points: refused before the grid walk, which would not return
+    monkeypatch.setattr(witness_module, "_grid_min", _no_grid)
+    with pytest.raises(DomainError, match="exceeds 1073741824 points"):
+        verify_witness(coeffs(reg, v1=1.0), grid_step, 3e-3, tail_start)
+
+
+def test_verify_admits_a_grid_of_the_cap(reg, monkeypatch):
+    # floor(tail_start / grid_step) + 1 = 2**30 points exactly
+    monkeypatch.setattr(witness_module, "_grid_min", _no_grid)
+    with pytest.raises(AssertionError, match="_grid_min reached"):
+        verify_witness(coeffs(reg, v1=1.0), 2.0**-20, 3e-3, 1024.0 - 2.0**-20)
+
+
 def test_solve_feasible_then_verifies(reg):
     res = solve_feasibility(reg, 0.30, 40.0)
     assert res.status == "feasible"
