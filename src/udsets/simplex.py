@@ -44,11 +44,15 @@ class SimplexResult:
 
 
 def _pivot(T, basis, row, col):
+    # only the pivot row's nonzero columns change, as x - c * 0 is x; its zeros
+    # are not divided either, since a negative pivot would leave them -0.0
+    # where the update over every column made them +0.0 again
+    nz = np.flatnonzero(T[row])
     piv = T[row, col]
-    T[row, :] /= piv
+    T[row, nz] /= piv
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, T[row, :])
+    T[:, nz] -= np.outer(colvals, T[row, nz])
     # re-zero the pivot column explicitly to stop error creep
     T[:, col] = 0.0
     T[row, col] = 1.0

@@ -12,9 +12,12 @@ Two independent pipelines compute the pair correlation f(r):
   bound tail_mass * envelope(...), the one-term case of the kernel that pairs
   the registry's profiles with kappa (one rigor formula for both; a profile's
   constant is exact).  The lattice disk a^2 + b^2 <= cutoff is walked row by
-  row in blocks of SPECTRUM_BLOCK points, so memory is O(cutoff) for kappa
-  plus one bounded block; cutoffs stop at MAX_CUTOFF_M = 2^26.
-  ``spectrum_auto`` grows the cutoff by walking only the new annulus.
+  row in blocks of SPECTRUM_BLOCK points.  The walk reads only the columns
+  |q| <= isqrt(cutoff) of the half-plane transform, so only those are
+  transformed (FFT pruning, Markel 1971): memory is O(cutoff) for kappa, the
+  S x (min(isqrt(cutoff), S/2) + 1) complex transform and one bounded block;
+  cutoffs stop at MAX_CUTOFF_M = 2^26.  ``spectrum_auto`` grows the cutoff by
+  walking only the new annulus.
 * direct geometry: the autocorrelation of a cell union is the bilinear
   interpolation of the integer pair-count array (an exact identity, since the
   1D cell autocorrelation is the unit triangle).  Its circle average is
@@ -65,6 +68,8 @@ AUTO_INITIAL_CUTOFF = 4096
 # lattice points per block of the disk walk; blocks hold whole row segments,
 # and a row has at most 2 isqrt(MAX_CUTOFF_M) + 1 = 16385 points
 SPECTRUM_BLOCK = 2**16
+# raster rows per block of the row transform in _power_spectrum
+SPECTRUM_FFT_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -148,9 +153,20 @@ class PairCorrEval:
     rigor_bound: float
 
 
-def _power_spectrum(A: GridSet) -> np.ndarray:
-    """|FFT(cells)|^2 on the half plane 0 <= q <= S/2 (a real FFT)."""
-    return np.abs(np.fft.rfft2(A.cells.astype(np.float64))) ** 2
+def _power_spectrum(A: GridSet, qmax: int) -> np.ndarray:
+    """|FFT(cells)|^2 on the columns 0 <= q <= min(qmax, S/2) of the half plane.
+
+    The 1-D transforms of numpy's 2-D real FFT, so the kept columns equal its
+    own bit for bit: a real FFT along each row, run SPECTRUM_FFT_ROWS rows at
+    a time and cut to the kept columns, then a complex FFT down each of them.
+    """
+    S = A.side
+    width = min(qmax, S // 2) + 1
+    rows = np.empty((S, width), dtype=np.complex128)
+    for i in range(0, S, SPECTRUM_FFT_ROWS):
+        block = slice(i, i + SPECTRUM_FFT_ROWS)
+        rows[block] = np.fft.rfft(A.cells[block].astype(np.float64), axis=1)[:, :width]
+    return np.abs(np.fft.fft(rows, axis=0)) ** 2
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -171,10 +187,13 @@ def _walk_disk(A: GridSet, P2: np.ndarray, kappa: np.ndarray, c_lo: int, c_hi: i
     SPECTRUM_BLOCK points, and ``np.add.at`` adds a block one point at a time,
     so every bucket receives its terms in row-major order whatever the blocks
     or the annuli.  A point's power is P2 at its half-plane image times the
-    squared sinc factors, read from 1-D tables over the coordinates.
+    squared sinc factors, read from 1-D tables over the coordinates.  P2 holds
+    the columns 0 <= q <= min(isqrt(c_hi), S/2) at least: an image's column
+    is at most both.
     """
     S = A.side
     half = S // 2 + 1
+    width = P2.shape[1]
     norm = 1.0 / (A.K**2 * A.N**2)
     amax = math.isqrt(c_hi)
     ax = np.arange(-amax, amax + 1, dtype=np.int64)  # coordinate x sits at x + amax
@@ -185,7 +204,7 @@ def _walk_disk(A: GridSet, P2: np.ndarray, kappa: np.ndarray, c_lo: int, c_hi: i
     q = ax % S
     flip = (q >= half).astype(np.int64)
     col = np.where(flip, S - q, q)
-    row_pair = np.stack([ax % S * half, -ax % S * half], axis=1).reshape(-1)
+    row_pair = np.stack([ax % S * width, -ax % S * width], axis=1).reshape(-1)
     power_flat = P2.reshape(-1)
     # per row: |b| <= b_hi is inside c_hi, |b| <= b_lo (-1: none) inside c_lo
     b_hi = _isqrt(c_hi - sq)
@@ -252,12 +271,15 @@ def spectrum(A: GridSet, cutoff_m: int) -> Spectrum:
 
     The disk a^2 + b^2 <= cutoff_m is walked row by row in bounded blocks
     (``_walk_disk``), so memory is the kappa array, 8 (cutoff_m + 1) bytes,
-    plus one block of SPECTRUM_BLOCK points and the real FFT.  Cutoffs above
-    MAX_CUTOFF_M raise WorkBudgetError before anything is allocated, as do
-    cutoffs with cutoff_m * (NK)^2 above DEFAULT_WORK_BUDGET.
+    one block of SPECTRUM_BLOCK points, and the S x (min(isqrt(cutoff_m), S/2)
+    + 1) complex transform plus one block of SPECTRUM_FFT_ROWS raster rows
+    (S = NK).  Cutoffs above MAX_CUTOFF_M raise WorkBudgetError before
+    anything is allocated, as do cutoffs with cutoff_m * (NK)^2 above
+    DEFAULT_WORK_BUDGET.
     """
     _check_cutoff(A, cutoff_m)
-    P2 = _power_spectrum(A)  # before kappa, so the FFT's peak does not hold it
+    # before kappa, so the FFT's peak does not hold it
+    P2 = _power_spectrum(A, math.isqrt(cutoff_m))
     kappa_by_m = np.zeros(int(cutoff_m) + 1)
     _walk_disk(A, P2, kappa_by_m, -1, cutoff_m)
     return _finish(A, kappa_by_m, cutoff_m)
@@ -268,29 +290,30 @@ def spectrum_auto(A: GridSet, r_min: float = 0.5, tail_target: float = 1e-4) -> 
 
     Starts at cutoff AUTO_INITIAL_CUTOFF = 4096; each x4 escalation walks only
     the new annulus of lattice points into the grown kappa array, reusing the
-    FFT.  A bucket m only receives points with a^2 + b^2 = m, all in one
+    FFT, which keeps the columns of the largest cutoff the escalation can
+    reach.  A bucket m only receives points with a^2 + b^2 = m, all in one
     annulus and in row-major order, so the result is bit for bit
     ``spectrum(A, result.cutoff_m)``.  Stops early at DEFAULT_WORK_BUDGET or
     at MAX_CUTOFF_M; the returned rigor bounds stay valid either way, just
     wider.
     """
-    cutoff = AUTO_INITIAL_CUTOFF
-    _check_cutoff(A, cutoff)
-    P2 = _power_spectrum(A)
-    kappa_by_m = np.zeros(int(cutoff) + 1)
-    _walk_disk(A, P2, kappa_by_m, -1, cutoff)
-    while True:
+    _check_cutoff(A, AUTO_INITIAL_CUTOFF)
+    cutoffs = [AUTO_INITIAL_CUTOFF]
+    while 4 * cutoffs[-1] <= MAX_CUTOFF_M and 4 * cutoffs[-1] * A.side**2 <= DEFAULT_WORK_BUDGET:
+        cutoffs.append(4 * cutoffs[-1])
+    P2 = _power_spectrum(A, math.isqrt(cutoffs[-1]))
+    kappa_by_m = np.zeros(0)
+    walked = -1
+    for cutoff in cutoffs:
+        kappa_by_m = np.concatenate([kappa_by_m, np.zeros(cutoff - walked)])
+        _walk_disk(A, P2, kappa_by_m, walked, cutoff)
+        walked = cutoff
         spec = _finish(A, kappa_by_m, cutoff)
         arg = r_min * (2.0 * math.pi / A.K) * math.sqrt(spec.cutoff_m)
         env = 1.0 if arg <= 0 else j0_envelope(arg)
         if spec.tail_mass * env <= tail_target:
-            return spec
-        grown = cutoff * 4
-        if grown * A.side**2 > DEFAULT_WORK_BUDGET or grown > MAX_CUTOFF_M:
-            return spec
-        kappa_by_m = np.concatenate([kappa_by_m, np.zeros(grown - cutoff)])
-        _walk_disk(A, P2, kappa_by_m, cutoff, grown)
-        cutoff = grown
+            break
+    return spec
 
 
 def _pair_profile(S: Spectrum, const: float, radii, coeffs):
@@ -326,7 +349,7 @@ def pair_counts(A: GridSet) -> np.ndarray:
     at every real shift x = (dx, dy)/N.
     """
     S = A.side
-    raw = np.fft.irfft2(_power_spectrum(A), s=(S, S))
+    raw = np.fft.irfft2(_power_spectrum(A, S // 2), s=(S, S))
     counts = np.rint(raw)
     if not np.all(np.abs(raw - counts) < 0.4):
         raise AssertionError("pair-count FFT roundtrip lost integrality")

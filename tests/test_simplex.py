@@ -1,5 +1,6 @@
-"""Unit checks for the 80-bit simplex on small LPs with known answers, and
-its pivot rule against a sequential scan kept as an oracle."""
+"""Unit checks for the 80-bit simplex on small LPs with known answers, its
+pivot rule against a sequential scan kept as an oracle, and its pivot update
+against the dense one it restricts."""
 
 import numpy as np
 import pytest
@@ -100,11 +101,43 @@ def _scan_oracle(T, basis, tol):
     return None, leave, enter
 
 
+def _dense_pivot(T, basis, row, col):
+    """The pivot update over the whole tableau, one ``np.outer``: the oracle
+    for ``_pivot``, which touches only the pivot row's nonzero columns."""
+    piv = T[row, col]
+    T[row, :] /= piv
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= np.outer(colvals, T[row, :])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+def _same_bits(a, b):
+    """Equal values and equal signs of zero: -0.0 == 0.0 for array_equal."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _assert_dense_solve_agrees(res, *args, **kwargs):
+    """Solve again with the dense pivot; x and the Farkas ray agree bitwise."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", _dense_pivot)
+        dense = solve_lp(*args, **kwargs)
+    assert (res.status, res.iterations, res.farkas_valid) == (
+        dense.status, dense.iterations, dense.farkas_valid
+    )
+    assert _same_bits(res.x, dense.x) and _same_bits(res.farkas, dense.farkas)
+
+
 @pytest.fixture
 def checked_pivots(monkeypatch):
     """Check every pivot ``_bland_iterate`` makes, and the status it ends
     with, against the scan on the tableau it sees; ``["pivots"]`` counts
-    the pivots checked."""
+    the pivots checked.  Every pivot, Bland's or not, leaves the whole
+    tableau bitwise as the dense pivot leaves a copy of it."""
     seen = {"tol": None, "pivots": 0}
     bland, pivot = simplex._bland_iterate, simplex._pivot
 
@@ -122,7 +155,10 @@ def checked_pivots(monkeypatch):
         if seen["tol"] is not None:  # the phase-1 entry and x0 exit are not Bland's
             assert _scan_oracle(T, basis, seen["tol"]) == (None, row, col)
             seen["pivots"] += 1
+        dense, dense_basis = T.copy(), basis.copy()
+        _dense_pivot(dense, dense_basis, row, col)
         pivot(T, basis, row, col)
+        assert _same_bits(T, dense) and np.array_equal(basis, dense_basis)
 
     monkeypatch.setattr(simplex, "_bland_iterate", checked_bland)
     monkeypatch.setattr(simplex, "_pivot", checked_pivot)
@@ -130,11 +166,14 @@ def checked_pivots(monkeypatch):
 
 
 def _counting_solves(monkeypatch):
+    """Count each witness solve's iterations, and check its result against a
+    solve with the dense pivot."""
     iterations = []
 
     def counted(*args, **kwargs):
         res = solve_lp(*args, **kwargs)
         iterations.append(res.iterations)
+        _assert_dense_solve_agrees(res, *args, **kwargs)
         return res
 
     monkeypatch.setattr(witness, "solve_lp", counted)
@@ -143,9 +182,10 @@ def _counting_solves(monkeypatch):
 
 def test_certify_bound_pivots_match_the_scan(checked_pivots, monkeypatch, registry):
     iterations = _counting_solves(monkeypatch)
-    witness.certify_bound(registry)
+    result = witness.certify_bound(registry)
     assert len(iterations) == 14
     assert checked_pivots["pivots"] == sum(iterations) == 214
+    assert result.best_delta == 0.2580810546875
 
 
 def test_single_target_pivots_match_the_scan(checked_pivots, monkeypatch, registry):
@@ -173,6 +213,7 @@ def test_random_lp_pivots_match_the_scan(checked_pivots):
             b = rng.uniform(-1.0, 2.0, size=m)
         objective = rng.normal(size=n) if k % 5 else None
         res = solve_lp(A, b, objective=objective)
+        _assert_dense_solve_agrees(res, A, b, objective=objective)
         total += res.iterations
         statuses.add(res.status)
     assert checked_pivots["pivots"] == total > 300

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,8 @@ def assert_same_spectrum(spec, ms, kappas, tail_mass):
         (5, 2, 12_345),
         (4, 8, 65_536),   # about 206k points: several walk blocks
         (3, 5, 99_999),   # not a perfect square, rows end off the circle
+        (16, 4, 200),     # 2 isqrt(cutoff) + 1 = 29 < S = 64: a pruned transform
+        (15, 5, 300),     # the same at odd S = 75
     ],
 )
 def test_row_walk_bitwise_equals_meshgrid_oracle(N, K, cutoff):
@@ -130,6 +133,66 @@ def test_spectrum_auto_bitwise_equals_spectrum_at_its_cutoff():
         assert auto.cutoff_m >= 4 * 4 * 4096
         direct = spectrum(A, auto.cutoff_m)
         assert_same_spectrum(auto, direct.ms, direct.kappas, direct.tail_mass)
+
+
+def test_spectrum_auto_prunes_to_its_largest_reachable_cutoff(monkeypatch):
+    # escalation 64 -> 256 -> 1024, where the budget stops it: the transform
+    # keeps the columns q <= isqrt(1024) = 32 of the S/2 = 50 there are
+    monkeypatch.setattr(torus, "AUTO_INITIAL_CUTOFF", 64)
+    monkeypatch.setattr(torus, "DEFAULT_WORK_BUDGET", 1024 * 100**2)
+    widths = []
+    power_spectrum = torus._power_spectrum
+
+    def recorded(A, qmax):
+        P2 = power_spectrum(A, qmax)
+        widths.append(P2.shape[1])
+        return P2
+
+    monkeypatch.setattr(torus, "_power_spectrum", recorded)
+    A = random_gridset(20, 5, p=0.4, seed=3)
+    auto = spectrum_auto(A, r_min=0.25, tail_target=1e-12)
+    assert auto.cutoff_m == 1024
+    direct = spectrum(A, auto.cutoff_m)
+    assert widths == [33, 33]
+    assert_same_spectrum(auto, direct.ms, direct.kappas, direct.tail_mass)
+
+
+@pytest.mark.parametrize(
+    "N, K, rows",
+    [
+        (1, 1, 4),      # S = 1: one column whatever qmax is
+        (2, 1, 4),      # S = 2
+        (3, 5, 4),      # odd S = 15, row blocks 4, 4, 4, 3
+        (4, 5, 4),      # even S = 20, blocks that divide it
+        (7, 2, 4),      # even S = 14, blocks that do not
+        (19, 27, None),  # S = 513 in the module's own blocks, 512 and 1
+    ],
+)
+def test_pruned_transform_bitwise_equals_the_full_one(monkeypatch, N, K, rows):
+    if rows is not None:
+        monkeypatch.setattr(torus, "SPECTRUM_FFT_ROWS", rows)
+    A = random_gridset(N, K, p=0.4, seed=N * K)
+    S = A.side
+    full = np.abs(np.fft.rfft2(A.cells.astype(np.float64))) ** 2
+    for qmax in (0, 1, S // 2, S // 2 + 1, S, 10 * S):
+        P2 = torus._power_spectrum(A, qmax)
+        width = min(qmax, S // 2) + 1
+        assert P2.shape == (S, width)
+        assert np.array_equal(P2.view(np.int64), full[:, :width].copy().view(np.int64))
+
+
+def test_spectrum_transforms_only_the_walked_columns():
+    # with numpy 2.4.6 the whole 4864 x 2433 half-plane transform peaks at
+    # 541.7 MiB on this raster; the 489 + 1 columns the walk reads, 91 MiB
+    A = random_gridset(128, 38, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spectrum(A, 240_000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 def test_cutoff_above_the_kappa_cap_is_refused():
