@@ -255,14 +255,21 @@ def cmd_certify(args) -> int:
     reg = _load_registry_arg(args.registry)
     knobs = dict(budget=args.budget, margin=args.margin, tail_start=args.tail_start)
     if args.delta_plus is not None:
-        # one solve + verification at --tail-start, the quadratic minimized
-        res, report, _ = witness._attempt(
-            reg, args.delta_plus, max_tail=args.tail_start, minimize_quadratic=True, **knobs
+        # the attempt every bisection point makes, the quadratic minimized
+        res, report, log = witness._attempt(
+            reg, args.delta_plus, minimize_quadratic=True, **knobs
         )
         if report is None:
-            print("LP infeasible at delta_plus =", args.delta_plus)
-            if res.farkas_valid:
-                print("a valid Farkas ray proves it (the ray is not written out)")
+            T = log[-1][1]
+            print(f"LP infeasible at delta_plus = {args.delta_plus}, last solved at "
+                  f"tail start {T}")
+            if witness._tail_independent(res):
+                print("a valid Farkas ray proves it at every tail start >= "
+                      f"{T}: the ray puts no weight on the tail row "
+                      "(it is not written out)")
+            elif res.farkas_valid:
+                print(f"a valid Farkas ray proves it at tail start {T} only: the "
+                      "ray weights the tail row (it is not written out)")
             else:
                 print("no valid Farkas ray was found: infeasibility is not proven")
             return EXIT_INFEASIBLE

@@ -496,9 +496,11 @@ class FeasibilityResult:
 
 _SOLVE_STEP = 0.05
 _SOLVE_GRID_MAX = 40.0  # the solve grid stops here whatever the tail start (LP size)
-# W >= _GRID_SLACK on the solve grid: deliberately above the verification
-# margin so the rounded float64 solution still verifies on the dense grid
+# W >= max(_GRID_SLACK, margin + _GRID_SLACK_OVER_MARGIN) on the solve grid:
+# above the verification margin, so that W still clears the margin between
+# solve-grid points, where the dense verification grid finds its minimum
 _GRID_SLACK = 5e-3
+_GRID_SLACK_OVER_MARGIN = 2e-3
 
 
 def default_solve_grid(tail_start: float = DEFAULT_TAIL_START):
@@ -517,14 +519,15 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Find nonnegative witness coefficients for the density target delta_plus.
 
-    Rows, in order: W >= 5e-3 on ``default_solve_grid(min(tail_start, 40))``,
+    Rows, in order: W >= max(5e-3, margin + 2e-3) on
+    ``default_solve_grid(min(tail_start, 40))``,
     W(0) >= 1 + max(1e-9, 2 J0_ABS_ERROR budget), the weighted coefficient
     budget, the quadratic inequality at delta_plus, and the envelope tail row
     at tail_start (the constant part beats the oscillatory envelope by
     2 * margin), which is always the last row.  The grid slack exceeds the
-    verification margin so the rounded float64 solution still verifies on the
-    dense verification grid (step <= margin / L, e.g. 2**-8 for the builtin
-    witness).
+    verification margin, whatever the margin, so the rounded float64 solution
+    still verifies on the dense verification grid (step <= margin / L, e.g.
+    2**-8 for the builtin witness).
 
     With minimize_quadratic the solver minimizes the quadratic row instead of
     stopping at the first feasible vertex, driving delta_star below the
@@ -557,7 +560,7 @@ def solve_feasibility(
     # that at the budget, or 1e-9 where that is less (80-bit longdouble)
     w0_slack = max(1e-9, 2.0 * J0_ABS_ERROR * budget)
     b = np.concatenate([
-        np.full(len(t_grid), -_GRID_SLACK),
+        np.full(len(t_grid), -max(_GRID_SLACK, margin + _GRID_SLACK_OVER_MARGIN)),
         [-(1.0 + w0_slack), budget - 1e-9, d * d, -2.0 * margin],
     ])
     objective = qrow if minimize_quadratic else None
@@ -604,47 +607,44 @@ def _tail_independent(res: FeasibilityResult) -> bool:
     return res.farkas_valid and res.farkas[-1] == 0.0
 
 
-_MAX_TAIL = 640.0  # tail starts escalate by doubling up to this
+_MAX_TAIL = 640.0  # an infeasible LP's tail start doubles up to this
 _BISECT_TOL = 2e-4  # certify_bound stops when its delta_plus bracket is this narrow
 
 
-def _attempt(registry, delta_plus, *, budget, margin, tail_start,
-             max_tail=_MAX_TAIL, minimize_quadratic=False):
-    """Solve + verify at one delta_plus, doubling the tail start up to max_tail
-    until a witness certifies.
+def _attempt(registry, delta_plus, *, budget, margin, tail_start, minimize_quadratic=False):
+    """Solve + verify at one delta_plus.
 
     Returns (last LP result, its verification report or None when that LP
-    was infeasible, attempt log).  Escalation stops early when the LP is
-    infeasible for a reason the tail row plays no part in.  Each candidate
-    witness is verified at its own ``verification_step``.
+    was infeasible, attempt log).  A feasible LP's witness is verified once,
+    at its ``verification_step`` and the LP's tail start, and that verdict
+    is final.  An infeasible LP is solved again at twice the tail start, up
+    to _MAX_TAIL = 640, only while its Farkas ray weights the tail row: a
+    ray that ignores that row refutes every larger T (``_tail_independent``),
+    and no larger T can mend a witness that failed verification.
     """
     if not tail_start > 0.0:
         raise DomainError("tail_start must be > 0")
     T = tail_start
     log = []
-    res = report = None
-    while T <= max_tail:
+    while True:
         # solve-grid rows stay capped at t = 40 (LP size); the envelope tail
         # row at T pushes the constant part up, and the dense verification
         # grid covering [0, T] is sovereign either way
         res = solve_feasibility(
             registry, delta_plus, T, budget, margin, minimize_quadratic=minimize_quadratic
         )
-        report = None
-        if res.status != "feasible":
-            if _tail_independent(res):
-                log.append((delta_plus, T, LP_INFEASIBLE_WITHOUT_TAIL))
-                break
-            log.append((delta_plus, T, "lp-infeasible"))
-            T *= 2.0
-            continue
-        step = verification_step(res.coefficients, margin)
-        report = verify_witness(res.coefficients, step, margin, T)
-        log.append((delta_plus, T, report.verdict))
-        if report.certified:
-            break
+        if res.status == "feasible":
+            step = verification_step(res.coefficients, margin)
+            report = verify_witness(res.coefficients, step, margin, T)
+            log.append((delta_plus, T, report.verdict))
+            return res, report, log
+        if _tail_independent(res):
+            log.append((delta_plus, T, LP_INFEASIBLE_WITHOUT_TAIL))
+            return res, None, log
+        log.append((delta_plus, T, "lp-infeasible"))
+        if 2.0 * T > _MAX_TAIL:
+            return res, None, log
         T *= 2.0
-    return res, report, log
 
 
 def certify_bound(
@@ -656,44 +656,30 @@ def certify_bound(
 ) -> CertifyResult:
     """Smallest delta_plus whose witness passes full verification.
 
-    Bisects delta_plus over [0.05, 0.95] until the bracket is at most
-    _BISECT_TOL = 2e-4 wide (13 halvings after the first solve at 0.95);
-    every accepted point is a complete solve + independent verification,
-    with the tail start doubling from ``tail_start`` up to 640 as needed,
-    and every witness verified at its ``verification_step``.
+    Bisects delta_plus over [0.05, 0.95], starting at 0.95 and stopping
+    when the bracket is at most _BISECT_TOL = 2e-4 wide (14 points).  Each
+    point is one ``_attempt``: a complete solve + independent verification,
+    its tail start raised from ``tail_start`` only while the LP is
+    infeasible and its Farkas ray weights the tail row.
     """
     lo, hi = 0.05, 0.95
-    attempts = []
-
-    def run(dp):
+    dp, best, attempts = hi, None, []
+    while True:
         res, report, log = _attempt(
-            registry,
-            dp,
-            budget=budget,
-            margin=margin,
-            tail_start=tail_start,
+            registry, dp, budget=budget, margin=margin, tail_start=tail_start
         )
         attempts.extend(log)
         if report is not None and report.certified:
-            return res.coefficients, report
-        return None, None
-
-    best = run(hi)
-    if best[0] is None:
-        raise FeasibilityError(
-            f"no certificate even at delta_plus = {hi}; registry too weak"
-        )
-    best_dp = hi
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        coeffs, report = run(mid)
-        if coeffs is not None:
-            best = (coeffs, report)
-            best_dp = mid
-            hi = mid
+            hi, best = dp, (dp, res.coefficients, report)
+        elif best is None:
+            raise FeasibilityError(
+                f"no certificate even at delta_plus = {dp}; registry too weak"
+            )
         else:
-            lo = mid
-    return CertifyResult(best_dp, best[0], best[1], tuple(attempts))
+            lo = dp
+        if hi - lo <= _BISECT_TOL:
+            return CertifyResult(*best, tuple(attempts))
+        dp = 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

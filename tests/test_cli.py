@@ -140,6 +140,18 @@ def test_certify_derives_the_verify_step(tmp_path):
     assert run("verify", "--certificate", cert) == 0
 
 
+def test_certify_single_target_raises_a_tail_start_the_tail_row_refutes(tmp_path):
+    # at T = 1 and 2 the LP is infeasible with a Farkas ray on the tail row;
+    # at T = 4 it is feasible and its witness certifies
+    out = tmp_path / "t1"
+    assert run("certify", "--delta-plus", 0.30, "--tail-start", 1, "--out", out) == 0
+    cert = out / "certificate.json"
+    doc = json.loads(cert.read_text())
+    assert doc["tail_start"] == 4.0 and doc["verdict"] == "certified"
+    assert doc["delta_star"] == 0.2900964947972701
+    assert run("verify", "--certificate", cert) == 0
+
+
 def test_certify_infeasible_exit(tmp_path):
     out = tmp_path / "inf"
     code = run("certify", "--delta-plus", 0.05, "--out", out)
@@ -149,8 +161,8 @@ def test_certify_infeasible_exit(tmp_path):
 def test_certify_infeasible_reports_the_farkas_ray(tmp_path, capsys):
     assert run("certify", "--delta-plus", 0.05, "--out", tmp_path / "inf") == 3
     captured = capsys.readouterr()
-    assert "LP infeasible at delta_plus = 0.05" in captured.out
-    assert "a valid Farkas ray proves it" in captured.out
+    assert "LP infeasible at delta_plus = 0.05, last solved at tail start 20.0" in captured.out
+    assert "a valid Farkas ray proves it at every tail start >= 20.0" in captured.out
     assert captured.err == ""
     assert not (tmp_path / "inf" / "certificate.json").exists()
 

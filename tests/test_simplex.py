@@ -191,7 +191,7 @@ def test_certify_bound_pivots_match_the_scan(checked_pivots, monkeypatch, regist
 def test_single_target_pivots_match_the_scan(checked_pivots, monkeypatch, registry):
     iterations = _counting_solves(monkeypatch)
     witness._attempt(
-        registry, 0.30, max_tail=40.0, minimize_quadratic=True,
+        registry, 0.30, minimize_quadratic=True,
         budget=witness.DEFAULT_BUDGET, margin=witness.DEFAULT_MARGIN, tail_start=40.0,
     )
     assert iterations and checked_pivots["pivots"] == sum(iterations) > 0

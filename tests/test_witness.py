@@ -453,6 +453,59 @@ def test_certify_bound_builtin_golden(certified, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _BUILTIN_CERTIFICATE_SHA256
 
 
+def test_certify_bound_raises_the_tail_start_only_for_the_tail_row(reg):
+    # at T = 5 the envelope tail row is too strong from 0.275 down: each such
+    # LP is infeasible with a ray on the tail row and is solved again at 10
+    out = certify_bound(reg, tail_start=5.0)
+    assert out.best_delta == 0.2580810546875
+    assert out.report.certified and out.report.tail_start == 10.0
+    assert len(out.attempts) == 27
+    by_target = {}
+    for d, T, verdict in out.attempts:
+        by_target.setdefault(d, []).append((T, verdict))
+    for log in by_target.values():
+        # every entry before a target's last is an LP refuted with the tail row
+        assert [T for T, _ in log] == [5.0 * 2**k for k in range(len(log))]
+        assert all(v == "lp-infeasible" for _, v in log[:-1])
+
+
+def test_grid_slack_stays_above_a_large_margin(reg):
+    # with the solve-grid slack fixed at 5e-3, a 0.01 margin failed every
+    # dense-grid minimum: 0.2943359375 in 49 attempts
+    out = certify_bound(reg, margin=0.01)
+    assert out.best_delta == 0.26478271484375004
+    assert len(out.attempts) == 14
+    assert out.report.certified and out.report.margin == 0.01
+    assert out.report.min_grid_value >= 0.01
+
+
+def test_a_failed_verification_is_final(reg, monkeypatch):
+    real_verify = witness_module.verify_witness
+    real_solve = witness_module.solve_feasibility
+    solves = []
+
+    def failing(*args):
+        return dataclasses.replace(real_verify(*args), verdict="failed: forced")
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(witness_module, "verify_witness", failing)
+    monkeypatch.setattr(witness_module, "solve_feasibility", counted)
+    for d in (0.95, 0.5, 0.275):  # each LP is feasible at T = 20
+        solves.clear()
+        res, report, log = witness_module._attempt(
+            reg, d, budget=DEFAULT_BUDGET, margin=DEFAULT_MARGIN, tail_start=20.0
+        )
+        assert res.status == "feasible" and not report.certified
+        assert solves == [d] and log == [(d, 20.0, "failed: forced")]
+    solves.clear()
+    with pytest.raises(FeasibilityError, match="no certificate even at delta_plus = 0.95"):
+        certify_bound(reg)
+    assert solves == [0.95]
+
+
 def count_profile_builds(monkeypatch):
     """The list that every later profile_terms call appends its graph to."""
     calls = []
