@@ -8,7 +8,14 @@ exact: per axis, a wrapped index offset w has min distance max(2w-2, 0) and
 max distance min(2w+2, 2NK)/2 in those units, so the edge test compares
 integer squared distances against (2N)^2 with no floating point at the d = 1
 ties.  Adjacency is translation invariant, so the graph is stored as the set
-of neighbor offsets rather than per-vertex lists.
+of neighbor offsets rather than per-vertex lists.  An edge needs w <= N + 1
+on both axes, so ``build`` tests only those offsets, in O(N^2) memory.
+
+``UDGraph.neighbors`` divides nothing: each graph builds its neighbor tables
+once.  An interior vertex, at least R = min(N + 1, S // 2) cells from every
+border, gets v plus one flat offset array; any other vertex adds a row entry
+and a column entry read from two wrap tables.  Both give the modulo
+formula's values in ``offsets`` order, as a new int64 array.
 
 Cells are closed, so touching ranges count: at N = 1 a cell has dmax >= 1 on
 its own; such self-pairs are deliberately not edges (the graph stays loopless)
@@ -28,7 +35,7 @@ loads in the block decomposition, on first use: importing needs numpy alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,9 +96,27 @@ class SmallGraph:
 
 @dataclass(frozen=True)
 class UDGraph:
+    """The cell graph on the S x S torus grid, S = N K, vertex v = j S + k.
+
+    ``offsets`` holds each neighbor offset (dj, dk) in [0, S)^2.  The neighbor
+    tables are built once from them: each axis offset is signed into [-R, R],
+    R the largest wrapped per-axis offset (min(N + 1, S // 2) for ``build``),
+    and ``flat`` = sj S + sk keeps ``offsets`` order.  A vertex with
+    R <= j, k < S - R is interior, no offset wraps there, and its neighbors
+    are v + flat.  Any other vertex reads two wrap tables over x in
+    [-R, S + R), (x mod S) S for rows and x mod S for columns, at
+    sj + R + j and sk + R + k.  Both branches give exactly the values of
+    ``((j + dj) % S) S + (k + dk) % S`` in ``offsets`` order, as a new int64
+    array the caller may modify.
+    """
+
     N: int
     K: int
     offsets: np.ndarray  # (deg, 2) cyclic cell offsets in [0, S), lexicographically sorted
+    _tables: tuple = field(init=False, repr=False, compare=False)  # _neighbor_tables(...)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_tables", _neighbor_tables(self.side, self.offsets))
 
     @property
     def side(self) -> int:
@@ -110,14 +135,33 @@ class UDGraph:
         return self.n_vertices * len(self.offsets) // 2
 
     def neighbors(self, v: int) -> np.ndarray:
-        S = self.side
+        S, lo, hi, flat, rj, rk, rows, cols = self._tables
         j, k = divmod(v, S)
-        return ((j + self.offsets[:, 0]) % S) * S + (k + self.offsets[:, 1]) % S
+        if lo <= j < hi and lo <= k < hi:
+            return flat + v
+        return rows.take(rj + j) + cols.take(rk + k)
 
 
-def _offset_edge_mask(N: int, S: int):
-    """Boolean (S, S) mask over cell offsets: True where the pair is an edge."""
-    d = np.arange(S, dtype=np.int64)
+def _neighbor_tables(S: int, offsets: np.ndarray) -> tuple:
+    """(S, R, S - R, flat, sj + R, sk + R, row wrap, column wrap) for UDGraph."""
+    R = int(np.minimum(offsets, S - offsets).max(initial=0))
+    signed = np.where(offsets <= R, offsets, offsets - S)
+    cols = np.arange(-R, S + R, dtype=np.int64) % S
+    return (
+        S, R, S - R,
+        signed[:, 0] * S + signed[:, 1],
+        signed[:, 0] + R,
+        signed[:, 1] + R,
+        cols * S,
+        cols,
+    )
+
+
+def _offset_edge_mask(N: int, S: int, d: np.ndarray):
+    """Boolean mask over the offset pairs d x d: True where the pair is an edge.
+
+    ``d`` is a sorted array of per-axis offsets in [0, S) starting at 0.
+    """
     w = np.minimum(d, S - d)
     mlo = np.maximum(2 * w - 2, 0)
     mhi = np.minimum(2 * w + 2, S)
@@ -132,16 +176,21 @@ def _offset_edge_mask(N: int, S: int):
 
 
 def build(N: int, K: int) -> UDGraph:
-    """The unit-distance cell graph on the K-torus at scale 1/N."""
+    """The unit-distance cell graph on the K-torus at scale 1/N.
+
+    An edge needs (2w - 2)^2 <= (2N)^2 on each axis, so only the per-axis
+    offsets with wrapped offset w <= N + 1 are tested: memory is O(N^2),
+    not O(S^2).
+    """
     if K < 3:
         raise DomainError("K must be >= 3 (unit circle must not self-overlap)")
     if N * K < 3:
         raise DomainError("N*K must be >= 3")
     S = N * K
-    cond = _offset_edge_mask(N, S)
-    dj, dk = np.nonzero(cond)
-    offsets = np.column_stack([dj, dk]).astype(np.int64)
-    return UDGraph(N, K, offsets)
+    d = np.arange(S, dtype=np.int64)
+    d = d[np.minimum(d, S - d) <= N + 1]
+    dj, dk = np.nonzero(_offset_edge_mask(N, S, d))
+    return UDGraph(N, K, np.column_stack([d[dj], d[dk]]))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import udsets
 from udsets.cli import main
 
 
@@ -69,6 +73,19 @@ def test_graph_stats(tmp_path):
     assert run("graph", "--n", 1, "--k", 3, "--out", out) == 0
     doc = json.loads((out / "graph.json").read_text())
     assert doc["vertices"] == 9 and doc["edges"] == 36 and doc["max_degree"] == 8
+
+
+def test_python_m_udsets_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(udsets.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "gr"
+    proc = subprocess.run(
+        [sys.executable, "-m", "udsets", "graph", "--n", "4", "--k", "4", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "graph.json").read_text())["vertices"] == 256
 
 
 def test_search_exact_small(tmp_path):

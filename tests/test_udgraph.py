@@ -17,6 +17,8 @@ from udsets.udgraph import (
     BlockReport,
     IndepSet,
     SmallGraph,
+    UDGraph,
+    _offset_edge_mask,
     block_decomposition,
     build,
     glauber_chain,
@@ -68,19 +70,81 @@ def brute_force_edges(N, K):
     return edges
 
 
-def graph_edges(G):
+def neighbors_oracle(G, v):
+    """Neighbor list of v by the modulo formula over ``G.offsets``.
+
+    A ``SmallGraph`` stores its adjacency lists explicitly, so they are their
+    own reference.
+    """
+    if not isinstance(G, UDGraph):
+        return G.neighbors(v)
     S = G.side
+    j, k = divmod(int(v), S)
+    return ((j + G.offsets[:, 0]) % S) * S + (k + G.offsets[:, 1]) % S
+
+
+def graph_edges(G):
     out = set()
     for v in range(G.n_vertices):
-        for u in G.neighbors(v):
+        for u in neighbors_oracle(G, v):
             out.add((min(v, int(u)), max(v, int(u))))
     return out
 
 
-@pytest.mark.parametrize("N,K", [(1, 3), (1, 5), (2, 3), (1, 8), (2, 4)])
+@pytest.mark.parametrize("N,K", [(1, 3), (1, 5), (2, 3), (1, 8), (2, 4), (3, 5)])
 def test_edges_match_bruteforce(N, K):
     G = build(N, K)
     assert graph_edges(G) == brute_force_edges(N, K)
+
+
+@pytest.mark.parametrize(
+    "N,K", [(1, 3), (2, 3), (3, 3), (4, 3), (7, 3), (2, 5), (3, 5), (8, 4), (40, 10), (100, 10)]
+)
+def test_offsets_match_full_plane_mask(N, K):
+    # N K <= 2N + 3 (K = 3, N <= 3): the tested window covers the whole torus
+    S = N * K
+    want = np.argwhere(_offset_edge_mask(N, S, np.arange(S, dtype=np.int64)))
+    got = build(N, K).offsets
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def assert_neighbors_match_oracle(G, vertices, chunk=256):
+    """``G.neighbors`` equals ``neighbors_oracle`` in values, order and dtype.
+
+    The modulo formula is tabulated as a row term per j and a column term per
+    k, so whole chunks of vertices are checked at once.
+    """
+    S = G.side
+    axis = np.arange(S, dtype=np.int64)[:, None]
+    row_term = ((axis + G.offsets[:, 0]) % S) * S
+    col_term = (axis + G.offsets[:, 1]) % S
+    for start in range(0, len(vertices), chunk):
+        vs = vertices[start : start + chunk]
+        got = [G.neighbors(int(v)) for v in vs]
+        assert all(a.dtype == np.int64 for a in got)
+        j, k = np.divmod(vs, S)
+        assert np.array_equal(np.stack(got), row_term[j] + col_term[k])
+
+
+@pytest.mark.parametrize("N,K", [(1, 3), (2, 3), (2, 5), (3, 3), (7, 3), (8, 4), (40, 10)])
+def test_neighbors_match_modulo_formula_everywhere(N, K):
+    # (2, 3) has R = S / 2, so no vertex is interior; (1, 3) and (3, 3) have one
+    G = build(N, K)
+    assert_neighbors_match_oracle(G, np.arange(G.n_vertices))
+
+
+def test_neighbors_match_modulo_formula_large_torus():
+    G = build(100, 10)
+    S, R = G.side, G.N + 1
+    j, k = np.divmod(np.arange(G.n_vertices), S)
+    interior = (R <= j) & (j < S - R) & (R <= k) & (k < S - R)
+    assert np.count_nonzero(interior) == (S - 2 * R) ** 2
+    rng = np.random.default_rng(7)
+    assert_neighbors_match_oracle(G, np.nonzero(~interior)[0])
+    assert_neighbors_match_oracle(G, rng.choice(np.nonzero(interior)[0], 5000, replace=False))
+    for v in (0, R * S + R, G.n_vertices - 1):
+        G.neighbors(v)[:] = -1  # each call returns a new array
+        assert np.array_equal(G.neighbors(v), neighbors_oracle(G, v))
 
 
 def test_g13_is_complete():
@@ -292,7 +356,7 @@ def greedy_oracle(G, seed):
         if not blocked[v]:
             members[v] = True
             blocked[v] = True
-            blocked[G.neighbors(int(v))] = True
+            blocked[neighbors_oracle(G, int(v))] = True
     return members
 
 
@@ -306,7 +370,7 @@ def glauber_oracle(G, steps, seed, record_every=None):
     for i in range(steps):
         v = int(verts[i])
         if coins[i] < 0.5:
-            if not occ[v] and not np.any(occ[G.neighbors(v)]):
+            if not occ[v] and not np.any(occ[neighbors_oracle(G, v)]):
                 occ[v] = True
         else:
             occ[v] = False
@@ -316,14 +380,17 @@ def glauber_oracle(G, steps, seed, record_every=None):
 
 
 def adjacency_bits(G):
-    return [sum(1 << int(u) for u in set(G.neighbors(v).tolist())) for v in range(G.n_vertices)]
+    return [
+        sum(1 << int(u) for u in set(neighbors_oracle(G, v).tolist()))
+        for v in range(G.n_vertices)
+    ]
 
 
 def max_is_popcount_oracle(G):
     """Branch and bound pruned by the candidate popcount alone."""
     n = G.n_vertices
     adj = adjacency_bits(G)
-    deg = np.array([len(G.neighbors(v)) for v in range(n)], dtype=np.int64)
+    deg = np.array([len(neighbors_oracle(G, v)) for v in range(n)], dtype=np.int64)
     rank_bit = [1 << int(v) for v in np.argsort(-deg, kind="stable")]
     best_mask, cand = 0, (1 << n) - 1
     for v in np.argsort(deg, kind="stable"):
