@@ -252,10 +252,21 @@ def j0_combination(radii, coeffs, t, const=0.0):
     the absolute error is at most ``j0_combination_error(coeffs)``.
     """
     t = np.asarray(t, dtype=float)
-    acc = np.full(t.shape, const, dtype=float)
-    for r, c in zip(radii, coeffs):
-        acc += c * j0_values(r * t)
+    acc = _j0_sum(const, coeffs, (j0_values(r * t) for r in radii), t.shape)
     return float(acc) if t.ndim == 0 else acc
+
+
+def _j0_sum(const, coeffs, columns, shape):
+    """const + sum_i coeffs[i] * columns[i] as a float64 array of ``shape``,
+    added in the given order: the combine step of ``j0_combination``, for
+    callers that already hold the J0 values of each term."""
+    acc = np.full(shape, const, dtype=float)
+    # no zip: its reused result tuple would keep each term's column alive
+    # while the next one is made, one array more at the peak
+    columns = iter(columns)
+    for c in coeffs:
+        acc += c * next(columns)
+    return acc
 
 
 def j0_combination_error(coeffs) -> float:

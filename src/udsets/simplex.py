@@ -76,25 +76,51 @@ def _bland_iterate(T, basis, tol):
     return "iteration_limit", _MAX_ITER
 
 
+def _tableau(A, b):
+    """The starting tableau and its basis, the slacks.
+
+    Columns: x (n), artificial x0 (1), slacks (m), rhs (1); rows: m +
+    objective.  The slack block is the identity, written on its diagonal.
+    """
+    m, n = A.shape
+    T = np.zeros((m + 1, n + 1 + m + 1), dtype=_LD)
+    T[:m, :n] = A
+    T[:m, n] = -1.0  # artificial column
+    basis = np.arange(n + 1, n + 1 + m)
+    T[np.arange(m), basis] = 1.0
+    T[:m, -1] = b
+    return T, basis
+
+
+def _price_out(T, basis, n):
+    """Zero the objective row's entries in the basic columns, row by row.
+
+    Only a column <= n can have a cost: the objective row is zero beyond
+    x and x0, and subtracting a basis row leaves it zero in every other
+    basic column, since ``_pivot`` keeps basic columns exact unit vectors.
+    """
+    for i in np.flatnonzero(basis <= n):
+        bj = basis[i]
+        if T[-1, bj] != 0:
+            T[-1, :] -= T[-1, bj] * T[i, :]
+
+
 def solve_lp(A_ub, b_ub, objective=None):
     """Solve  min objective.x  s.t.  A_ub x <= b_ub, x >= 0  (Bland, 80-bit).
 
-    With objective=None this is a pure feasibility solve.
+    With objective=None this is a pure feasibility solve.  A_ub may have no
+    rows or no columns: with no rows x = 0 is optimal unless some cost is
+    negative (unbounded), and with no columns the LP is feasible exactly
+    when b_ub >= 0 (a Farkas ray otherwise).
     """
     A = np.asarray(A_ub, dtype=_LD)
     b = np.asarray(b_ub, dtype=_LD)
     m, n = A.shape
     c = np.zeros(n, dtype=_LD) if objective is None else np.asarray(objective, dtype=_LD)
 
-    # columns: x (n), artificial x0 (1), slacks (m), rhs (1); rows: m + objective
-    T = np.zeros((m + 1, n + 1 + m + 1), dtype=_LD)
-    T[:m, :n] = A
-    T[:m, n] = -1.0  # artificial column
-    T[:m, n + 1 : n + 1 + m] = np.eye(m, dtype=_LD)
-    T[:m, -1] = b
-    basis = np.arange(n + 1, n + 1 + m)
+    T, basis = _tableau(A, b)
 
-    scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))) if m else 1.0)
+    scale = max(1.0, float(np.abs(A).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
     tol = _LD(_TOL) * _LD(scale)
 
     total_iters = 0
@@ -134,9 +160,7 @@ def solve_lp(A_ub, b_ub, objective=None):
     T[-1, :] = 0.0
     T[-1, :n] = c
     T[-1, n] = _LD(1e30)  # keep the artificial column out of the basis
-    for i, bj in enumerate(basis):
-        if T[-1, bj] != 0:
-            T[-1, :] -= T[-1, bj] * T[i, :]
+    _price_out(T, basis, n)
     status, it = _bland_iterate(T, basis, tol)
     total_iters += it
     if status != "optimal":

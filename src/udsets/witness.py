@@ -45,7 +45,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import J0_ABS_ERROR, j0_combination, j0_combination_envelope, j0_combination_error
+from .bessel import (
+    J0_ABS_ERROR,
+    _j0_sum,
+    j0_combination,
+    j0_combination_envelope,
+    j0_combination_error,
+    j0_values,
+)
 from .errors import DomainError, FeasibilityError, SchemaError
 from .gridio import dumps_json
 from .registry import (
@@ -492,6 +499,7 @@ class FeasibilityResult:
     farkas: np.ndarray | None = None
     farkas_valid: bool = False
     iterations: int = 0
+    labels: tuple = ()  # the block of each LP row, as in _LPRows.labels
 
 
 _SOLVE_STEP = 0.05
@@ -508,6 +516,53 @@ def default_solve_grid(tail_start: float = DEFAULT_TAIL_START):
     return np.arange(0.0, tail_start + _SOLVE_STEP / 2, _SOLVE_STEP)
 
 
+class _LPRows(NamedTuple):
+    """The rows A x <= b of the feasibility LP at one (registry, tail start,
+    budget, margin), each labelled by its block: "grid", "w0", "budget",
+    "quadratic" or "tail".  Only the quadratic row depends on delta_plus;
+    it is zero here, and each solve fills it in its own copy."""
+
+    registry: Registry
+    key: tuple  # (tail_start, budget, margin)
+    variables: list  # _var_terms(registry)
+    labels: tuple
+    A: np.ndarray
+    b: np.ndarray
+
+
+def _lp_rows(registry: Registry, tail_start: float, budget: float, margin: float) -> _LPRows:
+    """The labelled row table that ``solve_feasibility`` solves at each target."""
+    variables = _var_terms(registry)
+    t_grid = default_solve_grid(min(tail_start, _SOLVE_GRID_MAX))
+    ts = np.append(t_grid, 0.0)  # the solve grid, then t = 0 for W(0)
+    # J0 once per distinct radius; each column then equals
+    # j0_combination(v.radii, v.coeffs, ts, v.const) bit for bit
+    j0 = {}
+    for v in variables:
+        for r in v.radii:
+            if r not in j0:
+                j0[r] = j0_values(r * ts)
+    profiles = np.column_stack(
+        [_j0_sum(v.const, v.coeffs, [j0[r] for r in v.radii], ts.shape) for v in variables]
+    )
+    A = np.vstack([
+        -profiles,                              # W(t) >= grid slack, W(0) >= 1 + w0 slack
+        [v.budget for v in variables],          # coefficient budget
+        np.zeros(len(variables)),               # quadratic at delta_plus, filled per solve
+        [j0_combination_envelope(v.radii, v.coeffs, tail_start) - v.const
+         for v in variables],                   # tail: constant beats envelope
+    ])
+    # verify_witness needs W(0) >= 1 + J0_ABS_ERROR sum |c|: reserve twice
+    # that at the budget, or 1e-9 where that is less (80-bit longdouble)
+    w0_slack = max(1e-9, 2.0 * J0_ABS_ERROR * budget)
+    b = np.concatenate([
+        np.full(len(t_grid), -max(_GRID_SLACK, margin + _GRID_SLACK_OVER_MARGIN)),
+        [-(1.0 + w0_slack), budget - 1e-9, 0.0, -2.0 * margin],
+    ])
+    labels = ("grid",) * len(t_grid) + ("w0", "budget", "quadratic", "tail")
+    return _LPRows(registry, (tail_start, budget, margin), variables, labels, A, b)
+
+
 def solve_feasibility(
     registry: Registry,
     delta_plus: float,
@@ -516,62 +571,49 @@ def solve_feasibility(
     margin: float = DEFAULT_MARGIN,
     *,
     minimize_quadratic: bool = False,
+    rows: _LPRows | None = None,
 ) -> FeasibilityResult:
     """Find nonnegative witness coefficients for the density target delta_plus.
 
-    Rows, in order: W >= max(5e-3, margin + 2e-3) on
-    ``default_solve_grid(min(tail_start, 40))``,
-    W(0) >= 1 + max(1e-9, 2 J0_ABS_ERROR budget), the weighted coefficient
-    budget, the quadratic inequality at delta_plus, and the envelope tail row
-    at tail_start (the constant part beats the oscillatory envelope by
-    2 * margin), which is always the last row.  The grid slack exceeds the
-    verification margin, whatever the margin, so the rounded float64 solution
-    still verifies on the dense verification grid (step <= margin / L, e.g.
-    2**-8 for the builtin witness).
+    The LP's rows come in five labelled blocks: W >= max(5e-3, margin + 2e-3)
+    on ``default_solve_grid(min(tail_start, 40))`` ("grid"),
+    W(0) >= 1 + max(1e-9, 2 J0_ABS_ERROR budget) ("w0"), the weighted
+    coefficient budget ("budget"), the quadratic inequality at delta_plus
+    ("quadratic"), and the envelope tail row at tail_start, where the
+    constant part beats the oscillatory envelope by 2 * margin ("tail").
+    The result's ``labels`` name the block of each row, so a Farkas entry
+    is read by its label.  The grid slack exceeds the verification margin,
+    whatever the margin, so the rounded float64 solution still verifies on
+    the dense verification grid (step <= margin / L, e.g. 2**-8 for the
+    builtin witness).
 
     With minimize_quadratic the solver minimizes the quadratic row instead of
     stopping at the first feasible vertex, driving delta_star below the
-    target rather than landing on it.
+    target rather than landing on it.  ``rows`` passes in the row table
+    these arguments give when the caller already built it for another
+    target (``_lp_rows``); every row but the quadratic one is read from it.
     """
     if not 0.0 < delta_plus < 1.0:
         raise DomainError("delta_plus must lie in (0, 1)")
-    var_terms = _var_terms(registry)
-    nm, nt = len(registry.m_graphs), len(registry.t_graphs)
-
-    def profile_matrix(ts):
-        return np.column_stack(
-            [j0_combination(v.radii, v.coeffs, ts, v.const) for v in var_terms]
-        )
-
-    t_grid = default_solve_grid(min(tail_start, _SOLVE_GRID_MAX))
+    if rows is None:
+        rows = _lp_rows(registry, tail_start, budget, margin)
+    elif rows.registry is not registry or rows.key != (tail_start, budget, margin):
+        raise DomainError("rows were built for another registry, tail start, budget or margin")
     d = delta_plus
-    qrow = np.array([v.quad_a * (d * d) + v.quad_b * d + v.quad_c for v in var_terms])
-    trow = np.array(
-        [j0_combination_envelope(v.radii, v.coeffs, tail_start) - v.const for v in var_terms]
-    )
-    A = np.vstack([
-        -profile_matrix(t_grid),                # W(t) >= grid slack
-        -profile_matrix(np.array([0.0])),       # W(0) >= 1 + w0 slack
-        [v.budget for v in var_terms],          # coefficient budget
-        qrow,                                   # quadratic at delta_plus
-        trow,                                   # tail: constant beats envelope
-    ])
-    # verify_witness needs W(0) >= 1 + J0_ABS_ERROR sum |c|: reserve twice
-    # that at the budget, or 1e-9 where that is less (80-bit longdouble)
-    w0_slack = max(1e-9, 2.0 * J0_ABS_ERROR * budget)
-    b = np.concatenate([
-        np.full(len(t_grid), -max(_GRID_SLACK, margin + _GRID_SLACK_OVER_MARGIN)),
-        [-(1.0 + w0_slack), budget - 1e-9, d * d, -2.0 * margin],
-    ])
+    qrow = np.array([v.quad_a * (d * d) + v.quad_b * d + v.quad_c for v in rows.variables])
+    q = rows.labels.index("quadratic")
+    A, b = rows.A.copy(), rows.b.copy()
+    A[q], b[q] = qrow, d * d
     objective = qrow if minimize_quadratic else None
     res = solve_lp(A, b, objective=objective)
     if res.status == "infeasible":
         return FeasibilityResult(
-            "infeasible", None, res.farkas, res.farkas_valid, res.iterations
+            "infeasible", None, res.farkas, res.farkas_valid, res.iterations, rows.labels
         )
     if res.status != "optimal":
         raise FeasibilityError(f"LP solver returned {res.status}")
     x = res.x
+    nm, nt = len(registry.m_graphs), len(registry.t_graphs)
     coeffs = WitnessCoefficients(
         v0=x[0],
         v1=x[1],
@@ -581,7 +623,7 @@ def solve_feasibility(
         w_theta=tuple(x[3 + nm + nt :]),
         registry=registry,
     )
-    return FeasibilityResult("feasible", coeffs, iterations=res.iterations)
+    return FeasibilityResult("feasible", coeffs, iterations=res.iterations, labels=rows.labels)
 
 
 @dataclass(frozen=True)
@@ -599,19 +641,21 @@ LP_INFEASIBLE_WITHOUT_TAIL = "lp-infeasible: Farkas ray ignores the tail row; st
 def _tail_independent(res: FeasibilityResult) -> bool:
     """True when the Farkas ray proves infeasibility without the tail row.
 
-    The tail row is the last LP row.  Escalating T only appends solve-grid
-    rows (the grid at min(2T, 40) extends the one at min(T, 40)) and moves
-    the tail row, so a ray with zero tail weight, padded with zeros, also
-    refutes every larger T.
+    The ray's tail weight is its entry at the row labelled "tail".
+    Escalating T only adds "grid" rows (the grid at min(2T, 40) extends the
+    one at min(T, 40)) and moves the tail row, so a ray with zero tail
+    weight, padded with zeros on the new rows, also refutes every larger T.
     """
-    return res.farkas_valid and res.farkas[-1] == 0.0
+    return res.farkas_valid and res.farkas[res.labels.index("tail")] == 0.0
 
 
 _MAX_TAIL = 640.0  # an infeasible LP's tail start doubles up to this
 _BISECT_TOL = 2e-4  # certify_bound stops when its delta_plus bracket is this narrow
 
 
-def _attempt(registry, delta_plus, *, budget, margin, tail_start, minimize_quadratic=False):
+def _attempt(
+    registry, delta_plus, *, budget, margin, tail_start, minimize_quadratic=False, tables=None
+):
     """Solve + verify at one delta_plus.
 
     Returns (last LP result, its verification report or None when that LP
@@ -621,17 +665,25 @@ def _attempt(registry, delta_plus, *, budget, margin, tail_start, minimize_quadr
     to _MAX_TAIL = 640, only while its Farkas ray weights the tail row: a
     ray that ignores that row refutes every larger T (``_tail_independent``),
     and no larger T can mend a witness that failed verification.
+
+    ``tables`` maps each tail start to its LP row table (``_lp_rows``) and
+    gains the ones this attempt builds; ``certify_bound`` passes one dict
+    to all its attempts, so each table is built once per call.
     """
     if not tail_start > 0.0:
         raise DomainError("tail_start must be > 0")
+    tables = {} if tables is None else tables
     T = tail_start
     log = []
     while True:
         # solve-grid rows stay capped at t = 40 (LP size); the envelope tail
         # row at T pushes the constant part up, and the dense verification
         # grid covering [0, T] is sovereign either way
+        if T not in tables:
+            tables[T] = _lp_rows(registry, T, budget, margin)
         res = solve_feasibility(
-            registry, delta_plus, T, budget, margin, minimize_quadratic=minimize_quadratic
+            registry, delta_plus, T, budget, margin,
+            minimize_quadratic=minimize_quadratic, rows=tables[T],
         )
         if res.status == "feasible":
             step = verification_step(res.coefficients, margin)
@@ -660,13 +712,14 @@ def certify_bound(
     when the bracket is at most _BISECT_TOL = 2e-4 wide (14 points).  Each
     point is one ``_attempt``: a complete solve + independent verification,
     its tail start raised from ``tail_start`` only while the LP is
-    infeasible and its Farkas ray weights the tail row.
+    infeasible and its Farkas ray weights the tail row.  The LP rows of
+    each tail start are built once per call and shared by its attempts.
     """
     lo, hi = 0.05, 0.95
-    dp, best, attempts = hi, None, []
+    dp, best, attempts, tables = hi, None, [], {}
     while True:
         res, report, log = _attempt(
-            registry, dp, budget=budget, margin=margin, tail_start=tail_start
+            registry, dp, budget=budget, margin=margin, tail_start=tail_start, tables=tables
         )
         attempts.extend(log)
         if report is not None and report.certified:

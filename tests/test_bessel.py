@@ -1,6 +1,7 @@
 """Bessel evaluator versus the exact-rational series oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,21 @@ def test_j0_combination_scalar_and_empty():
     assert bessel.j0_combination(np.array([]), np.array([]), 2.0, 0.25) == 0.25
     t = np.array([0.0, 1.0, 5.0])
     assert np.array_equal(bessel.j0_combination([], [], t, 0.25), np.full(3, 0.25))
+
+
+def test_j0_combination_holds_one_term_at_a_time():
+    # the sum, one term's argument, its J0 values and their scaled copy,
+    # and the J0 block buffers: under four arrays of t's size at the peak;
+    # keeping the last term's values while the next are made reaches 4.5
+    t = np.linspace(0.0, 50.0, 400_000)
+    bessel.j0_combination(COMBO_RADII, COMBO_COEFFS, t)
+    tracemalloc.start()
+    try:
+        bessel.j0_combination(COMBO_RADII, COMBO_COEFFS, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * t.nbytes
 
 
 def test_j0_combination_error_and_envelope():

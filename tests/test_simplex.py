@@ -1,6 +1,7 @@
 """Unit checks for the 80-bit simplex on small LPs with known answers, its
-pivot rule against a sequential scan kept as an oracle, and its pivot update
-against the dense one it restricts."""
+pivot rule against a sequential scan kept as an oracle, its pivot update
+against the dense one it restricts, and its tableau set-up against the dense
+one it replaced."""
 
 import numpy as np
 import pytest
@@ -51,6 +52,25 @@ def test_unbounded():
     # min -x with only x - y <= 0: x can grow along x = y
     res = solve_lp([[1.0, -1.0]], [0.0], objective=[-1.0, 0.0])
     assert res.status == "unbounded"
+
+
+def test_no_rows_is_optimal_at_zero_or_unbounded():
+    res = solve_lp(np.zeros((0, 3)), np.zeros(0), objective=[1.0, 0.0, 2.0])
+    assert res.status == "optimal" and res.iterations == 0
+    assert res.x.tolist() == [0.0, 0.0, 0.0] and res.objective == 0.0
+    assert solve_lp(np.zeros((0, 3)), np.zeros(0)).status == "optimal"
+    res = solve_lp(np.zeros((0, 2)), np.zeros(0), objective=[1.0, -1.0])
+    assert res.status == "unbounded"
+
+
+def test_no_columns_infeasible_with_farkas():
+    # 0 <= 1 holds, 0 <= -1 does not: the ray weights the second row
+    res = solve_lp(np.zeros((2, 0)), [1.0, -1.0])
+    assert res.status == "infeasible" and res.farkas_valid
+    y = res.farkas
+    assert y.shape == (2,) and np.all(y >= 0.0) and y @ np.array([1.0, -1.0]) < 0
+    res = solve_lp(np.zeros((2, 0)), [1.0, 0.0])
+    assert res.status == "optimal" and res.x.shape == (0,)
 
 
 def test_determinism():
@@ -197,10 +217,9 @@ def test_single_target_pivots_match_the_scan(checked_pivots, monkeypatch, regist
     assert iterations and checked_pivots["pivots"] == sum(iterations) > 0
 
 
-def test_random_lp_pivots_match_the_scan(checked_pivots):
+def _random_lps():
+    """300 small LPs (A, b, objective): ties, degenerate rhs, all statuses."""
     rng = np.random.default_rng(20261018)
-    total = 0
-    statuses = set()
     for k in range(300):
         m, n = int(rng.integers(2, 30)), int(rng.integers(1, 8))
         if k % 2:  # small integers: exact ties in the ratio test
@@ -212,11 +231,88 @@ def test_random_lp_pivots_match_the_scan(checked_pivots):
         else:
             b = rng.uniform(-1.0, 2.0, size=m)
         objective = rng.normal(size=n) if k % 5 else None
+        yield A, b, objective
+
+
+def test_random_lp_pivots_match_the_scan(checked_pivots):
+    total = 0
+    statuses = set()
+    for A, b, objective in _random_lps():
         res = solve_lp(A, b, objective=objective)
         _assert_dense_solve_agrees(res, A, b, objective=objective)
         total += res.iterations
         statuses.add(res.status)
     assert checked_pivots["pivots"] == total > 300
+    assert {"optimal", "infeasible", "unbounded"} <= statuses
+
+
+# ---------------------------------------------------------------------------
+# the tableau set-up against the dense one it replaced
+# ---------------------------------------------------------------------------
+
+def _eye_tableau(A, b):
+    """The earlier set-up: the slack block written as a dense ``np.eye``."""
+    m, n = A.shape
+    T = np.zeros((m + 1, n + 1 + m + 1), dtype=np.longdouble)
+    T[:m, :n] = A
+    T[:m, n] = -1.0
+    T[:m, n + 1 : n + 1 + m] = np.eye(m, dtype=np.longdouble)
+    T[:m, -1] = b
+    return T, np.arange(n + 1, n + 1 + m)
+
+
+def _price_every_row(T, basis, n):
+    """The earlier phase-2 pricing: a pass over every basis row."""
+    for i, bj in enumerate(basis):
+        if T[-1, bj] != 0:
+            T[-1, :] -= T[-1, bj] * T[i, :]
+
+
+def _solve_seeing_tableaus(A, b, objective):
+    """solve_lp, and a copy of the tableau each phase starts from."""
+    seen, bland = [], simplex._bland_iterate
+
+    def copying(T, basis, tol):
+        seen.append(T.copy())
+        return bland(T, basis, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_bland_iterate", copying)
+        return solve_lp(A, b, objective=objective), seen
+
+
+def _assert_old_setup_agrees(A, b, objective):
+    """The dense set-up gives the same result and, at the start of each
+    phase, the same tableau bit for bit."""
+    res, tableaus = _solve_seeing_tableaus(A, b, objective)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_tableau", _eye_tableau)
+        mp.setattr(simplex, "_price_out", _price_every_row)
+        old, old_tableaus = _solve_seeing_tableaus(A, b, objective)
+    assert (res.status, res.iterations, res.farkas_valid) == (
+        old.status, old.iterations, old.farkas_valid
+    )
+    assert _same_bits(res.x, old.x) and _same_bits(res.farkas, old.farkas)
+    assert len(tableaus) == len(old_tableaus)
+    assert all(_same_bits(T, old_T) for T, old_T in zip(tableaus, old_tableaus))
+    return res
+
+
+def test_setup_matches_the_dense_setup_on_the_certify_lps(monkeypatch, registry):
+    lps = []
+
+    def recorded(A, b, objective=None):
+        lps.append((A, b, objective))
+        return solve_lp(A, b, objective=objective)
+
+    monkeypatch.setattr(witness, "solve_lp", recorded)
+    witness.certify_bound(registry)
+    assert len(lps) == 14
+    assert sum(_assert_old_setup_agrees(*lp).iterations for lp in lps) == 214
+
+
+def test_setup_matches_the_dense_setup_on_random_lps():
+    statuses = {_assert_old_setup_agrees(*lp).status for lp in _random_lps()}
     assert {"optimal", "infeasible", "unbounded"} <= statuses
 
 

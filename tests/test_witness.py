@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 from udsets import registry as registry_module
 from udsets import witness as witness_module
+from udsets.bessel import j0_combination
 from udsets.constructions import hex_disk_packing, optimize_croft, rasterize
 from udsets.errors import DomainError, FeasibilityError, SchemaError
 from udsets.registry import ConstraintGraph, CTPair, Registry, builtin_registry
@@ -386,10 +388,108 @@ def test_builtin_infeasibility_does_not_depend_on_the_tail(reg):
         results[T] = solve_feasibility(reg, 0.25, T, DEFAULT_BUDGET, DEFAULT_MARGIN)
     first = results[20.0]
     assert first.status == "infeasible"
-    assert first.farkas_valid and first.farkas[-1] == 0.0
+    tail = first.labels.index("tail")
+    assert first.farkas_valid and first.farkas[tail] == 0.0
+    # the labelled entry is the one farkas[-1] read: the tail row is still last
+    assert tail == len(first.labels) - 1 == len(first.farkas) - 1
     # ... so the escalated LPs are infeasible as well
     assert results[40.0].status == "infeasible"
     assert results[80.0].status == "infeasible"
+
+
+def _spindle_file_registry():
+    return registry_module.load_registry(
+        Path(registry_module.__file__).parent / "data" / "moser_spindle.json"
+    )
+
+
+def _ct_registry(reg):
+    # one CT pair: a unit triangle against two points, radii <= DEFAULT_RMAX
+    h = math.sqrt(3.0) / 2.0
+    g1 = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, h]])
+    g2 = np.array([[0.5, 0.5], [2.0, 0.0]])
+    return Registry(reg.graphs, (CTPair("ct", 0.0, g1, g2, 1.0),), "one-ct")
+
+
+@pytest.mark.parametrize("tail_start", [1.0, 20.0, 80.0])
+@pytest.mark.parametrize("which", ["builtin", "spindle file", "one CT pair"])
+def test_row_table_columns_equal_j0_combination(reg, which, tail_start):
+    registry = {"builtin": reg, "spindle file": _spindle_file_registry(),
+                "one CT pair": _ct_registry(reg)}[which]
+    rows = witness_module._lp_rows(registry, tail_start, DEFAULT_BUDGET, DEFAULT_MARGIN)
+    ts = np.append(default_solve_grid(min(tail_start, 40.0)), 0.0)
+    n_grid = len(ts) - 1
+    assert rows.labels == ("grid",) * n_grid + ("w0", "budget", "quadratic", "tail")
+    variables = witness_module._var_terms(registry)
+    assert rows.A.shape == (n_grid + 4, len(variables))
+    for j, v in enumerate(variables):
+        want = j0_combination(v.radii, v.coeffs, ts, v.const)
+        got = -rows.A[: n_grid + 1, j]
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    if which == "one CT pair":  # W subtracts the CT profile: A holds it as is
+        const, radii, coeffs = registry.ct_pairs[0]._profile
+        assert np.array_equal(rows.A[: n_grid + 1, -1], j0_combination(radii, coeffs, ts, const))
+
+
+def test_solve_feasibility_refuses_rows_of_other_arguments(reg):
+    rows = witness_module._lp_rows(reg, 20.0, DEFAULT_BUDGET, DEFAULT_MARGIN)
+    assert solve_feasibility(reg, 0.3, 20.0, rows=rows) == solve_feasibility(reg, 0.3, 20.0)
+    with pytest.raises(DomainError, match="rows were built"):
+        solve_feasibility(reg, 0.3, 40.0, rows=rows)
+    with pytest.raises(DomainError, match="rows were built"):
+        solve_feasibility(builtin_registry(), 0.3, 20.0, rows=rows)
+
+
+def _result_fields(out):
+    """A CertifyResult as plain comparable values, field by field."""
+    report = out.report
+    return {
+        "best_delta": repr(out.best_delta),
+        "coefficients": repr(out.coefficients.as_dict()),
+        "report": {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)},
+        "attempts": repr(out.attempts),
+    }
+
+
+def test_certify_bound_tables_live_for_one_call(reg):
+    # each registry certified in a fresh process ...
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_witness as tw\n"
+        "from udsets.registry import builtin_registry\n"
+        "reg = builtin_registry()\n"
+        "regs = [reg, tw._spindle_file_registry(), tw._ct_registry(reg)]\n"
+        "print(json.dumps([tw._result_fields(tw.certify_bound(r)) for r in regs]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(witness_module.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    fresh_builtin, fresh_spindle, fresh_ct = json.loads(out.stdout.splitlines()[-1])
+    # ... equals it certified after and before the others in one process
+    sequence = [(reg, fresh_builtin), (_spindle_file_registry(), fresh_spindle),
+                (_ct_registry(reg), fresh_ct), (reg, fresh_builtin)]
+    for registry, fresh in sequence:
+        assert _result_fields(certify_bound(registry)) == fresh
+
+
+def test_row_tables_evaluate_j0_once_per_radius_per_tail_start(reg, monkeypatch):
+    sizes = []
+    real = witness_module.j0_values
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(witness_module, "j0_values", counted)
+    out = certify_bound(reg, tail_start=5.0)
+    tails = sorted({T for _, T, _ in out.attempts})
+    assert tails[:2] == [5.0, 10.0]  # escalated: one table per tail start
+    radii = {float(r) for v in witness_module._var_terms(reg) for r in v.radii}
+    assert len(radii) == 3
+    want = [len(default_solve_grid(min(T, 40.0))) + 1 for T in tails for _ in radii]
+    assert sizes == want
 
 
 # certify_bound(builtin), pinned field by field: any change here changes the
