@@ -134,7 +134,8 @@ def _check_domain(x):
 def _horner_ld(coeffs, u):
     acc = np.full_like(u, coeffs[-1])
     for c in coeffs[-2::-1]:
-        acc = acc * u + c
+        acc *= u
+        acc += c
     return acc
 
 

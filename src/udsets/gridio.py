@@ -15,7 +15,9 @@ index major (flat index = j * N*K + k).  Encode maximal runs of equal bits as
 unsigned LEB128 run lengths, alternating values and starting with a 0-run (a
 leading zero-length run when the first bit is 1).  Concatenate the varints and
 base64-encode with the standard alphabet and '=' padding.  Decoding the
-payload must reproduce exactly (N*K)^2 bits.
+payload must reproduce exactly (N*K)^2 bits; a payload with characters
+outside the base64 alphabet, or a run of more than 9 varint bytes (63 bits),
+is refused.
 """
 
 from __future__ import annotations
@@ -34,60 +36,101 @@ __all__ = ["save_gridset", "load_gridset", "write_paircorr_csv", "dumps_json"]
 _FMT = "%.17g"
 
 
-def _leb128(n: int) -> bytes:
-    out = bytearray()
-    while True:
-        byte = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+# bits per chunk of the encoder's run search, varint bytes per chunk of the
+# decoder, and output bits per window of the decoder's fill
+_RLE_CHUNK = 2**18
+# a run of 9 LEB128 bytes holds 63 bits; a longer one is longer than any set
+_MAX_VARINT_BYTES = 9
+
+
+def _leb128(values: np.ndarray) -> bytes:
+    """The unsigned LEB128 varints of ``values`` (int64, >= 0), concatenated."""
+    nbytes = np.ones(values.size, dtype=np.int64)
+    for k in range(1, _MAX_VARINT_BYTES):
+        longer = values >> (7 * k) > 0
+        if not longer.any():
+            break
+        nbytes += longer
+    ends = np.cumsum(nbytes)
+    shifts = 7 * (np.arange(ends[-1]) - np.repeat(ends - nbytes, nbytes))
+    out = (np.repeat(values, nbytes) >> shifts & 0x7F).astype(np.uint8)
+    out |= 0x80
+    out[ends - 1] &= 0x7F  # the last byte of each varint has no continuation bit
+    return out.tobytes()
 
 
 def _rle_encode(bits: np.ndarray) -> bytes:
-    bits = np.asarray(bits, dtype=np.uint8)
-    out = bytearray()
+    """The payload bytes, before base64, of ``bits`` flattened in C order
+    (a view of the contiguous ``GridSet.cells``, not a copy)."""
+    bits = np.asarray(bits, dtype=bool).reshape(-1)
     if bits.size == 0:
-        return bytes(out)
-    boundaries = np.flatnonzero(np.diff(bits)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [bits.size]])
-    if bits[0] == 1:
-        out += _leb128(0)  # leading empty 0-run keeps the alternation fixed
-    for a, b in zip(starts, ends):
-        out += _leb128(int(b - a))
-    return bytes(out)
+        return b""
+    # a first bit of 1 opens with an empty 0-run, keeping the alternation fixed
+    parts = [b"\x00"] if bits[0] else []
+    start = 0  # where the open run starts
+    for i in range(1, bits.size, _RLE_CHUNK):
+        j = min(i + _RLE_CHUNK, bits.size)
+        new_runs = np.flatnonzero(bits[i:j] != bits[i - 1 : j - 1]) + i
+        if new_runs.size:
+            parts.append(_leb128(np.diff(new_runs, prepend=start)))
+            start = int(new_runs[-1])
+    parts.append(_leb128(np.array([bits.size - start])))
+    return b"".join(parts)
+
+
+def _varint_chunks(data: np.ndarray):
+    """The LEB128 values in ``data`` (uint8, its last byte ending a varint),
+    about _RLE_CHUNK bytes at a time, as nonempty uint64 arrays."""
+    carry = data[:0]  # the bytes of a varint the last chunk cut
+    for i in range(0, data.size, _RLE_CHUNK):
+        chunk = np.concatenate([carry, data[i : i + _RLE_CHUNK]])
+        ends = np.flatnonzero(chunk < 0x80) + 1
+        nbytes = np.diff(ends, prepend=0)
+        cut = int(ends[-1]) if ends.size else 0
+        chunk, carry = chunk[:cut], chunk[cut:]
+        if carry.size >= _MAX_VARINT_BYTES or np.any(nbytes > _MAX_VARINT_BYTES):
+            raise SchemaError(
+                f"RLE payload longer than (NK)^2 bits: a run takes more than "
+                f"{_MAX_VARINT_BYTES} varint bytes"
+            )
+        if not cut:
+            continue
+        starts = ends - nbytes
+        shifts = 7 * (np.arange(cut) - np.repeat(starts, nbytes))
+        groups = (chunk & 0x7F).astype(np.uint64) << shifts.astype(np.uint64)
+        yield np.add.reduceat(groups, starts)
 
 
 def _rle_decode(data: bytes, n_bits: int) -> np.ndarray:
-    runs = []
-    acc = 0
-    shift = 0
-    for byte in data:
-        acc |= (byte & 0x7F) << shift
-        if byte & 0x80:
-            shift += 7
-        else:
-            runs.append(acc)
-            acc = 0
-            shift = 0
-    if shift != 0:
+    """The n_bits flat bits of the payload bytes ``data`` (after base64)."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if raw.size and raw[-1] & 0x80:
         raise SchemaError("truncated varint in RLE payload")
-    # checked before allocating, so a file cannot ask for more bits than it holds
-    total = sum(runs)
+    # checked before allocating, so a file cannot ask for more bits than it
+    # holds; runs are below 2^63, and split in 31-bit halves no sum wraps
+    total = 0
+    for runs in _varint_chunks(raw):
+        total += (int(np.sum(runs >> 31)) << 31) + int(np.sum(runs & 0x7FFFFFFF))
     if total != n_bits:
         side = "longer" if total > n_bits else "shorter"
         raise SchemaError(f"RLE payload {side} than (NK)^2 bits")
-    bits = np.zeros(n_bits, dtype=bool)
-    pos = 0
-    val = False
-    for run in runs:
-        if val:
-            bits[pos : pos + run] = True
-        pos += run
-        val = not val
+    bits = np.empty(n_bits, dtype=bool)
+    pos = 0  # where the chunk's first run starts
+    parity = 0  # the value of the chunk's first run: runs alternate from a 0-run
+    for runs in _varint_chunks(raw):
+        runs = runs.astype(np.int64)
+        ends = pos + np.cumsum(runs)
+        values = (np.arange(runs.size) + parity) % 2 == 1
+        # one window of at most _RLE_CHUNK output bits at a time, each run
+        # clipped to the window
+        for w0 in range(pos, int(ends[-1]), _RLE_CHUNK):
+            w1 = min(w0 + _RLE_CHUNK, int(ends[-1]))
+            i0, i1 = np.searchsorted(ends, [w0, w1], side="right")
+            i1 = min(i1 + 1, runs.size)
+            lens = np.minimum(ends[i0:i1], w1) - np.maximum(ends[i0:i1] - runs[i0:i1], w0)
+            bits[w0:w1] = np.repeat(values[i0:i1], lens)
+        pos = int(ends[-1])
+        parity = (parity + runs.size) % 2
     return bits
 
 
@@ -97,7 +140,7 @@ def dumps_json(obj) -> str:
 
 
 def save_gridset(path, A: GridSet) -> None:
-    payload = base64.b64encode(_rle_encode(A.to_flat())).decode("ascii")
+    payload = base64.b64encode(_rle_encode(A.cells)).decode("ascii")
     doc = {
         "schema_version": 1,
         "kind": "gridset",
@@ -125,7 +168,7 @@ def load_gridset(path) -> GridSet:
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (N, K)):
         raise SchemaError(f"gridset N and K must be integers, got {N!r} and {K!r}")
     try:
-        data = base64.b64decode(doc["payload"])
+        data = base64.b64decode(doc["payload"], validate=True)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"gridset payload is not base64: {exc}") from exc
     bits = _rle_decode(data, (N * K) ** 2)

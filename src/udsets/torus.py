@@ -14,10 +14,11 @@ Two independent pipelines compute the pair correlation f(r):
   constant is exact).  The lattice disk a^2 + b^2 <= cutoff is walked row by
   row in blocks of SPECTRUM_BLOCK points.  The walk reads only the columns
   |q| <= isqrt(cutoff) of the half-plane transform, so only those are
-  transformed (FFT pruning, Markel 1971): memory is O(cutoff) for kappa, the
-  S x (min(isqrt(cutoff), S/2) + 1) complex transform and one bounded block;
-  cutoffs stop at MAX_CUTOFF_M = 2^26.  ``spectrum_auto`` grows the cutoff by
-  walking only the new annulus.
+  transformed, and only its rows a with min(a, S - a) <= isqrt(cutoff) keep
+  their power (FFT pruning, Markel 1971): memory is O(cutoff) for kappa, the
+  S x (min(isqrt(cutoff), S/2) + 1) complex row transform, the power of the
+  kept rows and one bounded block; cutoffs stop at MAX_CUTOFF_M = 2^26.
+  ``spectrum_auto`` grows the cutoff by walking only the new annulus.
 * direct geometry: the autocorrelation of a cell union is the bilinear
   interpolation of the integer pair-count array (an exact identity, since the
   1D cell autocorrelation is the unit triangle).  Its circle average is
@@ -68,8 +69,9 @@ AUTO_INITIAL_CUTOFF = 4096
 # lattice points per block of the disk walk; blocks hold whole row segments,
 # and a row has at most 2 isqrt(MAX_CUTOFF_M) + 1 = 16385 points
 SPECTRUM_BLOCK = 2**16
-# raster rows per block of the row transform in _power_spectrum
-SPECTRUM_FFT_ROWS = 512
+# raster rows per block of the row transform in _power_spectrum, and
+# transform columns per block of its column transform
+SPECTRUM_FFT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -154,19 +156,45 @@ class PairCorrEval:
 
 
 def _power_spectrum(A: GridSet, qmax: int) -> np.ndarray:
-    """|FFT(cells)|^2 on the columns 0 <= q <= min(qmax, S/2) of the half plane.
+    """|FFT(cells)|^2 at the frequencies (a, q) of the half plane with
+    min(a, S - a) <= qmax and q <= min(qmax, S/2).
 
-    The 1-D transforms of numpy's 2-D real FFT, so the kept columns equal its
-    own bit for bit: a real FFT along each row, run SPECTRUM_FFT_ROWS rows at
-    a time and cut to the kept columns, then a complex FFT down each of them.
+    The kept rows a come in ascending order: all S of them when 2 qmax + 1
+    >= S, else a <= qmax and then a >= S - qmax (``_p2_rows`` maps a row to
+    its place).  The 1-D transforms of numpy's 2-D real FFT, so the kept
+    entries equal its own bit for bit: a real FFT along each row, run
+    SPECTRUM_FFT_BLOCK rows at a time and cut to the kept columns, then a
+    complex FFT down SPECTRUM_FFT_BLOCK of those columns at a time, whose
+    kept rows are squared straight into the compact result.
     """
     S = A.side
     width = min(qmax, S // 2) + 1
+    lo = min(qmax, S - 1) + 1  # rows 0 <= a < lo, then the rows a >= hi
+    hi = max(S - qmax, lo)
+    step = SPECTRUM_FFT_BLOCK
     rows = np.empty((S, width), dtype=np.complex128)
-    for i in range(0, S, SPECTRUM_FFT_ROWS):
-        block = slice(i, i + SPECTRUM_FFT_ROWS)
+    for i in range(0, S, step):
+        block = slice(i, i + step)
         rows[block] = np.fft.rfft(A.cells[block].astype(np.float64), axis=1)[:, :width]
-    return np.abs(np.fft.fft(rows, axis=0)) ** 2
+    P2 = np.empty((lo + S - hi, width))
+    for j in range(0, width, step):
+        cols = slice(j, j + step)
+        transform = np.fft.fft(rows[:, cols], axis=0)
+        np.abs(transform[:lo], out=P2[:lo, cols])
+        np.abs(transform[hi:], out=P2[lo:, cols])
+        del transform  # before the next block's transform is made
+    return np.square(P2, out=P2)
+
+
+def _p2_rows(S: int, P2: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The rows of P2 that hold the rows a (0 <= a < S) of the half plane.
+
+    P2 keeps the rows min(a, S - a) <= (len(P2) - 1) // 2, in ascending
+    order (all of them when len(P2) = S), so the rows above that bound
+    move down by the S - len(P2) rows left out.
+    """
+    n = P2.shape[0]
+    return np.where(a > (n - 1) // 2, a - (S - n), a)
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -187,9 +215,10 @@ def _walk_disk(A: GridSet, P2: np.ndarray, kappa: np.ndarray, c_lo: int, c_hi: i
     SPECTRUM_BLOCK points, and ``np.add.at`` adds a block one point at a time,
     so every bucket receives its terms in row-major order whatever the blocks
     or the annuli.  A point's power is P2 at its half-plane image times the
-    squared sinc factors, read from 1-D tables over the coordinates.  P2 holds
-    the columns 0 <= q <= min(isqrt(c_hi), S/2) at least: an image's column
-    is at most both.
+    squared sinc factors, read from 1-D tables over the coordinates.  P2 is
+    a ``_power_spectrum`` for some qmax >= isqrt(c_hi): an image's column is
+    at most min(isqrt(c_hi), S/2), and its row a has min(a, S - a) <=
+    isqrt(c_hi), so it is kept; ``_p2_rows`` finds it from P2's own length.
     """
     S = A.side
     half = S // 2 + 1
@@ -204,7 +233,8 @@ def _walk_disk(A: GridSet, P2: np.ndarray, kappa: np.ndarray, c_lo: int, c_hi: i
     q = ax % S
     flip = (q >= half).astype(np.int64)
     col = np.where(flip, S - q, q)
-    row_pair = np.stack([ax % S * width, -ax % S * width], axis=1).reshape(-1)
+    row_pair = np.stack([_p2_rows(S, P2, ax % S), _p2_rows(S, P2, -ax % S)], axis=1)
+    row_pair = row_pair.reshape(-1) * width
     power_flat = P2.reshape(-1)
     # per row: |b| <= b_hi is inside c_hi, |b| <= b_lo (-1: none) inside c_lo
     b_hi = _isqrt(c_hi - sq)
@@ -271,11 +301,12 @@ def spectrum(A: GridSet, cutoff_m: int) -> Spectrum:
 
     The disk a^2 + b^2 <= cutoff_m is walked row by row in bounded blocks
     (``_walk_disk``), so memory is the kappa array, 8 (cutoff_m + 1) bytes,
-    one block of SPECTRUM_BLOCK points, and the S x (min(isqrt(cutoff_m), S/2)
-    + 1) complex transform plus one block of SPECTRUM_FFT_ROWS raster rows
-    (S = NK).  Cutoffs above MAX_CUTOFF_M raise WorkBudgetError before
-    anything is allocated, as do cutoffs with cutoff_m * (NK)^2 above
-    DEFAULT_WORK_BUDGET.
+    one block of SPECTRUM_BLOCK points, and the S x W complex row transform,
+    W = min(isqrt(cutoff_m), S/2) + 1 (S = NK), plus the power P2 of its
+    min(2 isqrt(cutoff_m) + 1, S) rows the walk reads and one block of
+    SPECTRUM_FFT_BLOCK rows or columns.  Cutoffs above MAX_CUTOFF_M raise
+    WorkBudgetError before anything is allocated, as do cutoffs with
+    cutoff_m * (NK)^2 above DEFAULT_WORK_BUDGET.
     """
     _check_cutoff(A, cutoff_m)
     # before kappa, so the FFT's peak does not hold it
@@ -290,9 +321,10 @@ def spectrum_auto(A: GridSet, r_min: float = 0.5, tail_target: float = 1e-4) -> 
 
     Starts at cutoff AUTO_INITIAL_CUTOFF = 4096; each x4 escalation walks only
     the new annulus of lattice points into the grown kappa array, reusing the
-    FFT, which keeps the columns of the largest cutoff the escalation can
-    reach.  A bucket m only receives points with a^2 + b^2 = m, all in one
-    annulus and in row-major order, so the result is bit for bit
+    power spectrum P2, which keeps the rows and columns of the largest cutoff
+    the escalation can reach; a smaller annulus reads a subset of them.  A
+    bucket m only receives points with a^2 + b^2 = m, all in one annulus and
+    in row-major order, so the result is bit for bit
     ``spectrum(A, result.cutoff_m)``.  Stops early at DEFAULT_WORK_BUDGET or
     at MAX_CUTOFF_M; the returned rigor bounds stay valid either way, just
     wider.
@@ -351,7 +383,9 @@ def pair_counts(A: GridSet) -> np.ndarray:
     S = A.side
     raw = np.fft.irfft2(_power_spectrum(A, S // 2), s=(S, S))
     counts = np.rint(raw)
-    if not np.all(np.abs(raw - counts) < 0.4):
+    raw -= counts  # checked in place: no S x S temporaries beyond these two
+    np.abs(raw, out=raw)
+    if not np.all(raw < 0.4):
         raise AssertionError("pair-count FFT roundtrip lost integrality")
     return counts
 

@@ -261,6 +261,9 @@ MALFORMED_FILES = {
     "gridset_huge": lambda cert: {"schema_version": 1, "kind": "gridset", "K": 10**5,
                                   "N": 10**5, "encoding": "rle0-leb128-base64",
                                   "payload": "BA=="},
+    # 'B*A==' loaded as 'BA==', an empty 2 x 2 set, before base64 was validated
+    "gridset_b64_bad": lambda cert: {"schema_version": 1, "kind": "gridset", "K": 2, "N": 1,
+                                     "encoding": "rle0-leb128-base64", "payload": "B*A=="},
     "v0_abc": lambda cert: _with_coefficient(cert, v0="abc"),
     "w_m_a": lambda cert: _with_coefficient(cert, w_m=["a"]),
     "grid_step_x": lambda cert: dict(cert, grid_step="x"),
@@ -277,6 +280,7 @@ MALFORMED_FILES = {
         ("paircorr", "gridset_K_x", 4),
         ("paircorr", "directory", 4),
         ("paircorr", "gridset_huge", 4),
+        ("paircorr", "gridset_b64_bad", 4),
         ("verify", "five", 2),
         ("gamma", "five", 4),
         ("verify", "v0_abc", 2),

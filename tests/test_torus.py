@@ -137,15 +137,16 @@ def test_spectrum_auto_bitwise_equals_spectrum_at_its_cutoff():
 
 def test_spectrum_auto_prunes_to_its_largest_reachable_cutoff(monkeypatch):
     # escalation 64 -> 256 -> 1024, where the budget stops it: the transform
-    # keeps the columns q <= isqrt(1024) = 32 of the S/2 = 50 there are
+    # keeps the columns q <= isqrt(1024) = 32 of the S/2 = 50 there are, and
+    # the walks of the smaller annuli read the same P2
     monkeypatch.setattr(torus, "AUTO_INITIAL_CUTOFF", 64)
     monkeypatch.setattr(torus, "DEFAULT_WORK_BUDGET", 1024 * 100**2)
-    widths = []
+    shapes = []
     power_spectrum = torus._power_spectrum
 
     def recorded(A, qmax):
         P2 = power_spectrum(A, qmax)
-        widths.append(P2.shape[1])
+        shapes.append(P2.shape)
         return P2
 
     monkeypatch.setattr(torus, "_power_spectrum", recorded)
@@ -153,37 +154,48 @@ def test_spectrum_auto_prunes_to_its_largest_reachable_cutoff(monkeypatch):
     auto = spectrum_auto(A, r_min=0.25, tail_target=1e-12)
     assert auto.cutoff_m == 1024
     direct = spectrum(A, auto.cutoff_m)
-    assert widths == [33, 33]
+    # rows min(a, 100 - a) <= 32: 65 of the 100
+    assert shapes == [(65, 33), (65, 33)]
     assert_same_spectrum(auto, direct.ms, direct.kappas, direct.tail_mass)
 
 
 @pytest.mark.parametrize(
-    "N, K, rows",
+    "N, K, block",
     [
-        (1, 1, 4),      # S = 1: one column whatever qmax is
+        (1, 1, 4),      # S = 1: one row and one column whatever qmax is
         (2, 1, 4),      # S = 2
-        (3, 5, 4),      # odd S = 15, row blocks 4, 4, 4, 3
-        (4, 5, 4),      # even S = 20, blocks that divide it
+        (3, 5, 4),      # odd S = 15, row blocks 4, 4, 4, 3; column blocks 4, 4
+        (4, 5, 4),      # even S = 20, row blocks that divide it
         (7, 2, 4),      # even S = 14, blocks that do not
-        (19, 27, None),  # S = 513 in the module's own blocks, 512 and 1
+        (19, 27, None),  # S = 513 in the module's own blocks: 8 x 64 and 1
     ],
 )
-def test_pruned_transform_bitwise_equals_the_full_one(monkeypatch, N, K, rows):
-    if rows is not None:
-        monkeypatch.setattr(torus, "SPECTRUM_FFT_ROWS", rows)
+def test_pruned_transform_bitwise_equals_the_full_one(monkeypatch, N, K, block):
+    if block is not None:
+        monkeypatch.setattr(torus, "SPECTRUM_FFT_BLOCK", block)
     A = random_gridset(N, K, p=0.4, seed=N * K)
     S = A.side
     full = np.abs(np.fft.rfft2(A.cells.astype(np.float64))) ** 2
-    for qmax in (0, 1, S // 2, S // 2 + 1, S, 10 * S):
+    qmaxes = {0, 1, 2, 5, S // 2 - 1, S // 2, S // 2 + 1, S - 1, S, 10 * S}
+    for qmax in sorted(q for q in qmaxes if q >= 0):
         P2 = torus._power_spectrum(A, qmax)
+        kept = [a for a in range(S) if min(a, S - a) <= qmax]
         width = min(qmax, S // 2) + 1
-        assert P2.shape == (S, width)
-        assert np.array_equal(P2.view(np.int64), full[:, :width].copy().view(np.int64))
+        assert P2.shape == (len(kept), width), qmax
+        assert len(kept) == min(2 * qmax + 1, S)
+        want = full[kept, :width]
+        assert np.array_equal(P2.view(np.int64), want.view(np.int64)), qmax
+        # the walk's row map sends every kept row of the half plane to its place
+        rows = torus._p2_rows(S, P2, np.array(kept, dtype=np.int64))
+        assert rows.tolist() == list(range(len(kept)))
 
 
 def test_spectrum_transforms_only_the_walked_columns():
     # with numpy 2.4.6 the whole 4864 x 2433 half-plane transform peaks at
     # 541.7 MiB on this raster; the 489 + 1 columns the walk reads, 91 MiB
+    # when their whole transform and its power were held; the row transform
+    # plus one block of 64 columns and the power of the 979 rows the walk
+    # reads, 45 MiB
     A = random_gridset(128, 38, seed=0)
     tracemalloc.start()
     try:
@@ -192,7 +204,22 @@ def test_spectrum_transforms_only_the_walked_columns():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 2**20
+    assert peak < 56 * 2**20
+
+
+def test_pair_counts_check_integrality_in_place():
+    # 1024^2 counts take 8 MiB; the check once held two more such arrays
+    # (32 MiB traced peak), now the peak is the inverse FFT's, 20 MiB
+    A = random_gridset(8, 128, seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        counts = pair_counts(A)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert counts[0, 0] == A.occupied
+    assert peak < 24 * 2**20
 
 
 def test_cutoff_above_the_kappa_cap_is_refused():
@@ -579,6 +606,7 @@ def test_gridset_file_golden_payloads(tmp_path, N, K, flat, payload):
         ("gA==", "truncated varint"),  # 80: continuation bit, no last byte
         ("BQ==", "longer than"),  # one 0-run of 5 bits on a 4-bit set
         ("Aw==", "shorter than"),  # one 0-run of 3 bits on a 4-bit set
+        ("B*A==", "not base64"),  # without the '*' a 0-run of 4: an empty set
     ],
 )
 def test_gridset_payload_errors(tmp_path, payload, message):
