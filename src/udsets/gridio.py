@@ -17,7 +17,8 @@ leading zero-length run when the first bit is 1).  Concatenate the varints and
 base64-encode with the standard alphabet and '=' padding.  Decoding the
 payload must reproduce exactly (N*K)^2 bits; a payload with characters
 outside the base64 alphabet, or a run of more than 9 varint bytes (63 bits),
-is refused.
+is refused.  So is a file whose (N*K)^2 exceeds MAX_GRIDSET_CELLS, before
+anything is decoded or allocated.
 """
 
 from __future__ import annotations
@@ -31,9 +32,16 @@ import numpy as np
 from .errors import SchemaError
 from .torus import GridSet
 
-__all__ = ["save_gridset", "load_gridset", "write_paircorr_csv", "dumps_json"]
+__all__ = [
+    "save_gridset", "load_gridset", "write_paircorr_csv", "dumps_json", "MAX_GRIDSET_CELLS",
+]
 
 _FMT = "%.17g"
+
+# load_gridset refuses more cells: a 32768^2 raster, whose decoded bits alone
+# take 1 GiB (one byte each); without it a few payload bytes could ask for
+# any number of bits
+MAX_GRIDSET_CELLS = 2**30
 
 
 # bits per chunk of the encoder's run search, varint bytes per chunk of the
@@ -167,6 +175,11 @@ def load_gridset(path) -> GridSet:
     N, K = doc["N"], doc["K"]
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (N, K)):
         raise SchemaError(f"gridset N and K must be integers, got {N!r} and {K!r}")
+    if (N * K) ** 2 > MAX_GRIDSET_CELLS:
+        raise SchemaError(
+            f"gridset of (N*K)^2 = {(N * K) ** 2} cells exceeds MAX_GRIDSET_CELLS = "
+            f"{MAX_GRIDSET_CELLS}"
+        )
     try:
         data = base64.b64decode(doc["payload"], validate=True)
     except (TypeError, ValueError) as exc:

@@ -388,19 +388,64 @@ _CHUNK = 1 << 20
 _MAX_GRID_POINTS = 1 << 30  # verify_witness refuses more points (1e-5 to 640 is 6.4e7)
 
 
-def _grid_min(c: WitnessCoefficients, grid_step: float, tail_start: float):
+class _J0Columns:
+    """J0(r t) over one grid at a time, one column per radius.
+
+    A grid is named by a hashable key that fixes its points t exactly.
+    Asking for another grid drops every column held, and a column is kept
+    only while the held columns total at most _CHUNK values, so the memo
+    never holds more than one verification chunk's worth of J0 values.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self._key = None
+        self._columns = {}
+        self._held = 0  # values in self._columns
+
+    def columns(self, key, ts, radii):
+        """j0_values(r * ts) for each r in ``radii``, in order, lazily: a
+        column not kept is made only when the consumer reaches it."""
+        if key != self._key:
+            self.clear()
+            self._key = key
+        for r in radii:
+            col = self._columns.get(r)
+            if col is None:
+                col = j0_values(r * ts)
+                if self._held + col.size <= _CHUNK:
+                    self._columns[r] = col
+                    self._held += col.size
+            yield col
+
+
+def _grid_min(c: WitnessCoefficients, grid_step: float, tail_start: float, table=None):
     """(min, argmin) of W over i * grid_step, i <= floor(tail_start / grid_step),
     plus tail_start itself when that grid misses it: no gap before the tail
-    exceeds one grid step."""
+    exceeds one grid step.
+
+    A grid of one chunk reads its J0 columns from ``table`` (a ``_J0Columns``)
+    when given; a longer grid is evaluated chunk by chunk and never held.
+    """
     n_pts = int(math.floor(tail_start / grid_step)) + 1
     const, radii, coeffs = witness_terms(c)
+    if table is not None and n_pts > _CHUNK:
+        table.clear()  # nor is an earlier grid held beside it
+        table = None
     best = math.inf
     best_t = 0.0
     for start in range(0, n_pts, _CHUNK):
         ts = np.arange(start, min(start + _CHUNK, n_pts), dtype=np.int64) * grid_step
         if start + _CHUNK >= n_pts and ts[-1] < tail_start:
             ts = np.append(ts, tail_start)
-        acc = j0_combination(radii, coeffs, ts, const)
+        if table is None:
+            columns = (j0_values(r * ts) for r in radii)
+        else:
+            columns = table.columns((grid_step, tail_start), ts, radii)
+        # term by term as j0_combination adds them: the same float64 values
+        acc = _j0_sum(const, coeffs, columns, ts.shape)
         i = int(np.argmin(acc))
         if acc[i] < best:
             best = float(acc[i])
@@ -413,6 +458,7 @@ def verify_witness(
     grid_step: float,
     margin: float = DEFAULT_MARGIN,
     tail_start: float = DEFAULT_TAIL_START,
+    table: _J0Columns | None = None,
 ) -> CertificateReport:
     """Grid + Lipschitz + tail-envelope verification of W >= 0 and W(0) >= 1.
 
@@ -420,7 +466,9 @@ def verify_witness(
     gives the coarsest such power of two.  A grid of over 2**30 points is
     refused.  Mathematical failures come back as a failed verdict, never
     exceptions.  The reported ``gamma`` is extracted at epsilon = 1e-3
-    against the Croft target density.
+    against the Croft target density.  ``table`` lends the grid's J0
+    columns from earlier verifications on the same grid (``_J0Columns``);
+    the report is the same with or without it.
     """
     if not (0.0 < grid_step < math.inf and 0.0 < tail_start < math.inf):
         raise DomainError(f"grid_step {grid_step!r}, tail_start {tail_start!r}: need finite > 0")
@@ -434,8 +482,9 @@ def verify_witness(
     tail_const, radii, coeffs = witness_terms(c)
     # the constant part is exact; each J0 term carries its certified bound
     eval_err = j0_combination_error(coeffs)
-    w0 = witness_eval(c, 0.0)
-    min_grid, argmin_t = _grid_min(c, grid_step, tail_start)
+    # J0(0) = 1 exactly: the bits of witness_eval(c, 0.0), with no J0 call
+    w0 = float(_j0_sum(tail_const, coeffs, [1.0] * len(coeffs), ()))
+    min_grid, argmin_t = _grid_min(c, grid_step, tail_start, table)
     # W(t) >= const - sum |coef| env(r t) for t >= tail_start, and the
     # envelope is nonincreasing, so its value at tail_start floors the tail
     tail_osc = j0_combination_envelope(radii, coeffs, tail_start)
@@ -533,18 +582,18 @@ class _LPRows(NamedTuple):
 def _lp_rows(registry: Registry, tail_start: float, budget: float, margin: float) -> _LPRows:
     """The labelled row table that ``solve_feasibility`` solves at each target."""
     variables = _var_terms(registry)
-    t_grid = default_solve_grid(min(tail_start, _SOLVE_GRID_MAX))
+    grid_end = min(tail_start, _SOLVE_GRID_MAX)
+    t_grid = default_solve_grid(grid_end)
     ts = np.append(t_grid, 0.0)  # the solve grid, then t = 0 for W(0)
     # J0 once per distinct radius; each column then equals
-    # j0_combination(v.radii, v.coeffs, ts, v.const) bit for bit
-    j0 = {}
-    for v in variables:
-        for r in v.radii:
-            if r not in j0:
-                j0[r] = j0_values(r * ts)
-    profiles = np.column_stack(
-        [_j0_sum(v.const, v.coeffs, [j0[r] for r in v.radii], ts.shape) for v in variables]
-    )
+    # j0_combination(v.radii, v.coeffs, ts, v.const) bit for bit.  Its own
+    # memo: built in the certify_bound one, it would drop the columns of the
+    # verification grid that the next attempt reads again
+    j0 = _J0Columns()
+    profiles = np.column_stack([
+        _j0_sum(v.const, v.coeffs, j0.columns((_SOLVE_STEP, grid_end), ts, v.radii), ts.shape)
+        for v in variables
+    ])
     A = np.vstack([
         -profiles,                              # W(t) >= grid slack, W(0) >= 1 + w0 slack
         [v.budget for v in variables],          # coefficient budget
@@ -653,6 +702,16 @@ _MAX_TAIL = 640.0  # an infeasible LP's tail start doubles up to this
 _BISECT_TOL = 2e-4  # certify_bound stops when its delta_plus bracket is this narrow
 
 
+@dataclass
+class _Tables:
+    """What one ``certify_bound`` call computes once for all its attempts:
+    the LP row table of each tail start, and the J0 columns of the
+    verification grid evaluated last."""
+
+    rows: dict = field(default_factory=dict)  # tail start -> _LPRows
+    j0: _J0Columns = field(default_factory=_J0Columns)
+
+
 def _attempt(
     registry, delta_plus, *, budget, margin, tail_start, minimize_quadratic=False, tables=None
 ):
@@ -666,28 +725,30 @@ def _attempt(
     ray that ignores that row refutes every larger T (``_tail_independent``),
     and no larger T can mend a witness that failed verification.
 
-    ``tables`` maps each tail start to its LP row table (``_lp_rows``) and
-    gains the ones this attempt builds; ``certify_bound`` passes one dict
-    to all its attempts, so each table is built once per call.
+    ``tables`` (a ``_Tables``) holds the LP row table of each tail start
+    (``_lp_rows``) and gains the ones this attempt builds; ``certify_bound``
+    passes one to all its attempts, so each table is built once per call.
+    Its J0 columns (``_J0Columns``) go to ``verify_witness``, so attempts
+    verified on one grid evaluate J0 there once per radius.
     """
     if not tail_start > 0.0:
         raise DomainError("tail_start must be > 0")
-    tables = {} if tables is None else tables
+    tables = _Tables() if tables is None else tables
     T = tail_start
     log = []
     while True:
         # solve-grid rows stay capped at t = 40 (LP size); the envelope tail
         # row at T pushes the constant part up, and the dense verification
         # grid covering [0, T] is sovereign either way
-        if T not in tables:
-            tables[T] = _lp_rows(registry, T, budget, margin)
+        if T not in tables.rows:
+            tables.rows[T] = _lp_rows(registry, T, budget, margin)
         res = solve_feasibility(
             registry, delta_plus, T, budget, margin,
-            minimize_quadratic=minimize_quadratic, rows=tables[T],
+            minimize_quadratic=minimize_quadratic, rows=tables.rows[T],
         )
         if res.status == "feasible":
             step = verification_step(res.coefficients, margin)
-            report = verify_witness(res.coefficients, step, margin, T)
+            report = verify_witness(res.coefficients, step, margin, T, tables.j0)
             log.append((delta_plus, T, report.verdict))
             return res, report, log
         if _tail_independent(res):
@@ -713,10 +774,11 @@ def certify_bound(
     point is one ``_attempt``: a complete solve + independent verification,
     its tail start raised from ``tail_start`` only while the LP is
     infeasible and its Farkas ray weights the tail row.  The LP rows of
-    each tail start are built once per call and shared by its attempts.
+    each tail start are built once per call and shared by its attempts,
+    and so are the J0 columns of the grid verified last.
     """
     lo, hi = 0.05, 0.95
-    dp, best, attempts, tables = hi, None, [], {}
+    dp, best, attempts, tables = hi, None, [], _Tables()
     while True:
         res, report, log = _attempt(
             registry, dp, budget=budget, margin=margin, tail_start=tail_start, tables=tables

@@ -261,6 +261,10 @@ MALFORMED_FILES = {
     "gridset_huge": lambda cert: {"schema_version": 1, "kind": "gridset", "K": 10**5,
                                   "N": 10**5, "encoding": "rle0-leb128-base64",
                                   "payload": "BA=="},
+    # two runs of 5e15 bits: the (10^4 * 10^4)^2 = 1e16 cells it declares
+    "gridset_oversized": lambda cert: {"schema_version": 1, "kind": "gridset", "K": 10**4,
+                                       "N": 10**4, "encoding": "rle0-leb128-base64",
+                                       "payload": "gICCv5Pv8AiAgIK/k+/wCA=="},
     # 'B*A==' loaded as 'BA==', an empty 2 x 2 set, before base64 was validated
     "gridset_b64_bad": lambda cert: {"schema_version": 1, "kind": "gridset", "K": 2, "N": 1,
                                      "encoding": "rle0-leb128-base64", "payload": "B*A=="},
@@ -280,6 +284,7 @@ MALFORMED_FILES = {
         ("paircorr", "gridset_K_x", 4),
         ("paircorr", "directory", 4),
         ("paircorr", "gridset_huge", 4),
+        ("paircorr", "gridset_oversized", 4),
         ("paircorr", "gridset_b64_bad", 4),
         ("verify", "five", 2),
         ("gamma", "five", 4),

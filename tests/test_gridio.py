@@ -187,3 +187,31 @@ def test_save_gridset_reads_the_cells_without_a_copy(monkeypatch, tmp_path):
     monkeypatch.setattr(GridSet, "to_flat", no_copy)
     save_gridset(tmp_path / "set.json", A)
     assert np.array_equal(load_gridset(tmp_path / "set.json").cells, A.cells)
+
+
+def _gridset_file(path, N, K, runs):
+    payload = base64.b64encode(b"".join(scalar_leb128(r) for r in runs)).decode("ascii")
+    path.write_text(json.dumps({"schema_version": 1, "kind": "gridset", "K": K, "N": N,
+                                "encoding": "rle0-leb128-base64", "payload": payload}))
+    return path
+
+
+def test_load_gridset_refuses_more_cells_than_the_ceiling(monkeypatch, tmp_path):
+    def no_decode(*args):
+        raise AssertionError("payload decoded")
+
+    monkeypatch.setattr(gridio, "_rle_decode", no_decode)
+    # 16 payload bytes whose two runs add up to the 1e16 cells declared
+    huge = _gridset_file(tmp_path / "huge.json", 10**4, 10**4, [5 * 10**15] * 2)
+    with pytest.raises(SchemaError, match="exceeds MAX_GRIDSET_CELLS"):
+        load_gridset(huge)
+    side = 2**15  # (N K)^2 = MAX_GRIDSET_CELLS exactly: admitted
+    assert side**2 == gridio.MAX_GRIDSET_CELLS
+    for N, K, admitted in ((side, 1, True), (1, side + 1, False), (2**8, 2**7, True)):
+        path = _gridset_file(tmp_path / "set.json", N, K, [(N * K) ** 2])
+        if admitted:
+            with pytest.raises(AssertionError, match="payload decoded"):
+                load_gridset(path)
+        else:
+            with pytest.raises(SchemaError, match="exceeds MAX_GRIDSET_CELLS"):
+                load_gridset(path)

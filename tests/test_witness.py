@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from udsets import bessel as bessel_module
 from udsets import registry as registry_module
 from udsets import witness as witness_module
 from udsets.bessel import j0_combination
@@ -440,13 +441,17 @@ def test_solve_feasibility_refuses_rows_of_other_arguments(reg):
         solve_feasibility(builtin_registry(), 0.3, 20.0, rows=rows)
 
 
+def _report_fields(report):
+    """A CertificateReport as plain comparable values, field by field."""
+    return {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)}
+
+
 def _result_fields(out):
     """A CertifyResult as plain comparable values, field by field."""
-    report = out.report
     return {
         "best_delta": repr(out.best_delta),
         "coefficients": repr(out.coefficients.as_dict()),
-        "report": {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)},
+        "report": _report_fields(out.report),
         "attempts": repr(out.attempts),
     }
 
@@ -475,21 +480,111 @@ def test_certify_bound_tables_live_for_one_call(reg):
 
 
 def test_row_tables_evaluate_j0_once_per_radius_per_tail_start(reg, monkeypatch):
-    sizes = []
+    # every J0 evaluation, through the witness module or bessel's own name
+    # (as witness_eval reaches it), and every verification grid, in order
+    events = []
     real = witness_module.j0_values
+    real_verify = witness_module.verify_witness
 
     def counted(x):
-        sizes.append(np.size(x))
+        events.append(np.size(x))
         return real(x)
 
+    def recorded(*args):
+        c, step, _, T = args[:4]
+        events.append((step, T, tuple(witness_module.witness_terms(c)[1])))
+        return real_verify(*args)
+
     monkeypatch.setattr(witness_module, "j0_values", counted)
-    out = certify_bound(reg, tail_start=5.0)
-    tails = sorted({T for _, T, _ in out.attempts})
-    assert tails[:2] == [5.0, 10.0]  # escalated: one table per tail start
+    monkeypatch.setattr(bessel_module, "j0_values", counted)
+    monkeypatch.setattr(witness_module, "verify_witness", recorded)
     radii = {float(r) for v in witness_module._var_terms(reg) for r in v.radii}
     assert len(radii) == 3
-    want = [len(default_solve_grid(min(T, 40.0))) + 1 for T in tails for _ in radii]
-    assert sizes == want
+    for tail_start, tails in ((5.0, [5.0, 10.0, 20.0]), (20.0, [20.0])):
+        events.clear()
+        out = certify_bound(reg, tail_start=tail_start)
+        assert sorted({T for _, T, _ in out.attempts}) == tails  # one row table each
+        # LP rows: one evaluation per radius when a tail start is first
+        # solved; verification: one per (radius, grid), none for W(0)
+        want, grids = [], iter([e for e in events if isinstance(e, tuple)])
+        built, evaluated, terms_read = set(), set(), 0
+        for _, T, outcome in out.attempts:
+            if T not in built:
+                built.add(T)
+                want += [len(default_solve_grid(min(T, 40.0))) + 1] * len(radii)
+            if outcome.startswith("lp-infeasible"):
+                continue
+            step, T_verified, terms = next(grids)
+            assert T_verified == T
+            want.append((step, T, terms))
+            n_pts = math.floor(T / step) + 1 + (T % step != 0)  # T itself if off the grid
+            want += [n_pts for r in terms if (r, step, T) not in evaluated]
+            evaluated.update((r, step, T) for r in terms)
+            terms_read += len(terms)
+        assert events == want
+        assert len(evaluated) < terms_read  # verifications shared columns
+
+
+def _verifications(monkeypatch):
+    """The (arguments, report) of every later verify_witness call."""
+    calls = []
+    real = witness_module.verify_witness
+
+    def recorded(*args):
+        report = real(*args)
+        calls.append((args, report))
+        return report
+
+    monkeypatch.setattr(witness_module, "verify_witness", recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "which, margin",
+    [("builtin", 0.01), ("spindle file", DEFAULT_MARGIN), ("one CT pair", DEFAULT_MARGIN)],
+)
+def test_verification_reports_equal_with_and_without_the_table(reg, monkeypatch, which, margin):
+    registry = {"builtin": reg, "spindle file": _spindle_file_registry(),
+                "one CT pair": _ct_registry(reg)}[which]
+    calls = _verifications(monkeypatch)
+    out = certify_bound(registry, margin=margin)
+    verdicts = [v for *_, v in out.attempts if not v.startswith("lp-infeasible")]
+    assert [r.verdict for _, r in calls] == verdicts and "certified" in verdicts
+    for args, report in calls:
+        assert isinstance(args[4], witness_module._J0Columns)
+        assert _report_fields(verify_witness(*args[:4])) == _report_fields(report)
+
+
+def test_verification_table_holds_at_most_one_chunk(certified, monkeypatch):
+    c = certified.coefficients
+    step = verification_step(c)  # 2**-8
+    alone = {T: verify_witness(c, step, DEFAULT_MARGIN, T) for T in (5.0, 10.0, 20.0)}
+    monkeypatch.setattr(witness_module, "_CHUNK", 4096)
+    table = witness_module._J0Columns()
+    held = {}
+    for T in (5.0, 10.0, 20.0):  # 1281, 2561 and 5121 points on 2 radii
+        report = verify_witness(c, step, DEFAULT_MARGIN, T, table)
+        assert _report_fields(report) == _report_fields(alone[T])
+        held[T] = [col.size for col in table._columns.values()]
+        assert table._held == sum(held[T]) <= 4096
+    assert held == {5.0: [1281] * 2, 10.0: [2561], 20.0: []}
+
+
+def _dup_ct_registry(reg):
+    # two coincident G1 points: the CT profile has constant 1, so the
+    # witness below has constant 0.25 - 0.75
+    g1 = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    return Registry(reg.graphs, (CTPair("dup", 0.0, g1, np.array([[2.0, 0.0]]), 1.0),), "dup")
+
+
+def test_w_at_zero_equals_witness_eval_bit_for_bit(reg, certified):
+    ct = coeffs(_dup_ct_registry(reg), v0=0.25, v1=0.5, w_theta=(0.75,))
+    flat = coeffs(reg, v0=1.5)
+    assert witness_module.witness_terms(ct)[0] < 0.0
+    assert len(witness_module.witness_terms(flat)[1]) == 0
+    for c in (certified.coefficients, ct, flat):
+        w0 = verify_witness(c, verification_step(c), DEFAULT_MARGIN, 5.0).w_at_zero
+        assert w0.hex() == witness_eval(c, 0.0).hex()
 
 
 # certify_bound(builtin), pinned field by field: any change here changes the
@@ -546,8 +641,7 @@ def test_certify_bound_stops_futile_escalation(certified):
 
 def test_certify_bound_builtin_golden(certified, tmp_path):
     report = certified.report
-    got = {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)}
-    assert got == _BUILTIN_REPORT
+    assert _report_fields(report) == _BUILTIN_REPORT
     path = tmp_path / "certificate.json"
     write_certificate(path, certified.coefficients, report)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _BUILTIN_CERTIFICATE_SHA256
