@@ -40,6 +40,7 @@ EXIT_INPUT = 4
 EXIT_TIMEOUT = 5
 
 S_PROBES = (0.5, 1.0, 1.96, 2.0)
+MAX_RADII = 10**6  # paircorr refuses a longer r grid (one pair_correlation each)
 
 
 def _outdir(args) -> Path:
@@ -70,7 +71,8 @@ def _manifest(out: Path, command: str, args, seeds, outputs):
 
 
 def positive_float(text: str) -> float:
-    """The type of --r-step, --budget, --margin, --tail-start: finite > 0."""
+    """The type of --r-step, --time-budget, --budget, --margin, --tail-start
+    and --epsilon: finite > 0."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(text)
@@ -133,6 +135,11 @@ def cmd_construct(args) -> int:
 def cmd_paircorr(args) -> int:
     if not (math.isfinite(args.r_max) and 0.0 <= args.r_min <= args.r_max):
         raise DomainError(f"need finite 0 <= --r-min <= --r-max: {args.r_min}, {args.r_max}")
+    # np.arange below makes ceil(span) radii: count them before allocating
+    span = (args.r_max + args.r_step / 2 - args.r_min) / args.r_step
+    if not span <= MAX_RADII:
+        raise DomainError(f"--r-min to --r-max at --r-step {args.r_step} makes {span:.6g} "
+                          f"radii, over the cap of {MAX_RADII}")
     A = gridio.load_gridset(args.set)
     spec = torus.spectrum(A, args.cutoff_m)
     rs = np.arange(args.r_min, args.r_max + args.r_step / 2, args.r_step)
@@ -161,15 +168,16 @@ def _sample_stats(A: torus.GridSet, G: udgraph.UDGraph) -> dict:
 def cmd_sample(args) -> int:
     seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
     G = udgraph.build(args.n, args.k)
-    steps = args.steps if args.steps else 100 * G.n_vertices
+    steps = 100 * G.n_vertices if args.steps is None else args.steps
+    # every sample is drawn before --out is made: a bad --steps leaves none
+    if args.mode == "greedy":
+        samples = [udgraph.greedy_mis(G, seed) for seed in seeds]
+    else:
+        samples = [udgraph.glauber_sample(G, steps, seed) for seed in seeds]
     out = _outdir(args)
     outputs = []
     per_seed = {}
-    for seed in seeds:
-        if args.mode == "greedy":
-            ind = udgraph.greedy_mis(G, seed)
-        else:
-            ind = udgraph.glauber_sample(G, steps, seed)
+    for seed, ind in zip(seeds, samples):
         A = ind.to_gridset()
         p = out / f"{args.mode}_seed{seed}.gridset.json"
         gridio.save_gridset(p, A)
@@ -361,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exact maximum independent set (small N*K)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--time-budget", type=float, default=60.0)
+    p.add_argument("--time-budget", type=positive_float, default=60.0)
     p.add_argument("--out", default="runs/search")
     p.set_defaults(func=cmd_search)
 
@@ -388,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="extract the clumpiness constant")
     p.add_argument("--certificate", required=True)
     p.add_argument("--registry", default="builtin")
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--epsilon", type=positive_float, default=1e-3)
     p.set_defaults(func=cmd_gamma)
     return ap
 

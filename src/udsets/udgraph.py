@@ -384,6 +384,8 @@ def max_is_exact(G, time_budget: float = 60.0) -> MaxISResult:
     SearchTimeout carrying the incumbent and the root bound: the greedy
     clique cover of all vertices (at most n).
     """
+    if not time_budget > 0.0:
+        raise DomainError(f"time_budget {time_budget!r}: need > 0")
     n = G.n_vertices
     if n > MAX_EXACT_VERTICES:
         raise DomainError(f"exact search capped at {MAX_EXACT_VERTICES} vertices")

@@ -349,8 +349,8 @@ def gamma_extract(c: WitnessCoefficients, epsilon: float) -> float:
     Precondition: delta_star + epsilon < CROFT_TARGET_DENSITY, so the bound
     still separates from the Croft construction; FeasibilityError otherwise.
     """
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be > 0")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise DomainError(f"epsilon {epsilon!r}: need finite > 0")
     gamma, reason = _gamma_search(c, epsilon, quadratic_root(c))
     if reason is not None:
         raise FeasibilityError(reason)
@@ -388,62 +388,46 @@ _CHUNK = 1 << 20
 _MAX_GRID_POINTS = 1 << 30  # verify_witness refuses more points (1e-5 to 640 is 6.4e7)
 
 
-class _J0Columns:
-    """J0(r t) over one grid at a time, one column per radius.
+def _j0_columns(memo: dict, key, ts, radii):
+    """j0_values(r * ts) for each r in ``radii``, in order, lazily.
 
-    A grid is named by a hashable key that fixes its points t exactly.
-    Asking for another grid drops every column held, and a column is kept
-    only while the held columns total at most _CHUNK values, so the memo
-    never holds more than one verification chunk's worth of J0 values.
+    ``key`` names the grid and must fix its points ``ts`` exactly.  A column
+    is lent from ``memo[key, r]`` when held there; a new one is kept while
+    ``memo`` then holds at most _CHUNK values in total.
     """
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self._key = None
-        self._columns = {}
-        self._held = 0  # values in self._columns
-
-    def columns(self, key, ts, radii):
-        """j0_values(r * ts) for each r in ``radii``, in order, lazily: a
-        column not kept is made only when the consumer reaches it."""
-        if key != self._key:
-            self.clear()
-            self._key = key
-        for r in radii:
-            col = self._columns.get(r)
-            if col is None:
-                col = j0_values(r * ts)
-                if self._held + col.size <= _CHUNK:
-                    self._columns[r] = col
-                    self._held += col.size
-            yield col
+    held = sum(col.size for col in memo.values())
+    for r in radii:
+        col = memo.get((key, r))
+        if col is None:
+            col = j0_values(r * ts)
+            if held + col.size <= _CHUNK:
+                memo[key, r] = col
+                held += col.size
+        yield col
 
 
-def _grid_min(c: WitnessCoefficients, grid_step: float, tail_start: float, table=None):
+def _grid_min(c: WitnessCoefficients, grid_step: float, tail_start: float, j0=None):
     """(min, argmin) of W over i * grid_step, i <= floor(tail_start / grid_step),
     plus tail_start itself when that grid misses it: no gap before the tail
     exceeds one grid step.
 
-    A grid of one chunk reads its J0 columns from ``table`` (a ``_J0Columns``)
-    when given; a longer grid is evaluated chunk by chunk and never held.
+    A grid of one chunk reads its J0 columns through the memo ``j0`` when
+    given (``_j0_columns``); a longer grid is evaluated chunk by chunk.
     """
     n_pts = int(math.floor(tail_start / grid_step)) + 1
     const, radii, coeffs = witness_terms(c)
-    if table is not None and n_pts > _CHUNK:
-        table.clear()  # nor is an earlier grid held beside it
-        table = None
+    if n_pts > _CHUNK:
+        j0 = None  # its key names the whole grid, not one chunk of it
     best = math.inf
     best_t = 0.0
     for start in range(0, n_pts, _CHUNK):
         ts = np.arange(start, min(start + _CHUNK, n_pts), dtype=np.int64) * grid_step
         if start + _CHUNK >= n_pts and ts[-1] < tail_start:
             ts = np.append(ts, tail_start)
-        if table is None:
+        if j0 is None:
             columns = (j0_values(r * ts) for r in radii)
         else:
-            columns = table.columns((grid_step, tail_start), ts, radii)
+            columns = _j0_columns(j0, (grid_step, tail_start), ts, radii)
         # term by term as j0_combination adds them: the same float64 values
         acc = _j0_sum(const, coeffs, columns, ts.shape)
         i = int(np.argmin(acc))
@@ -458,7 +442,7 @@ def verify_witness(
     grid_step: float,
     margin: float = DEFAULT_MARGIN,
     tail_start: float = DEFAULT_TAIL_START,
-    table: _J0Columns | None = None,
+    j0: dict | None = None,
 ) -> CertificateReport:
     """Grid + Lipschitz + tail-envelope verification of W >= 0 and W(0) >= 1.
 
@@ -466,9 +450,9 @@ def verify_witness(
     gives the coarsest such power of two.  A grid of over 2**30 points is
     refused.  Mathematical failures come back as a failed verdict, never
     exceptions.  The reported ``gamma`` is extracted at epsilon = 1e-3
-    against the Croft target density.  ``table`` lends the grid's J0
-    columns from earlier verifications on the same grid (``_J0Columns``);
-    the report is the same with or without it.
+    against the Croft target density.  ``j0`` is a J0 column memo
+    (``_j0_columns``) that lends the grid's columns from earlier
+    verifications on the same grid; the report is the same without it.
     """
     if not (0.0 < grid_step < math.inf and 0.0 < tail_start < math.inf):
         raise DomainError(f"grid_step {grid_step!r}, tail_start {tail_start!r}: need finite > 0")
@@ -484,7 +468,7 @@ def verify_witness(
     eval_err = j0_combination_error(coeffs)
     # J0(0) = 1 exactly: the bits of witness_eval(c, 0.0), with no J0 call
     w0 = float(_j0_sum(tail_const, coeffs, [1.0] * len(coeffs), ()))
-    min_grid, argmin_t = _grid_min(c, grid_step, tail_start, table)
+    min_grid, argmin_t = _grid_min(c, grid_step, tail_start, j0)
     # W(t) >= const - sum |coef| env(r t) for t >= tail_start, and the
     # envelope is nonincreasing, so its value at tail_start floors the tail
     tail_osc = j0_combination_envelope(radii, coeffs, tail_start)
@@ -571,8 +555,6 @@ class _LPRows(NamedTuple):
     "quadratic" or "tail".  Only the quadratic row depends on delta_plus;
     it is zero here, and each solve fills it in its own copy."""
 
-    registry: Registry
-    key: tuple  # (tail_start, budget, margin)
     variables: list  # _var_terms(registry)
     labels: tuple
     A: np.ndarray
@@ -586,12 +568,10 @@ def _lp_rows(registry: Registry, tail_start: float, budget: float, margin: float
     t_grid = default_solve_grid(grid_end)
     ts = np.append(t_grid, 0.0)  # the solve grid, then t = 0 for W(0)
     # J0 once per distinct radius; each column then equals
-    # j0_combination(v.radii, v.coeffs, ts, v.const) bit for bit.  Its own
-    # memo: built in the certify_bound one, it would drop the columns of the
-    # verification grid that the next attempt reads again
-    j0 = _J0Columns()
+    # j0_combination(v.radii, v.coeffs, ts, v.const) bit for bit
+    j0 = {}
     profiles = np.column_stack([
-        _j0_sum(v.const, v.coeffs, j0.columns((_SOLVE_STEP, grid_end), ts, v.radii), ts.shape)
+        _j0_sum(v.const, v.coeffs, _j0_columns(j0, grid_end, ts, v.radii), ts.shape)
         for v in variables
     ])
     A = np.vstack([
@@ -609,7 +589,7 @@ def _lp_rows(registry: Registry, tail_start: float, budget: float, margin: float
         [-(1.0 + w0_slack), budget - 1e-9, 0.0, -2.0 * margin],
     ])
     labels = ("grid",) * len(t_grid) + ("w0", "budget", "quadratic", "tail")
-    return _LPRows(registry, (tail_start, budget, margin), variables, labels, A, b)
+    return _LPRows(variables, labels, A, b)
 
 
 def solve_feasibility(
@@ -620,7 +600,7 @@ def solve_feasibility(
     margin: float = DEFAULT_MARGIN,
     *,
     minimize_quadratic: bool = False,
-    rows: _LPRows | None = None,
+    rows: dict | None = None,
 ) -> FeasibilityResult:
     """Find nonnegative witness coefficients for the density target delta_plus.
 
@@ -638,26 +618,28 @@ def solve_feasibility(
 
     With minimize_quadratic the solver minimizes the quadratic row instead of
     stopping at the first feasible vertex, driving delta_star below the
-    target rather than landing on it.  ``rows`` passes in the row table
-    these arguments give when the caller already built it for another
-    target (``_lp_rows``); every row but the quadratic one is read from it.
+    target rather than landing on it.  ``rows`` is a memo of row tables
+    (``_lp_rows``) under (registry hash, tail start, budget, margin): every
+    row but the quadratic one is read from the table of these arguments,
+    built and kept there when missing.
     """
     if not 0.0 < delta_plus < 1.0:
         raise DomainError("delta_plus must lie in (0, 1)")
-    if rows is None:
-        rows = _lp_rows(registry, tail_start, budget, margin)
-    elif rows.registry is not registry or rows.key != (tail_start, budget, margin):
-        raise DomainError("rows were built for another registry, tail start, budget or margin")
+    key = (registry.registry_hash, tail_start, budget, margin)
+    rows = {} if rows is None else rows
+    if key not in rows:
+        rows[key] = _lp_rows(registry, tail_start, budget, margin)
+    table = rows[key]
     d = delta_plus
-    qrow = np.array([v.quad_a * (d * d) + v.quad_b * d + v.quad_c for v in rows.variables])
-    q = rows.labels.index("quadratic")
-    A, b = rows.A.copy(), rows.b.copy()
+    qrow = np.array([v.quad_a * (d * d) + v.quad_b * d + v.quad_c for v in table.variables])
+    q = table.labels.index("quadratic")
+    A, b = table.A.copy(), table.b.copy()
     A[q], b[q] = qrow, d * d
     objective = qrow if minimize_quadratic else None
     res = solve_lp(A, b, objective=objective)
     if res.status == "infeasible":
         return FeasibilityResult(
-            "infeasible", None, res.farkas, res.farkas_valid, res.iterations, rows.labels
+            "infeasible", None, res.farkas, res.farkas_valid, res.iterations, table.labels
         )
     if res.status != "optimal":
         raise FeasibilityError(f"LP solver returned {res.status}")
@@ -672,7 +654,7 @@ def solve_feasibility(
         w_theta=tuple(x[3 + nm + nt :]),
         registry=registry,
     )
-    return FeasibilityResult("feasible", coeffs, iterations=res.iterations, labels=rows.labels)
+    return FeasibilityResult("feasible", coeffs, iterations=res.iterations, labels=table.labels)
 
 
 @dataclass(frozen=True)
@@ -702,18 +684,9 @@ _MAX_TAIL = 640.0  # an infeasible LP's tail start doubles up to this
 _BISECT_TOL = 2e-4  # certify_bound stops when its delta_plus bracket is this narrow
 
 
-@dataclass
-class _Tables:
-    """What one ``certify_bound`` call computes once for all its attempts:
-    the LP row table of each tail start, and the J0 columns of the
-    verification grid evaluated last."""
-
-    rows: dict = field(default_factory=dict)  # tail start -> _LPRows
-    j0: _J0Columns = field(default_factory=_J0Columns)
-
-
 def _attempt(
-    registry, delta_plus, *, budget, margin, tail_start, minimize_quadratic=False, tables=None
+    registry, delta_plus, *, budget, margin, tail_start, minimize_quadratic=False,
+    rows=None, j0=None,
 ):
     """Solve + verify at one delta_plus.
 
@@ -725,30 +698,26 @@ def _attempt(
     ray that ignores that row refutes every larger T (``_tail_independent``),
     and no larger T can mend a witness that failed verification.
 
-    ``tables`` (a ``_Tables``) holds the LP row table of each tail start
-    (``_lp_rows``) and gains the ones this attempt builds; ``certify_bound``
-    passes one to all its attempts, so each table is built once per call.
-    Its J0 columns (``_J0Columns``) go to ``verify_witness``, so attempts
-    verified on one grid evaluate J0 there once per radius.
+    ``rows`` (LP row tables, for ``solve_feasibility``) and ``j0`` (J0
+    columns, for ``verify_witness``) are memo dicts; ``certify_bound``
+    passes the same two to all its attempts, so each row table is built,
+    and each verification grid's J0 evaluated, once per call.
     """
     if not tail_start > 0.0:
         raise DomainError("tail_start must be > 0")
-    tables = _Tables() if tables is None else tables
     T = tail_start
     log = []
     while True:
         # solve-grid rows stay capped at t = 40 (LP size); the envelope tail
         # row at T pushes the constant part up, and the dense verification
         # grid covering [0, T] is sovereign either way
-        if T not in tables.rows:
-            tables.rows[T] = _lp_rows(registry, T, budget, margin)
         res = solve_feasibility(
             registry, delta_plus, T, budget, margin,
-            minimize_quadratic=minimize_quadratic, rows=tables.rows[T],
+            minimize_quadratic=minimize_quadratic, rows=rows,
         )
         if res.status == "feasible":
             step = verification_step(res.coefficients, margin)
-            report = verify_witness(res.coefficients, step, margin, T, tables.j0)
+            report = verify_witness(res.coefficients, step, margin, T, j0)
             log.append((delta_plus, T, report.verdict))
             return res, report, log
         if _tail_independent(res):
@@ -775,13 +744,13 @@ def certify_bound(
     its tail start raised from ``tail_start`` only while the LP is
     infeasible and its Farkas ray weights the tail row.  The LP rows of
     each tail start are built once per call and shared by its attempts,
-    and so are the J0 columns of the grid verified last.
+    and so are the J0 columns of each verification grid.
     """
     lo, hi = 0.05, 0.95
-    dp, best, attempts, tables = hi, None, [], _Tables()
+    dp, best, attempts, rows, j0 = hi, None, [], {}, {}
     while True:
         res, report, log = _attempt(
-            registry, dp, budget=budget, margin=margin, tail_start=tail_start, tables=tables
+            registry, dp, budget=budget, margin=margin, tail_start=tail_start, rows=rows, j0=j0
         )
         attempts.extend(log)
         if report is not None and report.certified:

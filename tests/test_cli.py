@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import udsets
+from udsets import cli
 from udsets.cli import main
 
 
@@ -101,6 +102,24 @@ def test_search_timeout_exit_code(tmp_path):
     assert code == 5
     doc = json.loads((out / "search.json").read_text())
     assert not doc["exact"] and doc["gap"] >= 0
+
+
+@pytest.mark.parametrize("budget", ["nan", "0", "-1", "inf"])
+def test_search_rejects_a_bad_time_budget(tmp_path, capsys, budget):
+    out = tmp_path / "sb"
+    assert run("search", "--n", 2, "--k", 5, "--time-budget", budget, "--out", out) == 4
+    assert "--time-budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_sample_glauber_rejects_a_step_count_below_one(tmp_path, capsys, steps):
+    # 0 is a step count, not "unset": glauber_chain refuses it
+    out = tmp_path / "g"
+    assert run("sample", "--mode", "glauber", "--n", 4, "--k", 4, "--steps", steps,
+               "--out", out) == 4
+    assert "steps must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_certify_verify_gamma_cycle(tmp_path):
@@ -316,6 +335,15 @@ def test_malformed_input_files_exit_with_their_code(tmp_path, good_certificate,
         assert run(command, "--certificate", path) == code
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1e-3"])
+def test_gamma_rejects_a_bad_epsilon(tmp_path, good_certificate, capsys, epsilon):
+    # an input error (4), not "no admissible gamma" (3)
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(good_certificate))
+    assert run("gamma", "--certificate", path, "--epsilon", epsilon) == 4
+    assert "--epsilon" in capsys.readouterr().err
+
+
 def test_config_overrides_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 1, "k": 3}))
@@ -396,6 +424,26 @@ def test_paircorr_rejects_a_bad_r_range(hexdisk16, tmp_path, capsys, r_min, r_ma
     cfg.write_text(json.dumps({"r_min": float(r_min), "r_max": float(r_max)}))
     assert run("--config", cfg, "paircorr", "--set", hexdisk16, "--out", out) == 4
     assert not out.exists()
+
+
+@pytest.mark.parametrize("r_max, r_step", [("1e9", "1"), ("1e30", "1e-20"), ("1", "1e-320")])
+def test_paircorr_caps_the_number_of_radii(hexdisk16, tmp_path, capsys, r_max, r_step):
+    out = tmp_path / "pc"
+    assert run("paircorr", "--set", hexdisk16, "--r-max", r_max, "--r-step", r_step,
+               "--out", out) == 4
+    assert "radii, over the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_paircorr_admits_exactly_the_radius_cap(hexdisk16, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_RADII", 3)
+    out = tmp_path / "pc"
+    assert run("paircorr", "--set", hexdisk16, "--r-max", 1.0, "--r-step", 0.5,
+               "--out", out) == 0
+    assert len((out / "paircorr.csv").read_text().strip().splitlines()) == 1 + 3
+    assert run("paircorr", "--set", hexdisk16, "--r-max", 1.5, "--r-step", 0.5,
+               "--out", tmp_path / "pc4") == 4
+    assert not (tmp_path / "pc4").exists()
 
 
 def test_paircorr_single_point_range(hexdisk16, tmp_path):

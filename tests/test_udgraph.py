@@ -301,6 +301,13 @@ def test_max_is_timeout_carries_incumbent():
     assert exc.value.upper_bound >= exc.value.best.size
 
 
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+def test_max_is_exact_refuses_a_budget_not_positive(budget):
+    # a NaN deadline is never passed: it would turn the budget off
+    with pytest.raises(DomainError, match="time_budget"):
+        max_is_exact(build(2, 3), time_budget=budget)
+
+
 def test_max_is_vertex_cap():
     with pytest.raises(DomainError):
         max_is_exact(build(6, 10))

@@ -227,6 +227,13 @@ def test_gamma_extract_reduces_and_monotone(reg):
     assert 0.0 < _assert_gamma_is_largest(c, 1e-9) < 2.0**-28
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1e-3, math.nan, math.inf])
+def test_gamma_extract_refuses_an_epsilon_not_finite_and_positive(reg, epsilon):
+    c = coeffs(reg, v0=0.12, v1=0.5, v196=0.2, w_m=(0.01,), w_t=(0.005,))
+    with pytest.raises(DomainError, match="epsilon"):
+        gamma_extract(c, epsilon)
+
+
 def test_published_coefficient_table_quadratic():
     # The published dual solution: the quadratic opens upward (v196 > 1) and
     # the certified bound is the smaller root; only alpha/|E| shape matters
@@ -432,13 +439,47 @@ def test_row_table_columns_equal_j0_combination(reg, which, tail_start):
         assert np.array_equal(rows.A[: n_grid + 1, -1], j0_combination(radii, coeffs, ts, const))
 
 
-def test_solve_feasibility_refuses_rows_of_other_arguments(reg):
-    rows = witness_module._lp_rows(reg, 20.0, DEFAULT_BUDGET, DEFAULT_MARGIN)
-    assert solve_feasibility(reg, 0.3, 20.0, rows=rows) == solve_feasibility(reg, 0.3, 20.0)
-    with pytest.raises(DomainError, match="rows were built"):
-        solve_feasibility(reg, 0.3, 40.0, rows=rows)
-    with pytest.raises(DomainError, match="rows were built"):
-        solve_feasibility(builtin_registry(), 0.3, 20.0, rows=rows)
+def _feasibility_fields(res):
+    """A FeasibilityResult as plain comparable values, field by field."""
+    c = res.coefficients
+    return {
+        "status": res.status,
+        "coefficients": None if c is None else repr(c.as_dict()),
+        "farkas": None if res.farkas is None else repr(res.farkas.tolist()),
+        "farkas_valid": res.farkas_valid,
+        "iterations": res.iterations,
+        "labels": res.labels,
+    }
+
+
+def test_solve_feasibility_keeps_one_row_table_per_arguments(reg, monkeypatch):
+    spindle = _spindle_file_registry()
+    solves = [  # (registry, delta_plus, tail start, budget, margin)
+        (reg, 0.3, 20.0, DEFAULT_BUDGET, DEFAULT_MARGIN),
+        (reg, 0.25, 20.0, DEFAULT_BUDGET, DEFAULT_MARGIN),  # same table, another target
+        (reg, 0.3, 40.0, DEFAULT_BUDGET, DEFAULT_MARGIN),
+        (reg, 0.3, 1.0, DEFAULT_BUDGET, DEFAULT_MARGIN),  # infeasible: a Farkas ray
+        (spindle, 0.3, 20.0, DEFAULT_BUDGET, DEFAULT_MARGIN),
+        (reg, 0.3, 20.0, 5.0, DEFAULT_MARGIN),
+        (reg, 0.3, 20.0, DEFAULT_BUDGET, 0.01),
+        (spindle, 0.25, 20.0, DEFAULT_BUDGET, DEFAULT_MARGIN),
+    ]
+    alone = [_feasibility_fields(solve_feasibility(*args)) for args in solves]
+    assert {f["status"] for f in alone} == {"feasible", "infeasible"}
+    built = []
+    real = witness_module._lp_rows
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(witness_module, "_lp_rows", counted)
+    rows = {}
+    for args, want in zip(solves, alone):
+        assert _feasibility_fields(solve_feasibility(*args, rows=rows)) == want
+    keys = [(r.registry_hash, T, budget, margin) for r, _, T, budget, margin in solves]
+    assert list(rows) == list(dict.fromkeys(keys))  # one table each, in first-use order
+    assert len(built) == len(rows)
 
 
 def _report_fields(report):
@@ -551,7 +592,7 @@ def test_verification_reports_equal_with_and_without_the_table(reg, monkeypatch,
     verdicts = [v for *_, v in out.attempts if not v.startswith("lp-infeasible")]
     assert [r.verdict for _, r in calls] == verdicts and "certified" in verdicts
     for args, report in calls:
-        assert isinstance(args[4], witness_module._J0Columns)
+        assert isinstance(args[4], dict)
         assert _report_fields(verify_witness(*args[:4])) == _report_fields(report)
 
 
@@ -560,14 +601,28 @@ def test_verification_table_holds_at_most_one_chunk(certified, monkeypatch):
     step = verification_step(c)  # 2**-8
     alone = {T: verify_witness(c, step, DEFAULT_MARGIN, T) for T in (5.0, 10.0, 20.0)}
     monkeypatch.setattr(witness_module, "_CHUNK", 4096)
-    table = witness_module._J0Columns()
-    held = {}
-    for T in (5.0, 10.0, 20.0):  # 1281, 2561 and 5121 points on 2 radii
-        report = verify_witness(c, step, DEFAULT_MARGIN, T, table)
+    calls = []
+    real = witness_module.j0_values
+
+    def counted(x):
+        calls.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(witness_module, "j0_values", counted)
+    j0 = {}
+    # 1281, 2561 and 5121 points on 2 radii: the columns at 5 are kept, the
+    # ones at 10 would overflow the memo, the two-chunk grid at 20 bypasses
+    # it, and a second verification at 5 evaluates nothing
+    for T, evaluated in ((5.0, [1281] * 2), (10.0, [2561] * 2),
+                         (20.0, [4096, 4096, 1025, 1025]), (5.0, [])):
+        calls.clear()
+        report = verify_witness(c, step, DEFAULT_MARGIN, T, j0)
         assert _report_fields(report) == _report_fields(alone[T])
-        held[T] = [col.size for col in table._columns.values()]
-        assert table._held == sum(held[T]) <= 4096
-    assert held == {5.0: [1281] * 2, 10.0: [2561], 20.0: []}
+        assert calls == evaluated
+        assert sum(col.size for col in j0.values()) <= 4096
+    assert {key: col.size for key, col in j0.items()} == {
+        ((step, 5.0), r): 1281 for r in witness_module.witness_terms(c)[1]
+    }
 
 
 def _dup_ct_registry(reg):
