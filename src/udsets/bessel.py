@@ -7,12 +7,19 @@ each call returns an explicit absolute error bound instead of a bare float.
 
 Algorithm
 ---------
-Two branches with a documented switchover at ``SERIES_CUTOFF`` = 15:
+Two branches with a documented switchover at ``SERIES_CUTOFF`` = 15, both
+in float64:
 
-* ``x < 15``: the ascending power series, 60 terms, evaluated by Horner in
-  80-bit extended precision (numpy longdouble).  The series is alternating
-  with terms up to ~I0(15) ~ 3.4e5, so float64 would lose ~1e-10 to
-  cancellation; at 80 bits the running-error bound stays below 8e-13.
+* ``x < 15``: Bessel's integral J0(x) = (1/pi) int_0^pi cos(x sin t) dt by
+  the midpoint rule on N = 24 nodes t_j = pi (j + 1/2) / N, folded by the
+  symmetry t -> pi - t to the 12 cosines (2/N) sum_{j<12} cos(x sin t_j).
+  The integrand is periodic, so the rule converges geometrically (Trefethen
+  and Weideman, SIAM Rev. 56 (2014) 385-458), and Jacobi-Anger (DLMF 10.12)
+  gives its error exactly: 2 sum_{m>=1} (-1)^m J_{2mN}(x), at most
+  4 (x/2)^{2N} / (2N)! (DLMF 10.14.4), 4e-19 at x = 15.  Every term lies in
+  [-1, 1], so nothing cancels; the rounding of the nodes and of x sin t_j
+  (up to x 2^-52 per cosine), np.cos to 1 ulp and the sum add at most
+  (x + 1) 2^-52 + 13 2^-53, 5e-15 at x = 15.
 * ``x >= 15``: the Hankel asymptotic expansion
   ``sqrt(2/(pi x)) [P(x) cos(w) - Q(x) sin(w)]`` with 14 terms in each of P
   and Q, w = x - pi/4.  For real arguments the remainder of either series is
@@ -22,18 +29,16 @@ Two branches with a documented switchover at ``SERIES_CUTOFF`` = 15:
 No lookup tables or interpolation: both branches have closed-form error terms,
 the asymptotic one including sqrt(2x/pi) 2^-53 for the float64 rounding of
 the phase x - pi/4.  The returned ``abs_error_bound`` stays below 1e-12 on
-[0, 2^26]; tests check it against exact-rational and ``decimal`` oracles.
-The vectorized ``j0_values`` charges that flat bound, so it rejects arguments
-above ``FLAT_BOUND_MAX_ARG`` = 2^26.  It checks the whole array first, then
-evaluates it in blocks of ``VALUES_BLOCK`` arguments; a block entirely at or
-above the cutoff runs the Hankel branch in place in cache-sized buffers.  The
+[0, 2^26]; tests check it against exact-rational, ``decimal`` and ``mpmath``
+oracles.  The vectorized ``j0_values`` charges that flat bound,
+``J0_ABS_ERROR``, so it rejects arguments above ``FLAT_BOUND_MAX_ARG`` = 2^26.
+It checks the whole array first, then evaluates it in blocks of
+``VALUES_BLOCK`` arguments in cache-sized buffers: a block entirely at or
+above the cutoff runs the Hankel branch in place, and the midpoint rule runs
+in place on the arguments of any other block below the cutoff.  The
 operations and their order are those of the whole-array evaluation, so every
-value is the same float64.
-
-The 80-bit branch assumes an x87-style longdouble (Linux/x86-64).  On
-platforms where longdouble is 64-bit the values remain correct to ~1e-10;
-``HAVE_EXTENDED_PRECISION`` records the situation, and the flat bound
-``J0_ABS_ERROR`` then charges 5e-9 instead of 1e-12.
+value is the same float64.  No value or bound depends on the platform's
+``longdouble``.
 """
 
 from __future__ import annotations
@@ -58,28 +63,39 @@ __all__ = [
     "SERIES_CUTOFF",
 ]
 
-SERIES_CUTOFF = 15.0
-SERIES_TERMS = 60
+SERIES_CUTOFF = 15.0  # switchover from the midpoint rule to the Hankel branch
+MIDPOINT_NODES = 24  # N, nodes of the midpoint rule below SERIES_CUTOFF
 ASYMPTOTIC_TERMS = 14  # terms kept in each of the P and Q series
 
-_LD = np.longdouble
-HAVE_EXTENDED_PRECISION = np.finfo(_LD).eps < 1e-18
+# Recorded for run environments; no value or bound reads it.
+HAVE_EXTENDED_PRECISION = np.finfo(np.longdouble).eps < 1e-18
 
-# ---------------------------------------------------------------------------
-# series coefficients (exact integers scaled at longdouble precision)
-# ---------------------------------------------------------------------------
-
-def _series_coeffs_j0(n):
-    # J0(x) = sum_k (-1)^k u^k / (k!)^2,  u = (x/2)^2
-    out = [_LD(1)]
-    for k in range(1, n):
-        out.append(out[-1] / _LD(k * k) * _LD(-1))
-    return np.array(out, dtype=_LD)
+# pi to 40 decimals, for nodes that do not depend on the platform's sin
+_PI_DIGITS, _PI_SCALE = 31415926535897932384626433832795028841971, 10**40
 
 
-_J0_COEFFS = _series_coeffs_j0(SERIES_TERMS)
-# weights (k+1)|c_k| for the running-error bound of Horner evaluation
-_J0_ERRW = np.abs(_J0_COEFFS) * np.arange(1, SERIES_TERMS + 1, dtype=_LD)
+def _midpoint_nodes(n):
+    """sin(pi (j + 1/2) / n) for j < n / 2, each correctly rounded to float64.
+
+    Taylor series in 128-bit fixed point on Python integers, off by far less
+    than 2^-100; the quotient of two integers rounds correctly, so each node
+    is within 2^-53 of its sine, relatively.
+    """
+    one = 1 << 128
+    nodes = []
+    for j in range(n // 2):
+        t = _PI_DIGITS * (2 * j + 1) * one // (_PI_SCALE * 2 * n)
+        term = total = t
+        k = 1
+        while term:
+            term = term * t * t // (one * one * (k + 1) * (k + 2))
+            total += term if k % 4 == 3 else -term
+            k += 2
+        nodes.append(total / one)
+    return tuple(nodes)
+
+
+_NODES = _midpoint_nodes(MIDPOINT_NODES)
 
 
 def _hankel_coeffs(n):
@@ -98,18 +114,13 @@ _Q = _A[1 : 2 * ASYMPTOTIC_TERMS + 1 : 2] * (-1.0) ** np.arange(ASYMPTOTIC_TERMS
 _P_NEXT = abs(_A[2 * ASYMPTOTIC_TERMS])
 _Q_NEXT = abs(_A[2 * ASYMPTOTIC_TERMS + 1])
 
-_EPS80 = float(np.finfo(_LD).eps)
-_SERIES_TRUNC = 1e-24  # |t_60| at x = 15 is ~1e-57; generous cover
 _ASY_ROUNDOFF = 5e-15  # float64 evaluation noise of the asymptotic branch
+# sqrt(2/pi) rounded up: 0.79788456080286535588 < 0.7978845608028654
+_SQRT_2_OVER_PI_UP = 0.7978845608028654
 
-# Flat documented bounds for the vectorized interfaces (max over both
+# Flat documented bound for the vectorized interfaces (max over both
 # branches on [0, 2^26]; asserted against the oracles in the test suite).
-# Without 80-bit longdouble the series runs in float64: its running-error
-# bound at the cutoff (u = 56.25) is 1.6e-9, and the fallback charges about
-# 3x that to cover the rounding of the coefficients and of u as well.
-_ABS_ERROR_EXTENDED = 1.0e-12
-_ABS_ERROR_FLOAT64 = 5.0e-9
-J0_ABS_ERROR = _ABS_ERROR_EXTENDED if HAVE_EXTENDED_PRECISION else _ABS_ERROR_FLOAT64
+J0_ABS_ERROR = 1.0e-12
 # Largest argument of j0_values: the phase-rounding charge
 # sqrt(2x/pi) 2^-53 is 7.3e-13 here and 1.03e-12 at 2^27, past 1e-12.
 FLAT_BOUND_MAX_ARG = 2.0**26
@@ -131,19 +142,35 @@ def _check_domain(x):
         raise DomainError(f"argument must lie in [0, 2**26], got {x!r}")
 
 
-def _horner_ld(coeffs, u):
-    acc = np.full_like(u, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc *= u
-        acc += c
-    return acc
+def _midpoint(x, out, t):
+    """J0(x), x < SERIES_CUTOFF, by the midpoint rule, written into ``out``.
+
+    Sums cos(x s) over the nodes s in order and divides by their count;
+    ``t`` is a scratch row of x's length.
+    """
+    np.multiply(x, _NODES[0], out=t)
+    np.cos(t, out=out)
+    for s in _NODES[1:]:
+        np.multiply(x, s, out=t)
+        np.cos(t, out=t)
+        out += t
+    out /= len(_NODES)
 
 
-def _series_error_bound(errw, u):
-    # Running-error bound for Horner: 2.5 eps * sum (k+1)|c_k| u^k, plus
-    # truncation.  The 2.5 covers the two roundings per step with slack.
-    bound = _horner_ld(errw, u)
-    return 2.5 * _EPS80 * np.asarray(bound, dtype=float) + _SERIES_TRUNC
+def _midpoint_bound(x):
+    """Error bound of ``_midpoint`` at x < SERIES_CUTOFF.
+
+    Aliasing: 2 sum_m |J_{2mN}(x)| <= 2 a / (1 - a) <= 4 a, with
+    a = (x/2)^{2N} / (2N)! < 1e-19 (DLMF 10.14.4, (2mN)! >= ((2N)!)^m).
+    Rounding: each cosine's argument is off by up to x 2^-52 (node and
+    product) and np.cos by 1 ulp, up to 2^-52; the 11 additions of terms in
+    [-1, 1] lose at most 12^2 2^-53, and the division by 12 one rounding of
+    a value in [-1, 1].  Dividing the sum's errors by 12 leaves
+    (x + 1) 2^-52 + 13 2^-53.
+    """
+    n = 2 * MIDPOINT_NODES
+    aliasing = 4.0 * (0.5 * x) ** n / math.factorial(n)
+    return aliasing + (x + 1.0) * 2.0**-52 + 13.0 * 2.0**-53
 
 
 def _asymptotic(x, out, buf):
@@ -193,8 +220,7 @@ def j0(x: float) -> BesselEval:
     if x == 0.0:
         return BesselEval(value, 0.0)
     if x < SERIES_CUTOFF:
-        u = _LD(x) * _LD(x) / 4
-        return BesselEval(value, float(_series_error_bound(_J0_ERRW, u)) + 2e-16)
+        return BesselEval(value, _midpoint_bound(x))
     amp = math.sqrt(2.0 / (math.pi * x))  # as _asymptotic computes it
     return BesselEval(value, float(_asymptotic_bound(x, amp)))
 
@@ -203,11 +229,15 @@ def j0_envelope(x: float) -> float:
     """A proven upper bound on sup_{y >= x} |J0(y)|.
 
     Uses the classical bound |J0(y)| <= min(1, sqrt(2/(pi y))), which is
-    nonincreasing, so its value at x dominates the whole tail.
+    nonincreasing, so its value at x dominates the whole tail.  It is
+    rounded outward: with C >= sqrt(2/pi) and u = 2^-53, fl(C / fl(sqrt x))
+    is at least sqrt(2/(pi x)) (1 - u) / (1 + u), and the last product by
+    1 + 4u, rounded, lifts that above sqrt(2/(pi x)).  Every step is
+    monotone, so the result is still nonincreasing in x.
     """
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"envelope requires finite x > 0, got {x!r}")
-    return min(1.0, math.sqrt(2.0 / (math.pi * x)))
+    return min(1.0, _SQRT_2_OVER_PI_UP / math.sqrt(x) * (1.0 + 2.0**-51))
 
 
 def j0_values(x) -> np.ndarray:
@@ -215,8 +245,10 @@ def j0_values(x) -> np.ndarray:
 
     Runs in blocks of VALUES_BLOCK arguments after checking the whole array.
     A block with no argument below SERIES_CUTOFF takes the Hankel branch in
-    preallocated buffers; any other block splits into series and Hankel
-    arguments.  Every value is the same float64 as on the whole array at once.
+    preallocated buffers; any other block gathers its arguments below the
+    cutoff into those buffers for the midpoint rule, and sends the rest to
+    the Hankel branch.  Every value is the same float64 as on the whole array
+    at once.
     """
     x = np.asarray(x, dtype=float)
     # min and max propagate NaN, which then fails both comparisons
@@ -232,11 +264,14 @@ def j0_values(x) -> np.ndarray:
             _asymptotic(xb, ob, buf[:, : xb.size])
             continue
         small = xb < SERIES_CUTOFF
-        u = xb[small].astype(_LD) ** 2 / 4
-        ob[small] = _horner_ld(_J0_COEFFS, u).astype(float)
-        if not small.all():
+        n_small = np.count_nonzero(small)
+        xs, vs, t = buf[:3, :n_small]
+        np.compress(small, xb, out=xs)
+        _midpoint(xs, vs, t)
+        ob[small] = vs
+        if n_small < xb.size:
             big = ~small
-            vals = np.empty(np.count_nonzero(big))
+            vals = np.empty(xb.size - n_small)
             _asymptotic(xb[big], vals, buf[:, : vals.size])
             ob[big] = vals
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

@@ -582,7 +582,7 @@ def _lp_rows(registry: Registry, tail_start: float, budget: float, margin: float
          for v in variables],                   # tail: constant beats envelope
     ])
     # verify_witness needs W(0) >= 1 + J0_ABS_ERROR sum |c|: reserve twice
-    # that at the budget, or 1e-9 where that is less (80-bit longdouble)
+    # that at the budget, or 1e-9 where that is less (any budget below 500)
     w0_slack = max(1e-9, 2.0 * J0_ABS_ERROR * budget)
     b = np.concatenate([
         np.full(len(t_grid), -max(_GRID_SLACK, margin + _GRID_SLACK_OVER_MARGIN)),

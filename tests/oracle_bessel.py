@@ -1,4 +1,4 @@
-"""Exact-rational power-series oracle for J0 and J1.
+"""Exact-rational power-series oracles for J0, J1 and J_n.
 
 J1 = -J0' is not evaluated by src/udsets/bessel.py; its oracle here audits
 the J1 used by the derivative checks (scipy.special.j1).
@@ -11,11 +11,14 @@ freeze expected values and to audit the production evaluator's error bounds.
 Above x = 100, ``hankel_oracle`` evaluates the Hankel expansion in ``decimal``
 arithmetic with pi from Machin's formula.
 
+``jn_oracle`` is the same exact-rational series for J_n of any order n >= 0;
+it gives the aliasing terms J_{2mN} of the midpoint rule.
+
 ``values_whole_array`` is different in kind: it is the vectorized evaluator
-as it was before ``j0_values`` went blockwise, one mask split
-over the whole array with the Hankel branch written out in allocating numpy
-expressions, on the module's own coefficient tables.  It is the bitwise
-reference for the blocked, in-place evaluation.
+as it was before ``j0_values`` went blockwise, one mask split over the whole
+array with both branches written out in allocating numpy expressions, on the
+module's own nodes and coefficient tables.  It is the bitwise reference for
+the blocked, in-place evaluation.
 """
 
 import math
@@ -51,6 +54,20 @@ def j1_oracle(x: float, terms: int = 200) -> float:
         term = -term * u / (k * (k + 1))
         total += term
     return float(Fraction(x) / 2 * total)
+
+
+@lru_cache(maxsize=256)
+def jn_oracle(n: int, x: float, terms: int = 200) -> float:
+    """J_n(x) = sum_k (-1)^k (x/2)^(2k+n) / (k! (k+n)!) in exact rationals.
+    Valid for x <= 100."""
+    half = Fraction(x) / 2
+    u = half * half
+    term = half**n / math.factorial(n)
+    total = term
+    for k in range(1, terms):
+        term = -term * u / (k * (k + n))
+        total += term
+    return float(total)
 
 
 def j0_zero_by_bisection(lo: float, hi: float, iters: int = 80) -> float:
@@ -154,9 +171,16 @@ def hankel_oracle(x: float, digits: int = 60) -> float:
         return float(amp * (P * c - Q * s))
 
 
+def _horner(coeffs, z):
+    acc = np.full_like(z, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
 def values_whole_array(x):
-    """J0(x) elementwise on the whole array at once: the series on every
-    argument below SERIES_CUTOFF, the Hankel branch on the rest."""
+    """J0(x) elementwise on the whole array at once: the midpoint rule on
+    every argument below SERIES_CUTOFF, the Hankel branch on the rest."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         x = x[None]
@@ -168,13 +192,16 @@ def values_whole_array(x):
     out = np.empty_like(x)
     small = x < bessel.SERIES_CUTOFF
     if np.any(small):
-        u = x[small].astype(np.longdouble) ** 2 / 4
-        out[small] = bessel._horner_ld(bessel._J0_COEFFS, u).astype(float)
+        xs = x[small]
+        acc = np.cos(xs * bessel._NODES[0])
+        for s in bessel._NODES[1:]:
+            acc = acc + np.cos(xs * s)
+        out[small] = acc / len(bessel._NODES)
     if np.any(~small):
         xl = x[~small]
         z = 1.0 / (xl * xl)
-        p = bessel._horner_ld(bessel._P, z)
-        q = bessel._horner_ld(bessel._Q, z) / xl
+        p = _horner(bessel._P, z)
+        q = _horner(bessel._Q, z) / xl
         w = xl - 0.25 * math.pi
         amp = np.sqrt(2.0 / (math.pi * xl))
         out[~small] = amp * (p * np.cos(w) - q * np.sin(w))

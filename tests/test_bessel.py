@@ -2,7 +2,9 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import j1 as scipy_j1
@@ -15,6 +17,7 @@ from oracle_bessel import (
     hankel_oracle,
     j0_oracle,
     j1_oracle,
+    jn_oracle,
     values_whole_array,
 )
 
@@ -248,20 +251,80 @@ def test_j0_combination_error_and_envelope():
     assert np.all(np.abs(osc) <= want)
 
 
-def test_float64_fallback_bound_covers_series_running_error():
-    # Without 80-bit longdouble the series runs in float64.  Its running-error
-    # bound grows with u (all weights are positive), so it peaks at the
-    # cutoff u = (15/2)^2 = 56.25; the fallback flat bound must cover it.
-    u = np.array([(bessel.SERIES_CUTOFF / 2.0) ** 2])
-    assert u[0] == 56.25
-    eps = np.finfo(np.float64).eps
-    j0_running = 2.5 * eps * float(bessel._horner_ld(bessel._J0_ERRW.astype(float), u)[0])
-    assert 1e-9 < j0_running < bessel._ABS_ERROR_FLOAT64
-    # the 80-bit charge would not cover it; the flag picks the right one
-    assert j0_running > bessel._ABS_ERROR_EXTENDED
-    want = (
-        bessel._ABS_ERROR_EXTENDED
-        if bessel.HAVE_EXTENDED_PRECISION
-        else bessel._ABS_ERROR_FLOAT64
-    )
-    assert bessel.J0_ABS_ERROR == want
+def test_midpoint_bound_is_closed_form_and_far_below_the_flat_bound():
+    # below the cutoff the scalar bound is aliasing plus rounding; no term
+    # depends on the platform, and it grows with x up to ~5e-15 at 15
+    N = bessel.MIDPOINT_NODES
+    below = math.nextafter(bessel.SERIES_CUTOFF, 0.0)
+    xs = [1e-3, 0.5, 1.0, 7.5, 12.0, 14.9, below]
+    bounds = [bessel.j0(x).abs_error_bound for x in xs]
+    assert bounds == sorted(bounds)
+    for x, b in zip(xs, bounds):
+        aliasing = 4.0 * (x / 2) ** (2 * N) / math.factorial(2 * N)
+        assert b == aliasing + (x + 1.0) * 2.0**-52 + 13.0 * 2.0**-53
+        # the charge covers the true aliasing 2 sum_m |J_{2mN}(x)|
+        assert aliasing >= 2 * (abs(jn_oracle(2 * N, x)) + abs(jn_oracle(4 * N, x)))
+        assert aliasing <= 1e-18
+    assert 4.9e-15 < bounds[-1] < 5.1e-15 < 1e-2 * bessel.J0_ABS_ERROR
+    assert bessel.J0_ABS_ERROR == 1e-12
+
+
+def test_midpoint_nodes_are_correctly_rounded_sines():
+    # the bound charges each node 2^-53 relative error; mpmath at 40 digits
+    # checks that the fixed-point Taylor series gives exactly that
+    with mpmath.workdps(40):
+        for n in (bessel.MIDPOINT_NODES, 16):
+            nodes = bessel._midpoint_nodes(n)
+            assert len(nodes) == n // 2
+            for j, s in enumerate(nodes):
+                exact = mpmath.sin(mpmath.pi * (2 * j + 1) / (2 * n))
+                assert abs(mpmath.mpf(s) - exact) <= exact * mpmath.mpf(2) ** -53
+
+
+@pytest.mark.parametrize("x", [10.0, 12.0, 14.9])
+def test_midpoint_error_is_the_aliasing_term(x, monkeypatch):
+    # With N = 16 nodes the rule returns J0(x) + 2 sum_m (-1)^m J_{32m}(x)
+    # (Jacobi-Anger); here 2 |J_32(x)| >= 5e-14, while J_64(x) is below
+    # 1e-30.  Endpoint nodes pi j / N would flip the sign, and a node set
+    # off by anything else would miss by far more than 1e-15.
+    monkeypatch.setattr(bessel, "_NODES", bessel._midpoint_nodes(16))
+    aliasing = -2.0 * jn_oracle(32, x)
+    assert abs(aliasing) >= 5e-14
+    value = bessel.j0_values(np.array([x]))[0]
+    assert abs((value - j0_oracle(x)) - aliasing) <= 1e-15
+
+
+def test_midpoint_branch_against_mpmath():
+    # |value - J0| <= bound <= J0_ABS_ERROR on 3,001 points of [0, 15),
+    # J0 from mpmath at 40 digits; the array values are the scalar ones
+    xs = np.linspace(0.0, bessel.SERIES_CUTOFF, 3001, endpoint=False)
+    values = bessel.j0_values(xs)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x, v in zip(xs.tolist(), values.tolist()):
+            ev = bessel.j0(x)
+            assert ev.value == v
+            err = abs(mpmath.mpf(v) - mpmath.besselj(0, mpmath.mpf(x)))
+            assert err <= ev.abs_error_bound <= bessel.J0_ABS_ERROR
+            worst = max(worst, float(err))
+    assert worst < 1e-15
+
+
+# a rational lower bound on pi: pi = 3.14159265358979323846264338327950288419...
+PI_LO = Fraction("3.14159265358979323846264338327950288")
+
+
+def _envelope_is_outward(v, x):
+    # v >= sqrt(2 / (pi x)), or v = 1, which bounds |J0| everywhere
+    return v == 1.0 or Fraction(v) ** 2 * PI_LO * Fraction(x) >= 2
+
+
+def test_envelope_rounds_outward():
+    rng = np.random.default_rng(11)
+    xs = [5e-324, 0.5, 2 / math.pi, 0.7, 1.0, 15.0, 20.0, 640.0, 2.0**26]
+    xs += np.exp(rng.uniform(math.log(0.5), math.log(2.0**26), 400)).tolist()
+    for x in xs:
+        assert _envelope_is_outward(bessel.j0_envelope(x), x), x
+    # rounded to nearest, the bare formula falls below the bound it stands for
+    nearest = [min(1.0, math.sqrt(2.0 / (math.pi * x))) for x in xs]
+    assert sum(not _envelope_is_outward(v, x) for v, x in zip(nearest, xs)) > 100

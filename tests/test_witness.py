@@ -646,17 +646,17 @@ def test_w_at_zero_equals_witness_eval_bit_for_bit(reg, certified):
 # certificate files
 _BUILTIN_REPORT = {
     "w_at_zero": "1.000000001",
-    "min_grid_value": "0.0049738386336240885",
+    "min_grid_value": "0.00497383863362416",
     "argmin_t": "4.3828125",
     "grid_step": "0.00390625",
     "margin": "0.003",
-    "lipschitz_bound": "0.6025050663819848",
-    "eval_error": "7.97484499381903e-13",
-    "tail_floor": "0.07120941957548443",
+    "lipschitz_bound": "0.6025050663819902",
+    "eval_error": "7.97484499381905e-13",
+    "tail_floor": "0.07120941957548249",
     "tail_start": "20.0",
-    "tail_const": "0.20251550161809698",
-    "tail_osc": "0.13130608204261254",
-    "quadratic": "(-0.784697279942981, 0.20251550161809698, 0.0)",
+    "tail_const": "0.20251550161809506",
+    "tail_osc": "0.13130608204261257",
+    "quadratic": "(-0.7846972799429737, 0.20251550161809506, 0.0)",
     "delta_star": "0.2580810546875",
     "gamma": "0.0",
     "verdict": "'certified'",
@@ -678,7 +678,7 @@ _BUILTIN_ATTEMPTS = (
     (0.2580810546875, 20.0, "certified"),
     (0.25797119140625, 20.0, _STOP),
 )
-_BUILTIN_CERTIFICATE_SHA256 = "e48b82e6e6fd7d475b7d3d7f195c3a18ad2f43c27b5a49f8d7cf97acf891825e"
+_BUILTIN_CERTIFICATE_SHA256 = "07521b1c0e722842cda5bbfd99a9613a45e1dc17500a35e6f7663e47922d7808"
 
 
 def test_certify_bound_stops_futile_escalation(certified):
@@ -790,23 +790,43 @@ def test_certify_bound_builds_each_profile_at_most_once(reg, monkeypatch):
     assert len(calls) <= len(reg.graphs)
 
 
-def test_float64_longdouble_keeps_the_builtin_bound():
-    # without 80-bit longdouble, J0_ABS_ERROR is 5e-9 and the LP's W(0) row
-    # must reserve more than the verifier's J0_ABS_ERROR * sum |c| charge,
-    # or every witness below 0.8 fails "W(0) not certifiably >= 1"
+def test_j0_and_the_builtin_bound_do_not_depend_on_longdouble(certified, reg, tmp_path):
+    # With numpy's longdouble made float64 before udsets loads, J0 on [0, 15]
+    # and its flat bound keep every bit, certify_bound keeps its attempts and
+    # best_delta, and each process reproduces the other's certificate bit for
+    # bit.  Only the LP, whose float64 tableau may stop at another near-tied
+    # vertex, is free to differ; the verifier never trusts it.
+    here = tmp_path / "here.json"
+    there = tmp_path / "there.json"
+    write_certificate(here, certified.coefficients, certified.report)
     code = (
+        "import sys\n"
         "import numpy as np\n"
         "np.longdouble = np.float64\n"
         "from udsets import bessel, witness\n"
         "from udsets.registry import builtin_registry\n"
         "assert not bessel.HAVE_EXTENDED_PRECISION\n"
-        "print(witness.certify_bound(builtin_registry()).best_delta)\n"
+        "reg = builtin_registry()\n"
+        "out = witness.certify_bound(reg)\n"
+        "witness.write_certificate(sys.argv[2], out.coefficients, out.report)\n"
+        "xs = np.linspace(0.0, bessel.SERIES_CUTOFF, 3001)\n"
+        "print(bessel.j0_values(xs).tobytes().hex())\n"
+        "print(repr(bessel.J0_ABS_ERROR), repr(out.best_delta), repr(out.attempts))\n"
+        "print(witness.verify_certificate_file(sys.argv[1], reg)[1])\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(witness_module.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=300, check=True)
-    assert float(out.stdout.split()[-1]) < 0.26
+    out = subprocess.run([sys.executable, "-c", code, str(here), str(there)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    values, record, reproduced = out.stdout.splitlines()[-3:]
+    xs = np.linspace(0.0, bessel_module.SERIES_CUTOFF, 3001)
+    assert values == bessel_module.j0_values(xs).tobytes().hex()
+    want = (bessel_module.J0_ABS_ERROR, certified.best_delta, certified.attempts)
+    assert record == " ".join(map(repr, want))
+    assert reproduced == "True"
+    rep, reproduced = verify_certificate_file(there, reg)
+    assert reproduced and rep.verdict == "certified"
+    assert json.loads(there.read_text())["delta_star"] <= 0.2580810546875
 
 
 def test_step_1e5_certificate_still_reproduces(certified, reg, tmp_path):
