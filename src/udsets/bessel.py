@@ -21,10 +21,14 @@ in float64:
   (up to x 2^-52 per cosine), np.cos to 1 ulp and the sum add at most
   (x + 1) 2^-52 + 13 2^-53, 5e-15 at x = 15.
 * ``x >= 15``: the Hankel asymptotic expansion
-  ``sqrt(2/(pi x)) [P(x) cos(w) - Q(x) sin(w)]`` with 14 terms in each of P
-  and Q, w = x - pi/4.  For real arguments the remainder of either series is
-  bounded by the first omitted term, which at x = 15 is below 5e-14 and
-  decreases in x.
+  ``sqrt(2/(pi x)) [P(x) cos(w) - Q(x) sin(w)]``, w = x - pi/4, with n(x)
+  terms in each of P and Q.  For real arguments the remainder of either
+  series is bounded by its first omitted term, whatever the number of terms
+  (DLMF 10.17(iii)).  n(x) is the fewest n <= 14 whose first omitted terms
+  meet (|a_2n| + |a_2n+1| / x) x^-2n <= 2^-70, and 14 below x ~ 29.19,
+  where none does: 14 terms leave out under 5e-14 at x = 15, 6 suffice from
+  x ~ 112, 4 from ~ 540, 3 from ~ 2963 and 2 from ~ 1.07e5.  The
+  thresholds are computed exactly at import.
 
 No lookup tables or interpolation: both branches have closed-form error terms,
 the asymptotic one including sqrt(2x/pi) 2^-53 for the float64 rounding of
@@ -36,13 +40,15 @@ It checks the whole array first, then evaluates it in blocks of
 ``VALUES_BLOCK`` arguments in cache-sized buffers: a block entirely at or
 above the cutoff runs the Hankel branch in place, and the midpoint rule runs
 in place on the arguments of any other block below the cutoff.  The
-operations and their order are those of the whole-array evaluation, so every
+operations and their order are those of the whole-array evaluation, and an
+argument sums its own n(x) Hankel terms in whatever block it lands, so every
 value is the same float64.  No value or bound depends on the platform's
 ``longdouble``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -110,9 +116,59 @@ _A = _hankel_coeffs(2 * ASYMPTOTIC_TERMS + 2)
 # P uses a_0, a_2, ..., Q uses a_1, a_3, ...; signs (-1)^k are folded in here.
 _P = _A[0 : 2 * ASYMPTOTIC_TERMS : 2] * (-1.0) ** np.arange(ASYMPTOTIC_TERMS)
 _Q = _A[1 : 2 * ASYMPTOTIC_TERMS + 1 : 2] * (-1.0) ** np.arange(ASYMPTOTIC_TERMS)
-# first omitted coefficients, for the truncation bound
-_P_NEXT = abs(_A[2 * ASYMPTOTIC_TERMS])
-_Q_NEXT = abs(_A[2 * ASYMPTOTIC_TERMS + 1])
+# |a_2n| and |a_2n+1|, the first coefficients n-term P and Q omit
+_P_NEXT = np.abs(_A[0::2])
+_Q_NEXT = np.abs(_A[1::2])
+
+# first omitted terms a Hankel branch value may leave out
+_HANKEL_OMIT = 2.0**-70
+
+
+def _hankel_thresholds():
+    """x_n for n = 1 .. ASYMPTOTIC_TERMS - 1: the least float x at which the
+    first terms n-term P and Q omit meet (|a_2n| + |a_2n+1| / x) x^-2n <=
+    _HANKEL_OMIT, in exact integer arithmetic on |a_k| = ((2k-1)!!)^2 /
+    (k! 8^k).  The left side falls in x, so n terms suffice from x_n on; a
+    float estimate lands within a few ulps and the exact test settles it.
+    """
+    num, den = [1], [1]
+    for k in range(1, 2 * ASYMPTOTIC_TERMS):
+        num.append(num[-1] * (2 * k - 1) ** 2)
+        den.append(den[-1] * 8 * k)
+    inv_omit = round(1.0 / _HANKEL_OMIT)
+
+    def enough(x, n):  # (|a_2n| x + |a_2n+1|) inv_omit <= x^(2n+1), x = p/q
+        p, q = x.as_integer_ratio()
+        i, j = 2 * n, 2 * n + 1
+        lhs = (num[i] * den[j] * p + num[j] * den[i] * q) * q ** (2 * n) * inv_omit
+        return lhs <= p ** (2 * n + 1) * den[i] * den[j]
+
+    out = []
+    for n in range(1, ASYMPTOTIC_TERMS):
+        lead, second = num[2 * n] / den[2 * n], num[2 * n + 1] / den[2 * n + 1]
+        x = 1.0
+        for _ in range(12):  # a fixed point; each step shrinks the gap 50-fold or more
+            x = ((lead + second / x) * inv_omit) ** (0.5 / n)
+        while not enough(x, n):
+            x = math.nextafter(x, math.inf)
+        while enough(math.nextafter(x, 0.0), n):
+            x = math.nextafter(x, 0.0)
+        out.append(x)
+    return tuple(out)
+
+
+# _HANKEL_FROM[n - 1] = x_n; x_1 ~ 9e9 lies past the domain, x_13 ~ 29.19
+_HANKEL_FROM = _hankel_thresholds()
+# the same thresholds ascending, for bisect
+_BANDS = _HANKEL_FROM[::-1]
+
+
+def _hankel_terms(x: float) -> int:
+    """Terms the Hankel branch sums in each of P and Q at x >= SERIES_CUTOFF:
+    the fewest n whose first omitted terms are at most _HANKEL_OMIT, and
+    ASYMPTOTIC_TERMS below x_13 ~ 29.19, where no n <= 13 suffices."""
+    return ASYMPTOTIC_TERMS - bisect.bisect_right(_BANDS, x)
+
 
 _ASY_ROUNDOFF = 5e-15  # float64 evaluation noise of the asymptotic branch
 # sqrt(2/pi) rounded up: 0.79788456080286535588 < 0.7978845608028654
@@ -176,17 +232,32 @@ def _midpoint_bound(x):
 def _asymptotic(x, out, buf):
     """J0(x) from the Hankel expansion, written into ``out``.
 
-    ``buf`` holds four scratch rows of x's length; every operation is in
-    place in them.  Returns the amplitude sqrt(2/(pi x)), a row of ``buf``.
+    Each argument sums _hankel_terms(x) terms of P and Q: Horner runs from
+    the top coefficient of the argument with the most terms, and restarts
+    every argument at its own top coefficient by multiplying its sums by 0
+    instead of 1/x^2, so a value depends on x alone.  Arguments that all
+    take the same number of terms need no restart.  ``buf`` holds four
+    scratch rows of x's length; every operation is in place in them.
+    Returns the amplitude sqrt(2/(pi x)), a row of ``buf``.
     """
     z, p, q, t = buf
+    most, fewest = _hankel_terms(x.min()), _hankel_terms(x.max())
     np.multiply(x, x, out=t)
     np.divide(1.0, t, out=z)
-    for acc, coeffs in ((p, _P), (q, _Q)):
-        acc.fill(coeffs[-1])
-        for c in coeffs[-2::-1]:
-            acc *= z
-            acc += c
+    p.fill(_P[most - 1])
+    q.fill(_Q[most - 1])
+    for k in range(most - 2, -1, -1):
+        step = z
+        if k + 1 >= fewest:
+            # arguments with k + 1 or fewer terms restart at a_k: their
+            # sums times 0 plus a_k are a_k exactly
+            np.less(x, _HANKEL_FROM[k], out=t)
+            t *= z
+            step = t
+        p *= step
+        p += _P[k]
+        q *= step
+        q += _Q[k]
     q /= x
     np.subtract(x, 0.25 * math.pi, out=t)  # the phase w
     np.sin(t, out=z)
@@ -202,10 +273,12 @@ def _asymptotic(x, out, buf):
 
 
 def _asymptotic_bound(x, amp):
-    """Error bound of ``_asymptotic``: truncation, float64 noise, and the
-    rounding of the phase x - pi/4, up to x 2^-53."""
-    z = 1.0 / (x * x)
-    trunc = amp * (_P_NEXT * z**ASYMPTOTIC_TERMS + _Q_NEXT * z**ASYMPTOTIC_TERMS / x)
+    """Error bound of ``_asymptotic``: truncation at the first omitted terms
+    of its _hankel_terms(x) terms, float64 noise, and the rounding of the
+    phase x - pi/4, up to x 2^-53."""
+    n = _hankel_terms(x)
+    zn = (1.0 / (x * x)) ** n
+    trunc = amp * (_P_NEXT[n] * zn + _Q_NEXT[n] * zn / x)
     return trunc + _ASY_ROUNDOFF + amp * x * 2.0**-53
 
 
@@ -248,7 +321,7 @@ def j0_values(x) -> np.ndarray:
     preallocated buffers; any other block gathers its arguments below the
     cutoff into those buffers for the midpoint rule, and sends the rest to
     the Hankel branch.  Every value is the same float64 as on the whole array
-    at once.
+    at once, and as for its argument alone.
     """
     x = np.asarray(x, dtype=float)
     # min and max propagate NaN, which then fails both comparisons

@@ -11,13 +11,16 @@ Two independent pipelines compute the pair correlation f(r):
   f(r) = sum_m J0(r * (2 pi / K) sqrt(m)) kappa(m) with a rigorous truncation
   bound tail_mass * envelope(...), the one-term case of the kernel that pairs
   the registry's profiles with kappa (one rigor formula for both; a profile's
-  constant is exact).  The lattice disk a^2 + b^2 <= cutoff is walked row by
-  row in blocks of SPECTRUM_BLOCK points.  The walk reads only the columns
-  |q| <= isqrt(cutoff) of the half-plane transform, so only those are
-  transformed, and only its rows a with min(a, S - a) <= isqrt(cutoff) keep
-  their power (FFT pruning, Markel 1971): memory is O(cutoff) for kappa, the
-  S x (min(isqrt(cutoff), S/2) + 1) complex row transform, the power of the
-  kept rows and one bounded block; cutoffs stop at MAX_CUTOFF_M = 2^26.
+  constant is exact).  A real set's power is even, |F(-xi)|^2 = |F(xi)|^2,
+  so the walk visits one point of each pair +-xi of the lattice disk
+  a^2 + b^2 <= cutoff, the half plane a > 0 or a = 0 < b, and adds twice its
+  power; it goes row by row in blocks of SPECTRUM_BLOCK points.  It reads
+  only the columns |q| <= isqrt(cutoff) of the half-plane transform, so only
+  those are transformed, and only its rows a with min(a, S - a) <=
+  isqrt(cutoff) keep their power (FFT pruning, Markel 1971): memory is
+  O(cutoff) for kappa, the S x (min(isqrt(cutoff), S/2) + 1) complex row
+  transform, the power of the kept rows and one bounded block; cutoffs stop
+  at MAX_CUTOFF_M = 2^26.
   ``spectrum_auto`` grows the cutoff by walking only the new annulus.
 * direct geometry: the autocorrelation of a cell union is the bilinear
   interpolation of the integer pair-count array (an exact identity, since the
@@ -206,18 +209,21 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
 
 
 def _walk_disk(A: GridSet, P2: np.ndarray, kappa: np.ndarray, c_lo: int, c_hi: int) -> None:
-    """Add the power of every lattice point with c_lo < a^2 + b^2 <= c_hi into
-    kappa[a^2 + b^2].
+    """Add the power of every lattice point with c_lo < a^2 + b^2 <= c_hi,
+    except the origin, into kappa[a^2 + b^2].
 
-    The walk visits rows a in ascending order and b in ascending order within
-    a row: one segment per row, or two (b < 0 and b > 0) when the row crosses
-    the inner circle.  Whole segments are grouped into blocks of about
-    SPECTRUM_BLOCK points, and ``np.add.at`` adds a block one point at a time,
-    so every bucket receives its terms in row-major order whatever the blocks
-    or the annuli.  A point's power is P2 at its half-plane image times the
-    squared sinc factors, read from 1-D tables over the coordinates.  P2 is
-    a ``_power_spectrum`` for some qmax >= isqrt(c_hi): an image's column is
-    at most min(isqrt(c_hi), S/2), and its row a has min(a, S - a) <=
+    A real set's power is even, |F(-xi)|^2 = |F(xi)|^2, so the walk visits one
+    point of each pair +-xi, the half plane a > 0 or a = 0 < b, and adds twice
+    its power; doubling is exact.  It visits rows a = 0, 1, ... and b in
+    ascending order within a row: one segment per row, or two (b < 0 and
+    b > 0) when the row crosses the inner circle; row 0 keeps only b > 0.
+    Whole segments are grouped into blocks of about SPECTRUM_BLOCK points,
+    and ``np.add.at`` adds a block one point at a time, so every bucket
+    receives its terms in row-major order whatever the blocks or the annuli.
+    A point's power is P2 at its half-plane image times the squared sinc
+    factors, read from 1-D tables over the coordinates.  P2 is a
+    ``_power_spectrum`` for some qmax >= isqrt(c_hi): an image's column is at
+    most min(isqrt(c_hi), S/2), and its row a has min(a, S - a) <=
     isqrt(c_hi), so it is kept; ``_p2_rows`` finds it from P2's own length.
     """
     S = A.side
@@ -236,17 +242,19 @@ def _walk_disk(A: GridSet, P2: np.ndarray, kappa: np.ndarray, c_lo: int, c_hi: i
     row_pair = np.stack([_p2_rows(S, P2, ax % S), _p2_rows(S, P2, -ax % S)], axis=1)
     row_pair = row_pair.reshape(-1) * width
     power_flat = P2.reshape(-1)
-    # per row: |b| <= b_hi is inside c_hi, |b| <= b_lo (-1: none) inside c_lo
-    b_hi = _isqrt(c_hi - sq)
-    inner = sq <= c_lo
-    b_lo = np.full_like(ax, -1)
-    b_lo[inner] = _isqrt(c_lo - sq[inner])
-    # segment 2i runs over b in [-b_hi, -b_lo - 1] and segment 2i + 1 over
-    # [max(b_lo, 0) + 1, b_hi], so b = 0 lands in the first when b_lo = -1
+    # per row a >= 0: |b| <= b_hi is inside c_hi, |b| <= b_lo (-1: none) inside c_lo
+    a_sq = sq[amax:]
+    b_hi = _isqrt(c_hi - a_sq)
+    inner = a_sq <= c_lo
+    b_lo = np.full_like(a_sq, -1)
+    b_lo[inner] = _isqrt(c_lo - a_sq[inner])
+    # segment 2a runs over b in [-b_hi, -b_lo - 1] and segment 2a + 1 over
+    # [max(b_lo, 0) + 1, b_hi]; row 0 has no segment 0, so b <= 0 is skipped
     b_mid = np.maximum(b_lo, 0)
     starts = np.stack([amax - b_hi, amax + b_mid + 1], axis=1).reshape(-1)
     lens = np.stack([b_hi - b_lo, b_hi - b_mid], axis=1).reshape(-1)
-    rows = np.repeat(np.arange(ax.size), 2)
+    lens[0] = 0
+    rows = np.repeat(np.arange(amax, ax.size), 2)
     ends = np.cumsum(lens)
     block_of = (ends - lens) // SPECTRUM_BLOCK
     edges = np.concatenate([[0], np.flatnonzero(np.diff(block_of)) + 1, [lens.size]])
@@ -257,6 +265,7 @@ def _walk_disk(A: GridSet, P2: np.ndarray, kappa: np.ndarray, c_lo: int, c_hi: i
         sincs = np.repeat(sinc[a], n) * sinc[b]
         image = row_pair[np.repeat(2 * a, n) + flip[b]] + col[b]
         power = power_flat[image] * (norm * sincs) ** 2
+        power *= 2.0
         np.add.at(kappa, np.repeat(sq[a], n) + sq[b], power)
 
 
@@ -297,16 +306,18 @@ def spectrum(A: GridSet, cutoff_m: int) -> Spectrum:
     kappa(m) accumulates |1_A^(xi)|^2 over lattice points xi = (2 pi/K)(a, b)
     with a^2 + b^2 = m; the Fourier coefficient of each cell is closed form
     (cell DFT times two sinc factors), so the only numerical error is FFT
-    roundoff.  tail_mass is density - sum(kappa), exact by Plancherel.
+    roundoff.  The points xi and -xi have the same power, so each pair adds
+    twice the power of its point in the half plane a > 0 or a = 0 < b.
+    tail_mass is density - sum(kappa), exact by Plancherel.
 
-    The disk a^2 + b^2 <= cutoff_m is walked row by row in bounded blocks
-    (``_walk_disk``), so memory is the kappa array, 8 (cutoff_m + 1) bytes,
-    one block of SPECTRUM_BLOCK points, and the S x W complex row transform,
-    W = min(isqrt(cutoff_m), S/2) + 1 (S = NK), plus the power P2 of its
-    min(2 isqrt(cutoff_m) + 1, S) rows the walk reads and one block of
-    SPECTRUM_FFT_BLOCK rows or columns.  Cutoffs above MAX_CUTOFF_M raise
-    WorkBudgetError before anything is allocated, as do cutoffs with
-    cutoff_m * (NK)^2 above DEFAULT_WORK_BUDGET.
+    That half of the disk a^2 + b^2 <= cutoff_m is walked row by row in
+    bounded blocks (``_walk_disk``), so memory is the kappa array,
+    8 (cutoff_m + 1) bytes, one block of SPECTRUM_BLOCK points, and the
+    S x W complex row transform, W = min(isqrt(cutoff_m), S/2) + 1 (S = NK),
+    plus the power P2 of its min(2 isqrt(cutoff_m) + 1, S) rows the walk
+    reads and one block of SPECTRUM_FFT_BLOCK rows or columns.  Cutoffs
+    above MAX_CUTOFF_M raise WorkBudgetError before anything is allocated,
+    as do cutoffs with cutoff_m * (NK)^2 above DEFAULT_WORK_BUDGET.
     """
     _check_cutoff(A, cutoff_m)
     # before kappa, so the FFT's peak does not hold it

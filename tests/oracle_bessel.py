@@ -17,8 +17,10 @@ it gives the aliasing terms J_{2mN} of the midpoint rule.
 ``values_whole_array`` is different in kind: it is the vectorized evaluator
 as it was before ``j0_values`` went blockwise, one mask split over the whole
 array with both branches written out in allocating numpy expressions, on the
-module's own nodes and coefficient tables.  It is the bitwise reference for
-the blocked, in-place evaluation.
+module's own nodes, coefficient tables and term-count thresholds; the Hankel
+branch groups the arguments by their number of terms and runs Horner from
+each group's own top coefficient.  It is the bitwise reference for the
+blocked, in-place evaluation.
 """
 
 import math
@@ -200,8 +202,13 @@ def values_whole_array(x):
     if np.any(~small):
         xl = x[~small]
         z = 1.0 / (xl * xl)
-        p = _horner(bessel._P, z)
-        q = _horner(bessel._Q, z) / xl
+        terms = bessel.ASYMPTOTIC_TERMS - np.searchsorted(bessel._BANDS, xl, side="right")
+        p, q = np.empty_like(xl), np.empty_like(xl)
+        for n in np.unique(terms):
+            band = terms == n
+            p[band] = _horner(bessel._P[:n], z[band])
+            q[band] = _horner(bessel._Q[:n], z[band])
+        q = q / xl
         w = xl - 0.25 * math.pi
         amp = np.sqrt(2.0 / (math.pi * xl))
         out[~small] = amp * (p * np.cos(w) - q * np.sin(w))

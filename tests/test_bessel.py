@@ -150,6 +150,82 @@ def test_blocked_values_check_the_last_block(bad):
         bessel.j0_values(x)
 
 
+# ---------------------------------------------------------------------------
+# Hankel branch: terms per argument
+# ---------------------------------------------------------------------------
+
+def _hankel_coeff(k):
+    """|a_k| = ((2k - 1)!!)^2 / (k! 8^k), the k-th Hankel coefficient of J0."""
+    odd = math.prod(range(1, 2 * k, 2))
+    return Fraction(odd * odd, math.factorial(k) * 8**k)
+
+
+def _omitted(x, n):
+    """(|a_2n| + |a_2n+1| / x) x^-2n in exact rationals: the first terms
+    that n-term P and Q leave out, before the amplitude."""
+    X = Fraction(x)
+    return (_hankel_coeff(2 * n) + _hankel_coeff(2 * n + 1) / X) / X ** (2 * n)
+
+
+def test_hankel_thresholds_are_the_least_floats_that_suffice():
+    # n terms suffice from x_n on: the omitted terms meet 2^-70 at x_n and
+    # miss it one ulp below; the thresholds fall with n, so n(x) is the
+    # fewest terms that suffice, and 14 below x_13
+    omit = Fraction(1, 2**70)
+    thresholds = bessel._HANKEL_FROM
+    assert len(thresholds) == bessel.ASYMPTOTIC_TERMS - 1
+    assert list(thresholds) == sorted(thresholds, reverse=True)
+    for n, x in enumerate(thresholds, start=1):
+        below = math.nextafter(x, 0.0)
+        assert _omitted(x, n) <= omit < _omitted(below, n), n
+        assert bessel._hankel_terms(x) == n
+        assert bessel._hankel_terms(below) == n + 1
+    assert 29.18 < thresholds[-1] < 29.19
+    assert thresholds[0] > bessel.FLAT_BOUND_MAX_ARG  # one term never suffices
+    assert bessel._hankel_terms(bessel.SERIES_CUTOFF) == bessel.ASYMPTOTIC_TERMS
+    assert bessel._hankel_terms(bessel.FLAT_BOUND_MAX_ARG) == 2
+    assert [bessel._hankel_terms(x) for x in (112.0, 540.0, 2963.0)] == [6, 4, 3]
+
+
+def _band_edges():
+    """Every term-count threshold in the domain, SERIES_CUTOFF too, with
+    the floats one and two ulps either side."""
+    edges = [bessel.SERIES_CUTOFF, *bessel._HANKEL_FROM[1:]]
+    xs = []
+    for e in edges:
+        below, above = math.nextafter(e, 0.0), math.nextafter(e, math.inf)
+        xs += [math.nextafter(below, 0.0), below, e, above, math.nextafter(above, math.inf)]
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("tables", ["module", "growing"])
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_hankel_values_depend_on_the_argument_alone(monkeypatch, order, tables):
+    # one block holds every band, so every restart runs; each value must be
+    # the one the argument gets alone, whatever its neighbours.  The terms
+    # a value leaves out are below 2^-70, so with the module's tables a
+    # value summed to the block's most terms is almost always the same
+    # float; tables whose terms grow as 2^60k make every left-out term show.
+    if tables == "growing":
+        grow = 2.0 ** (60 * np.arange(bessel.ASYMPTOTIC_TERMS))
+        monkeypatch.setattr(bessel, "_P", grow)
+        monkeypatch.setattr(bessel, "_Q", -grow)
+    x = np.sort(np.concatenate([_band_edges(), np.linspace(15.0, 4e5, 3000), [bessel.FLAT_BOUND_MAX_ARG]]))
+    x = {"ascending": x, "descending": x[::-1], "shuffled": np.random.default_rng(3).permutation(x)}[order]
+    got = bessel.j0_values(x)
+    alone = np.array([bessel.j0(float(v)).value for v in x])
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got.view(np.int64), alone.view(np.int64))
+    assert np.array_equal(got.view(np.int64), values_whole_array(x).view(np.int64))
+
+
+def test_hankel_bounds_hold_at_the_band_edges():
+    for x in bessel._HANKEL_FROM[1:]:
+        for y in (x, math.nextafter(x, 0.0)):
+            ev = bessel.j0(y)
+            assert abs(ev.value - hankel_oracle(y)) <= ev.abs_error_bound <= bessel.J0_ABS_ERROR, y
+
+
 # J0' = -J1.  witness_lipschitz charges sup |J0'| < 0.6; these checks read J1
 # from scipy, audited against the exact-rational oracle first.
 

@@ -8,6 +8,7 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,13 +61,15 @@ def direct_fourier_mass(A, cutoff_m):
     return out
 
 
-def meshgrid_spectrum(A, cutoff_m):
-    """Reference spectrum: the whole (2 isqrt(cutoff_m) + 1)^2 meshgrid of
-    lattice points at once, summed by ``np.bincount`` in row-major order.
+def meshgrid_spectrum(A, cutoff_m, half_plane=True):
+    """Reference spectrum: lattice points of the (2 isqrt(cutoff_m) + 1)^2
+    meshgrid at once, summed by ``np.bincount`` in row-major order.
 
-    This is how ``spectrum`` computed kappa before it walked the disk by rows;
-    both add each bucket's terms in the same order, so they agree bit for bit.
-    Returns (ms, kappas, tail_mass).
+    With ``half_plane``, the points a > 0 or a = 0 < b, each with twice its
+    power: the points ``spectrum`` walks, in its order, so the two agree bit
+    for bit.  Without it, the whole disk with each point's own power, as
+    ``spectrum`` summed it before it walked one point of each pair +-xi; the
+    two sums then differ by rounding alone.  Returns (ms, kappas, tail_mass).
     """
     S = A.side
     P2 = np.abs(np.fft.rfft2(A.cells.astype(np.float64))) ** 2
@@ -85,12 +88,16 @@ def meshgrid_spectrum(A, cutoff_m):
     aa, bb = np.meshgrid(ax, ax, indexing="ij")
     m = (aa * aa + bb * bb).ravel()
     keep = m <= cutoff_m
+    if half_plane:
+        keep &= ((aa > 0) | ((aa == 0) & (bb > 0))).ravel()
     aa = aa.ravel()[keep]
     bb = bb.ravel()[keep]
     m = m[keep]
     norm = 1.0 / (A.K**2 * A.N**2)
     sincs = np.sinc(aa / S) * np.sinc(bb / S)
     power = lookup(aa, bb) * (norm * sincs) ** 2
+    if half_plane:
+        power *= 2.0
     kappa_by_m = np.bincount(m, weights=power, minlength=int(cutoff_m) + 1)
     dens = A.density
     kappa_by_m[0] = dens * dens
@@ -106,23 +113,68 @@ def assert_same_spectrum(spec, ms, kappas, tail_mass):
     assert spec.tail_mass == tail_mass
 
 
-@pytest.mark.parametrize(
-    "N, K, cutoff",
-    [
-        (1, 1, 1),
-        (2, 3, 50),
-        (1, 3, 10_000),   # isqrt(cutoff) = 100 > S = 3: the power lookup wraps
-        (3, 4, 1_000),
-        (5, 2, 12_345),
-        (4, 8, 65_536),   # about 206k points: several walk blocks
-        (3, 5, 99_999),   # not a perfect square, rows end off the circle
-        (16, 4, 200),     # 2 isqrt(cutoff) + 1 = 29 < S = 64: a pruned transform
-        (15, 5, 300),     # the same at odd S = 75
-    ],
-)
+WALK_CASES = [
+    (1, 1, 1),
+    (2, 3, 50),
+    (1, 3, 10_000),   # isqrt(cutoff) = 100 > S = 3: the power lookup wraps
+    (3, 4, 1_000),
+    (5, 2, 12_345),
+    (4, 8, 65_536),   # about 206k points, half of them walked: two walk blocks
+    (3, 5, 99_999),   # not a perfect square, rows end off the circle
+    (16, 4, 200),     # 2 isqrt(cutoff) + 1 = 29 < S = 64: a pruned transform
+    (15, 5, 300),     # the same at odd S = 75
+]
+
+
+@pytest.mark.parametrize("N, K, cutoff", WALK_CASES)
 def test_row_walk_bitwise_equals_meshgrid_oracle(N, K, cutoff):
     A = random_gridset(N, K, p=0.4, seed=N * K + cutoff)
     assert_same_spectrum(spectrum(A, cutoff), *meshgrid_spectrum(A, cutoff))
+
+
+@pytest.mark.parametrize("N, K, cutoff", WALK_CASES)
+def test_half_plane_walk_matches_the_whole_disk(N, K, cutoff):
+    # one point of each pair +-xi, doubled, against every point: the same
+    # buckets, with sums reordered by the pairing
+    A = random_gridset(N, K, p=0.4, seed=N * K + cutoff)
+    spec = spectrum(A, cutoff)
+    ms, kappas, tail = meshgrid_spectrum(A, cutoff, half_plane=False)
+    assert np.array_equal(spec.ms, ms)
+    assert np.all(np.abs(spec.kappas - kappas) <= 4e-15 * kappas)
+    assert abs(spec.tail_mass - tail) <= 1e-15
+
+
+class _CountingNumpy:
+    """numpy for the walk's module, with an ``add.at`` that counts the terms
+    it adds."""
+
+    def __init__(self):
+        self.terms = 0
+        self.add = SimpleNamespace(at=self._add_at)
+
+    def _add_at(self, target, index, values):
+        self.terms += len(values)
+        np.add.at(target, index, values)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("c_lo, c_hi", [(-1, 1), (-1, 50), (-1, 99_999), (50, 200), (4096, 16_384)])
+def test_walk_adds_one_term_per_pair_of_lattice_points(monkeypatch, c_lo, c_hi):
+    # one term per pair +-xi: (points - 1) / 2 on a disk, whose origin is
+    # left out, and points / 2 on an annulus
+    A = random_gridset(3, 5, p=0.4, seed=c_hi)
+    P2 = torus._power_spectrum(A, math.isqrt(c_hi))
+    counting = _CountingNumpy()
+    monkeypatch.setattr(torus, "np", counting)
+    torus._walk_disk(A, P2, np.zeros(c_hi + 1), c_lo, c_hi)
+    r = math.isqrt(c_hi)
+    a, b = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1))
+    m = a * a + b * b
+    points = int(np.count_nonzero((c_lo < m) & (m <= c_hi)))
+    assert points % 2 == (c_lo < 0)
+    assert counting.terms == (points - (c_lo < 0)) // 2
 
 
 def test_spectrum_auto_bitwise_equals_spectrum_at_its_cutoff():
