@@ -21,21 +21,29 @@ in float64:
   (up to x 2^-52 per cosine), np.cos to 1 ulp and the sum add at most
   (x + 1) 2^-52 + 13 2^-53, 5e-15 at x = 15.
 * ``x >= 15``: the Hankel asymptotic expansion
-  ``sqrt(2/(pi x)) [P(x) cos(w) - Q(x) sin(w)]``, w = x - pi/4, with n(x)
-  terms in each of P and Q.  For real arguments the remainder of either
+  ``sqrt(2/(pi x)) [P(x) cos(w) - Q(x) sin(w) / x]``, w = x - pi/4, with
+  n(x) terms in each of P and Q.  For real arguments the remainder of either
   series is bounded by its first omitted term, whatever the number of terms
   (DLMF 10.17(iii)).  n(x) is the fewest n <= 14 whose first omitted terms
   meet (|a_2n| + |a_2n+1| / x) x^-2n <= 2^-70, and 14 below x ~ 29.19,
   where none does: 14 terms leave out under 5e-14 at x = 15, 6 suffice from
   x ~ 112, 4 from ~ 540, 3 from ~ 2963 and 2 from ~ 1.07e5.  The
-  thresholds are computed exactly at import.
+  thresholds are computed exactly at import.  The bracket is evaluated as
+  one cosine, R cos(w + phi) with u = Q / (x P) = tan(phi) and
+  R = P sqrt(1 + u^2): the same first-omitted-term bounds give
+  |u| <= 0.00834 at x = 15, and less beyond, so phi is atan's alternating
+  series to u^7 (it leaves out under 3e-20), and R < 1.  The value is
+  cos(x + (phi - pi/4)) P sqrt((1 + u^2) 2 / (pi x)).
 
 No lookup tables or interpolation: both branches have closed-form error terms,
 the asymptotic one including sqrt(2x/pi) 2^-53 for the float64 rounding of
-the phase x - pi/4.  The returned ``abs_error_bound`` stays below 1e-12 on
-[0, 2^26]; tests check it against exact-rational, ``decimal`` and ``mpmath``
-oracles.  The vectorized ``j0_values`` charges that flat bound,
-``J0_ABS_ERROR``, so it rejects arguments above ``FLAT_BOUND_MAX_ARG`` = 2^26.
+the phase x + (phi - pi/4), which lies below x and is rounded once, at x's
+scale; the rest of its float64 noise (the series, u, phi, pi/4, cos to
+1 ulp, the square root and the products) is charged as a flat 5e-15.  The
+returned ``abs_error_bound`` stays below 1e-12 on [0, 2^26]; tests check it
+against exact-rational, ``decimal`` and ``mpmath`` oracles.  The vectorized
+``j0_values`` charges that flat bound, ``J0_ABS_ERROR``, so it rejects
+arguments above ``FLAT_BOUND_MAX_ARG`` = 2^26.
 It checks the whole array first, then evaluates it in blocks of
 ``VALUES_BLOCK`` arguments in cache-sized buffers: a block entirely at or
 above the cutoff runs the Hankel branch in place, and the midpoint rule runs
@@ -229,19 +237,24 @@ def _midpoint_bound(x):
     return aliasing + (x + 1.0) * 2.0**-52 + 13.0 * 2.0**-53
 
 
-def _asymptotic(x, out, buf):
-    """J0(x) from the Hankel expansion, written into ``out``.
+def _asymptotic(x, lo, out, buf):
+    """J0(x) from the Hankel expansion, written into ``out``; ``lo`` is x's
+    minimum, which the caller has already reduced.
 
     Each argument sums _hankel_terms(x) terms of P and Q: Horner runs from
     the top coefficient of the argument with the most terms, and restarts
     every argument at its own top coefficient by multiplying its sums by 0
     instead of 1/x^2, so a value depends on x alone.  Arguments that all
-    take the same number of terms need no restart.  ``buf`` holds four
-    scratch rows of x's length; every operation is in place in them.
-    Returns the amplitude sqrt(2/(pi x)), a row of ``buf``.
+    take the same number of terms need no restart.  Then, with q = Q / x,
+    P cos(w) - q sin(w) = R cos(w + phi) for u = q / P = tan(phi) and
+    R = P sqrt(1 + u^2): one cosine of the phase x + (phi - pi/4), times
+    P sqrt((1 + u^2) 2 / (pi x)).  |u| < 0.009 (see ``_asymptotic_bound``),
+    so phi is atan's alternating series to u^7.  P^2 + q^2 is never formed,
+    so no intermediate grows past P itself.  ``buf`` holds four scratch rows
+    of x's length; every operation is in place in them.
     """
     z, p, q, t = buf
-    most, fewest = _hankel_terms(x.min()), _hankel_terms(x.max())
+    most, fewest = _hankel_terms(lo), _hankel_terms(x.max())
     np.multiply(x, x, out=t)
     np.divide(1.0, t, out=z)
     p.fill(_P[most - 1])
@@ -258,24 +271,41 @@ def _asymptotic(x, out, buf):
         p += _P[k]
         q *= step
         q += _Q[k]
-    q /= x
-    np.subtract(x, 0.25 * math.pi, out=t)  # the phase w
-    np.sin(t, out=z)
-    np.cos(t, out=t)
-    p *= t
-    q *= z
-    p -= q  # P cos(w) - Q sin(w) / x
-    np.multiply(x, math.pi, out=t)
-    np.divide(2.0, t, out=t)
-    np.sqrt(t, out=t)
-    np.multiply(t, p, out=out)
-    return t
+    np.multiply(x, p, out=t)
+    np.divide(q, t, out=q)  # u = Q / (x P)
+    np.multiply(q, q, out=z)  # u^2
+    np.multiply(z, -1.0 / 7.0, out=t)
+    t += 1.0 / 5.0
+    t *= z
+    t -= 1.0 / 3.0
+    t *= z
+    t *= q
+    t += q  # phi = u - u^3/3 + u^5/5 - u^7/7
+    t -= 0.25 * math.pi
+    t += x  # the phase, rounded once at x's scale
+    np.cos(t, out=out)
+    z += 1.0
+    np.multiply(x, 0.5 * math.pi, out=t)
+    z /= t
+    np.sqrt(z, out=z)  # sqrt((1 + u^2) 2 / (pi x))
+    z *= p
+    out *= z
 
 
 def _asymptotic_bound(x, amp):
-    """Error bound of ``_asymptotic``: truncation at the first omitted terms
-    of its _hankel_terms(x) terms, float64 noise, and the rounding of the
-    phase x - pi/4, up to x 2^-53."""
+    """Error bound of ``_asymptotic`` at x, given amp >= sqrt(2/(pi x)).
+
+    Truncation: the first terms that the _hankel_terms(x) terms of P and q
+    leave out, times amp.  Rotation: |q| <= |a_1| / x and P >= 1 - |a_2| / x^2 (the
+    same first-omitted-term bounds), so |u| <= 0.00834 at x = 15 and less
+    beyond; atan's series then leaves out under |u|^9 / 9 < 3e-20, and
+    R^2 = P^2 + q^2 = 1 - 1/(8 x^2) + O(x^-4) stays below 1.  Rounding: the
+    phase x + (phi - pi/4) lies below x and rounds once by up to x 2^-53,
+    which moves the value by up to amp R x 2^-53; everything else (Horner,
+    u, phi, the rounding of pi/4, cos to 1 ulp, the square root and the
+    products) is float64 noise on terms below amp, under 1e-15 in all at
+    x = 15 and less beyond, which _ASY_ROUNDOFF covers.
+    """
     n = _hankel_terms(x)
     zn = (1.0 / (x * x)) ** n
     trunc = amp * (_P_NEXT[n] * zn + _Q_NEXT[n] * zn / x)
@@ -294,8 +324,7 @@ def j0(x: float) -> BesselEval:
         return BesselEval(value, 0.0)
     if x < SERIES_CUTOFF:
         return BesselEval(value, _midpoint_bound(x))
-    amp = math.sqrt(2.0 / (math.pi * x))  # as _asymptotic computes it
-    return BesselEval(value, float(_asymptotic_bound(x, amp)))
+    return BesselEval(value, float(_asymptotic_bound(x, j0_envelope(x))))
 
 
 def j0_envelope(x: float) -> float:
@@ -333,8 +362,9 @@ def j0_values(x) -> np.ndarray:
     for lo in range(0, flat.size, VALUES_BLOCK):
         xb = flat[lo : lo + VALUES_BLOCK]
         ob = out[lo : lo + VALUES_BLOCK]
-        if xb.min() >= SERIES_CUTOFF:
-            _asymptotic(xb, ob, buf[:, : xb.size])
+        least = xb.min()
+        if least >= SERIES_CUTOFF:
+            _asymptotic(xb, least, ob, buf[:, : xb.size])
             continue
         small = xb < SERIES_CUTOFF
         n_small = np.count_nonzero(small)
@@ -344,8 +374,9 @@ def j0_values(x) -> np.ndarray:
         ob[small] = vs
         if n_small < xb.size:
             big = ~small
-            vals = np.empty(xb.size - n_small)
-            _asymptotic(xb[big], vals, buf[:, : vals.size])
+            xl = xb[big]
+            vals = np.empty(xl.size)
+            _asymptotic(xl, xl.min(), vals, buf[:, : xl.size])
             ob[big] = vals
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
@@ -369,11 +400,16 @@ def _j0_sum(const, coeffs, columns, shape):
     """const + sum_i coeffs[i] * columns[i] as a float64 array of ``shape``,
     added in the given order: the combine step of ``j0_combination``, for
     callers that already hold the J0 values of each term."""
-    acc = np.full(shape, const, dtype=float)
+    if len(coeffs) == 0:
+        return np.full(shape, const, dtype=float)
     # no zip: its reused result tuple would keep each term's column alive
     # while the next one is made, one array more at the peak
     columns = iter(columns)
-    for c in coeffs:
+    # c_0 col_0 + const is const + c_0 col_0 exactly; the product goes into
+    # a new array, since callers may lend columns they keep
+    acc = np.multiply(coeffs[0], next(columns), out=np.empty(shape))
+    acc += const
+    for c in coeffs[1:]:
         acc += c * next(columns)
     return acc
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import j0_combination, j0_combination_error, j0_envelope
+from .bessel import J0_ABS_ERROR, j0_combination, j0_combination_error, j0_envelope
 from .errors import DegenerateSetError, DomainError, WorkBudgetError
 
 __all__ = [
@@ -148,7 +148,12 @@ class Spectrum:
 
     def frequency(self, m) -> np.ndarray:
         """|xi| for squared index m on the dual lattice (2 pi / K) Z^2."""
-        return (2.0 * math.pi / self.K) * np.sqrt(np.asarray(m, dtype=float))
+        # one new array, its square root and scaling in place: the bits of
+        # (2 pi / K) sqrt(m)
+        xi = np.array(m, dtype=float)
+        np.sqrt(xi, out=xi)
+        xi *= 2.0 * math.pi / self.K
+        return xi[()]  # a scalar m gives a scalar
 
 
 @dataclass(frozen=True)
@@ -359,16 +364,30 @@ def spectrum_auto(A: GridSet, r_min: float = 0.5, tail_target: float = 1e-4) -> 
     return spec
 
 
+def _dot_error(n: int, kappa_sum: float, const: float, coeffs) -> float:
+    """Rounding bound of the float64 dot product of n profile values with
+    kappa >= 0: gamma_n sum_m kappa(m) |P(|xi_m|)|, gamma_n = n u / (1 - n u)
+    and u = 2^-53, in any summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 3.1), with each value
+    |P| <= |const| + sum |c_i| (1 + J0_ABS_ERROR)."""
+    nu = n * 2.0**-53
+    values = abs(const) + float(np.abs(coeffs).sum()) * (1.0 + J0_ABS_ERROR)
+    return nu / (1.0 - nu) * kappa_sum * values
+
+
 def _pair_profile(S: Spectrum, const: float, radii, coeffs):
     """(sum_m kappa(m) P(|xi_m|), rigor) for P(t) = const + sum_i c_i J0(r_i t),
     every r_i > 0: the tail mass meets |P| <= |const| + sum |c_i| env(r_i
-    |xi_cut|), and only the J0 terms carry Bessel error (J0(0) = 1 is exact)."""
+    |xi_cut|), only the J0 terms carry Bessel error (J0(0) = 1 is exact), and
+    the dot product with kappa is charged its rounding (``_dot_error``)."""
     value = float(j0_combination(radii, coeffs, S.frequency(S.ms), const) @ S.kappas)
     args = [r * (2.0 * math.pi / S.K) * math.sqrt(S.cutoff_m) for r in radii]
     osc = sum(abs(c) * (j0_envelope(a) if a > 0 else 1.0) for a, c in zip(args, coeffs))
+    kappa_sum = float(S.kappas.sum())
     rigor = (
         S.tail_mass * (abs(const) + osc)
-        + j0_combination_error(coeffs) * float(S.kappas.sum())
+        + j0_combination_error(coeffs) * kappa_sum
+        + _dot_error(len(S.ms), kappa_sum, const, coeffs)
         + SPECTRUM_FFT_SLACK
     )
     return value, float(rigor)

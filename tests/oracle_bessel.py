@@ -19,7 +19,8 @@ as it was before ``j0_values`` went blockwise, one mask split over the whole
 array with both branches written out in allocating numpy expressions, on the
 module's own nodes, coefficient tables and term-count thresholds; the Hankel
 branch groups the arguments by their number of terms and runs Horner from
-each group's own top coefficient.  It is the bitwise reference for the
+each group's own top coefficient, and the rotated form R cos(w + phi)
+follows in the same operations.  It is the bitwise reference for the
 blocked, in-place evaluation.
 """
 
@@ -208,8 +209,11 @@ def values_whole_array(x):
             band = terms == n
             p[band] = _horner(bessel._P[:n], z[band])
             q[band] = _horner(bessel._Q[:n], z[band])
-        q = q / xl
-        w = xl - 0.25 * math.pi
-        amp = np.sqrt(2.0 / (math.pi * xl))
-        out[~small] = amp * (p * np.cos(w) - q * np.sin(w))
+        # P cos w - (Q / x) sin w as R cos(w + phi), u = Q / (x P) = tan phi
+        u = q / (xl * p)
+        u2 = u * u
+        phi = (((u2 * (-1.0 / 7.0) + 1.0 / 5.0) * u2 - 1.0 / 3.0) * u2) * u + u
+        phase = (phi - 0.25 * math.pi) + xl
+        amp = np.sqrt((u2 + 1.0) / (xl * (0.5 * math.pi))) * p
+        out[~small] = np.cos(phase) * amp
     return float(out[0]) if scalar else out

@@ -301,6 +301,30 @@ def test_j0_combination_scalar_and_empty():
     assert np.array_equal(bessel.j0_combination([], [], t, 0.25), np.full(3, 0.25))
 
 
+def test_j0_sum_leaves_its_columns_unchanged():
+    # the sum starts from c_0 col_0 in a new array: columns lent by a memo
+    # keep their bits, and the result is bitwise full(const) + sum c col,
+    # -0.0 products included (0.0 + -0.0 is 0.0 in either order)
+    rng = np.random.default_rng(5)
+    cols = [rng.uniform(-1.0, 1.0, 257) for _ in COMBO_COEFFS]
+    cols[0][:3] = [0.0, -0.0, 1.0]
+    coeffs = np.array([-1.0, *COMBO_COEFFS[1:]])
+    kept = [c.copy() for c in cols]
+    for const in (0.0, 0.75, -2.0):
+        got = bessel._j0_sum(const, coeffs, cols, (257,))
+        want = np.full(257, const)
+        for c, col in zip(coeffs, kept):
+            want = want + c * col
+        assert got.tobytes() == want.tobytes()
+        assert all(c.tobytes() == k.tobytes() for c, k in zip(cols, kept))
+        assert got.tobytes() != np.full(257, const).tobytes()
+    assert bessel._j0_sum(0.5, (2.0, 3.0), [1.0, 1.0], ()) == 5.5
+    t = np.linspace(0.0, 40.0, 2001)
+    t_kept = t.copy()
+    bessel.j0_combination(COMBO_RADII, COMBO_COEFFS, t, 0.25)
+    assert t.tobytes() == t_kept.tobytes()
+
+
 def test_j0_combination_holds_one_term_at_a_time():
     # the sum, one term's argument, its J0 values and their scaled copy,
     # and the J0 block buffers: under four arrays of t's size at the peak;
@@ -384,6 +408,55 @@ def test_midpoint_branch_against_mpmath():
             assert err <= ev.abs_error_bound <= bessel.J0_ABS_ERROR
             worst = max(worst, float(err))
     assert worst < 1e-15
+
+
+def test_hankel_branch_against_mpmath():
+    # |value - J0| <= bound <= J0_ABS_ERROR on [15, 2^26], J0 from mpmath at
+    # 40 digits, with 2,000 points on [2^25, 2^26]: there the phase
+    # x + (phi - pi/4) rounds by up to half an ulp of x, most of its
+    # x 2^-53 charge.  The array values are the scalar ones.
+    rng = np.random.default_rng(24)
+    xs = np.concatenate([
+        [bessel.SERIES_CUTOFF, *bessel._HANKEL_FROM[1:], bessel.FLAT_BOUND_MAX_ARG],
+        np.exp(rng.uniform(math.log(15.0), math.log(2.0**25), 1000)),
+        rng.uniform(2.0**25, 2.0**26, 2000),
+    ])
+    values = bessel.j0_values(xs)
+    uncharged = 0  # errors the bound would miss without its phase charge
+    with mpmath.workdps(40):
+        for x, v in zip(xs.tolist(), values.tolist()):
+            ev = bessel.j0(x)
+            assert ev.value == v
+            err = abs(mpmath.mpf(v) - mpmath.besselj(0, mpmath.mpf(x)))
+            assert err <= ev.abs_error_bound <= bessel.J0_ABS_ERROR, x
+            phase = bessel.j0_envelope(x) * x * 2.0**-53
+            uncharged += bool(err > ev.abs_error_bound - phase)
+    assert uncharged > 1000
+
+
+def _hankel_ratio(x):
+    """|u| = |Q| / (x P) in exact rationals, for the n(x) terms of P and Q
+    that the Hankel branch sums at x."""
+    X = Fraction(x)
+    n = bessel._hankel_terms(x)
+    P = sum((-1) ** k * _hankel_coeff(2 * k) / X ** (2 * k) for k in range(n))
+    Q = sum((-1) ** k * _hankel_coeff(2 * k + 1) / X ** (2 * k) for k in range(n))
+    return abs(Q) / (X * P)
+
+
+def test_hankel_rotation_premise():
+    # phi = atan u by its alternating series to u^7 needs |u| small: below
+    # 0.009 at 15 and at every band edge, and 1/(8x) / (1 - 9/(128 x^2)),
+    # the bound from the first omitted terms, already is at x = 15
+    X = Fraction(bessel.SERIES_CUTOFF)
+    assert Fraction(1, 8) / X / (1 - Fraction(9, 128) / X**2) < Fraction(9, 1000)
+    assert _hankel_coeff(1) == Fraction(1, 8) and _hankel_coeff(2) == Fraction(9, 128)
+    for x in (bessel.SERIES_CUTOFF, *bessel._HANKEL_FROM):
+        for y in (x, math.nextafter(x, 0.0)):
+            if y >= bessel.SERIES_CUTOFF:
+                u = _hankel_ratio(y)
+                assert 0 < u < Fraction(9, 1000), y
+                assert u**9 / 9 < Fraction(1, 10**19)
 
 
 # a rational lower bound on pi: pi = 3.14159265358979323846264338327950288419...

@@ -318,29 +318,36 @@ def test_constraint_check_random_sets_theorem_audit(reg):
 
 
 def test_profile_checks_charge_bessel_error_per_unit_coefficient(reg):
-    # with no tail mass, the Bessel term of the rigor is the only part that
-    # scales with the profile: it must be J0_ABS_ERROR * sum|c| * sum kappa
-    # over the J0 terms, not over the merged radii, and the exact constant of
-    # a vertex at the origin carries none
+    # with no tail mass, the Bessel term of the rigor and the rounding of the
+    # dot product with kappa are the parts that scale with the profile; the
+    # Bessel term must be J0_ABS_ERROR * sum|c| * sum kappa over the J0 terms,
+    # not over the merged radii, and the exact constant of a vertex at the
+    # origin carries none
     S = replace(spectrum(random_gridset(8, 4, p=0.4, seed=7), 4000), tail_mass=0.0)
     kappa_sum = float(S.kappas.sum())
+    nu = len(S.ms) * 2.0**-53
+
+    def dot(const, abs_sum):  # gamma_n sum kappa (|const| + sum|c| (1 + J0 error))
+        return nu / (1.0 - nu) * kappa_sum * (abs(const) + abs_sum * (1.0 + J0_ABS_ERROR))
+
     f1 = pair_correlation(S, 1.0)
     t = reg.t_graphs[0]
     const, radii, coeffs = profile_terms(t)
     assert const == 1.0 and float(np.abs(coeffs).sum()) == 9.0 and len(radii) == 2
-    bessel_part = constraint_rhs_check(S, t).rigor - 1e-10
+    bessel_part = constraint_rhs_check(S, t).rigor - 1e-10 - dot(1.0, 9.0)
     assert bessel_part == pytest.approx(J0_ABS_ERROR * 9.0 * kappa_sum, rel=1e-6, abs=0.0)
     m = reg.m_graphs[0]
     const, radii, coeffs = profile_terms(m)
     assert const == 1.0 and float(np.abs(coeffs).sum()) == 6.0
-    bessel_part = constraint_rhs_check(S, m).rigor - m.n_edges * f1.rigor_bound - 1e-10
+    bessel_part = (constraint_rhs_check(S, m).rigor - m.n_edges * f1.rigor_bound
+                   - 1e-10 - dot(1.0, 6.0))
     assert bessel_part == pytest.approx(J0_ABS_ERROR * 6.0 * kappa_sum, rel=1e-6, abs=0.0)
     h = math.sqrt(3.0) / 2.0
     p = CTPair("tri", 0.0, np.array([[0.0, 0.0], [1.0, 0.0], [0.5, h]]),
                np.array([[0.0, 0.0]]), 0.0)
     const, radii, coeffs = ct_profile_terms(p)
     assert const == -1.0 and len(radii) == 1 and float(np.abs(coeffs).sum()) == 3.0
-    bessel_part = ct_constraint_check(S, p).rigor - 1e-10
+    bessel_part = ct_constraint_check(S, p).rigor - 1e-10 - dot(-1.0, 3.0)
     assert bessel_part == pytest.approx(J0_ABS_ERROR * 3.0 * kappa_sum, rel=1e-6, abs=0.0)
 
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from udsets import torus
-from udsets.bessel import J0_ABS_ERROR, j0_envelope, j0_values
+from udsets.bessel import J0_ABS_ERROR, j0_combination, j0_envelope, j0_values
 from udsets.errors import DegenerateSetError, DomainError, SchemaError, WorkBudgetError
 from udsets.gridio import load_gridset, save_gridset
 from udsets.torus import (
@@ -533,12 +535,17 @@ def test_direct_vs_spectral_cross_oracle():
 
 
 def one_term_closed_form(spec, r):
-    """f(r) and its rigor bound written out for the single term J0(r t)."""
-    value = float(j0_values(r * spec.frequency(spec.ms)) @ spec.kappas)
+    """f(r) and its rigor bound written out for the single term J0(r t):
+    truncation, J0 error, the rounding of the dot product with kappa
+    (gamma_n sum kappa max|J0|, n = len(ms)) and FFT slack."""
+    xi = (2.0 * math.pi / spec.K) * np.sqrt(np.asarray(spec.ms, dtype=float))
+    value = float(j0_values(r * xi) @ spec.kappas)
     arg = r * (2.0 * math.pi / spec.K) * math.sqrt(spec.cutoff_m)
+    nu = len(spec.ms) * 2.0**-53
     rigor = (
         spec.tail_mass * j0_envelope(arg)
         + J0_ABS_ERROR * float(spec.kappas.sum())
+        + nu / (1.0 - nu) * float(spec.kappas.sum()) * (1.0 + J0_ABS_ERROR)
         + torus.SPECTRUM_FFT_SLACK
     )
     return value, rigor
@@ -555,6 +562,24 @@ def test_pair_correlation_is_the_one_term_closed_form(disk128_spectrum):
         for r in rs:
             ev = pair_correlation(spec, r)
             assert (ev.value, ev.rigor_bound) == one_term_closed_form(spec, r), r
+
+
+def test_pair_profile_charges_the_dot_product_with_kappa():
+    # the float64 sum over kappa rounds at the scale of sum kappa |P|: with a
+    # large constant in the profile it drifts past every other term of the
+    # rigor, and gamma_n sum kappa (|const| + sum|c| (1 + J0 error)) covers it
+    S = replace(spectrum(random_gridset(8, 4, p=0.4, seed=7), 4000), tail_mass=0.0)
+    kappa_sum = float(S.kappas.sum())
+    nu = len(S.ms) * 2.0**-53
+    for const in (1e6, 1e9):
+        value, rigor = torus._pair_profile(S, const, (1.0,), (1.0,))
+        dot = nu / (1.0 - nu) * kappa_sum * (const + 1.0 + J0_ABS_ERROR)
+        assert rigor == pytest.approx(J0_ABS_ERROR * kappa_sum + dot + torus.SPECTRUM_FFT_SLACK)
+        profile = j0_combination((1.0,), (1.0,), S.frequency(S.ms), const)
+        exact = sum(Fraction(a) * Fraction(k) for a, k in zip(profile.tolist(), S.kappas.tolist()))
+        err = abs(Fraction(value) - exact)
+        assert err <= dot
+    assert err > rigor - dot  # without the charge, 1e9 would not be covered
 
 
 def test_single_cell_vs_direct():
