@@ -237,9 +237,9 @@ def _midpoint_bound(x):
     return aliasing + (x + 1.0) * 2.0**-52 + 13.0 * 2.0**-53
 
 
-def _asymptotic(x, lo, out, buf):
-    """J0(x) from the Hankel expansion, written into ``out``; ``lo`` is x's
-    minimum, which the caller has already reduced.
+def _asymptotic(x, lo, hi, out, buf):
+    """J0(x) from the Hankel expansion, written into ``out``; ``lo`` and
+    ``hi`` are x's minimum and maximum, which the caller has already reduced.
 
     Each argument sums _hankel_terms(x) terms of P and Q: Horner runs from
     the top coefficient of the argument with the most terms, and restarts
@@ -254,7 +254,7 @@ def _asymptotic(x, lo, out, buf):
     of x's length; every operation is in place in them.
     """
     z, p, q, t = buf
-    most, fewest = _hankel_terms(lo), _hankel_terms(x.max())
+    most, fewest = _hankel_terms(lo), _hankel_terms(hi)
     np.multiply(x, x, out=t)
     np.divide(1.0, t, out=z)
     p.fill(_P[most - 1])
@@ -345,26 +345,31 @@ def j0_envelope(x: float) -> float:
 def j0_values(x) -> np.ndarray:
     """Vectorized J0 on [0, 2**26]; absolute error <= J0_ABS_ERROR elementwise.
 
-    Runs in blocks of VALUES_BLOCK arguments after checking the whole array.
-    A block with no argument below SERIES_CUTOFF takes the Hankel branch in
-    preallocated buffers; any other block gathers its arguments below the
-    cutoff into those buffers for the midpoint rule, and sends the rest to
-    the Hankel branch.  Every value is the same float64 as on the whole array
-    at once, and as for its argument alone.
+    Runs in blocks of VALUES_BLOCK arguments.  Each block's minimum and
+    maximum are reduced once: they check its domain, and pick its branch.
+    A block wholly below SERIES_CUTOFF takes the midpoint rule, and one with
+    no argument below it the Hankel branch, in place in its output slice; a
+    block that straddles the cutoff gathers its arguments below it into
+    preallocated buffers for the midpoint rule, and sends the rest to the
+    Hankel branch.  Every value is the same float64 as on the whole array at
+    once, and as for its argument alone.
     """
     x = np.asarray(x, dtype=float)
-    # min and max propagate NaN, which then fails both comparisons
-    if x.size and not (x.min() >= 0.0 and x.max() <= FLAT_BOUND_MAX_ARG):
-        raise DomainError("array arguments must lie in [0, 2**26]")
     flat = np.ascontiguousarray(x).reshape(-1)
     out = np.empty_like(flat)
     buf = np.empty((4, min(flat.size, VALUES_BLOCK)))
     for lo in range(0, flat.size, VALUES_BLOCK):
         xb = flat[lo : lo + VALUES_BLOCK]
         ob = out[lo : lo + VALUES_BLOCK]
-        least = xb.min()
+        least, most = xb.min(), xb.max()
+        # min and max propagate NaN, which then fails both comparisons
+        if not (least >= 0.0 and most <= FLAT_BOUND_MAX_ARG):
+            raise DomainError("array arguments must lie in [0, 2**26]")
+        if most < SERIES_CUTOFF:
+            _midpoint(xb, ob, buf[0, : xb.size])
+            continue
         if least >= SERIES_CUTOFF:
-            _asymptotic(xb, least, ob, buf[:, : xb.size])
+            _asymptotic(xb, least, most, ob, buf[:, : xb.size])
             continue
         small = xb < SERIES_CUTOFF
         n_small = np.count_nonzero(small)
@@ -372,12 +377,11 @@ def j0_values(x) -> np.ndarray:
         np.compress(small, xb, out=xs)
         _midpoint(xs, vs, t)
         ob[small] = vs
-        if n_small < xb.size:
-            big = ~small
-            xl = xb[big]
-            vals = np.empty(xl.size)
-            _asymptotic(xl, xl.min(), vals, buf[:, : xl.size])
-            ob[big] = vals
+        big = ~small
+        xl = xb[big]
+        vals = np.empty(xl.size)
+        _asymptotic(xl, xl.min(), most, vals, buf[:, : xl.size])
+        ob[big] = vals
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 

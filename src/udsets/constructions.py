@@ -306,7 +306,14 @@ _HEX_NORMALS = np.array(
 def _mark_block(cells, center, block: Disk | Tortoise, beta, h_dil, N, S):
     """Mark every cell whose h_dil-dilation lies strictly inside the
     (1 - beta)-shrunk block at ``center``: inside its disk and, for a
-    Tortoise, between each of the hexagon's three pairs of flat sides."""
+    Tortoise, between each of the hexagon's three pairs of flat sides.
+
+    The block's cells form a window of the torus, its rows and columns
+    taken mod S, and the window's mask is ORed into it in one write.  A
+    window side is jhi - jlo + 1 < 2 R N + 3 cells, with R N <= (1 - beta)
+    N / 2 + 1 / (1 - beta) <= N / 2 + 1 for N >= 16 (extent <= 1/2, h_dil
+    = 1 / (2 N (1 - beta))), so at most N + 4 cells: below S = NK for the
+    K >= 3 of every embedding, so no cell appears twice in a window."""
     tortoise = isinstance(block, Tortoise)
     radius = (1.0 - beta) * (block.disk_radius if tortoise else block.radius)
     R = (1.0 - beta) * block.max_extent + 2.0 * h_dil
@@ -326,8 +333,7 @@ def _mark_block(cells, center, block: Disk | Tortoise, beta, h_dil, N, S):
         for nx, ny in _HEX_NORMALS:
             reach = h_dil * (abs(nx) + abs(ny))
             inside &= np.abs(cx * nx + cy * ny) + reach < apothem
-    jj, kk = np.nonzero(inside)
-    cells[js[jj] % S, ks[kk] % S] = True
+    cells[np.ix_(js % S, ks % S)] |= inside
 
 
 def rasterize_report(

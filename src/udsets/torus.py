@@ -17,10 +17,12 @@ Two independent pipelines compute the pair correlation f(r):
   power; it goes row by row in blocks of SPECTRUM_BLOCK points.  It reads
   only the columns |q| <= isqrt(cutoff) of the half-plane transform, so only
   those are transformed, and only its rows a with min(a, S - a) <=
-  isqrt(cutoff) keep their power (FFT pruning, Markel 1971): memory is
-  O(cutoff) for kappa, the S x (min(isqrt(cutoff), S/2) + 1) complex row
-  transform, the power of the kept rows and one bounded block; cutoffs stop
-  at MAX_CUTOFF_M = 2^26.
+  isqrt(cutoff) keep their power (FFT pruning, Markel 1971); a raster row
+  that repeats an earlier one is not transformed again.  Memory is
+  O(cutoff) for kappa, the (distinct rows) x (min(isqrt(cutoff), S/2) + 1)
+  complex row transform, one gathered block of S rows, the power of the
+  kept rows and one bounded block of the walk; cutoffs stop at
+  MAX_CUTOFF_M = 2^26.
   ``spectrum_auto`` grows the cutoff by walking only the new annulus.
 * direct geometry: the autocorrelation of a cell union is the bilinear
   interpolation of the integer pair-count array (an exact identity, since the
@@ -163,6 +165,23 @@ class PairCorrEval:
     rigor_bound: float
 
 
+def _distinct_rows(cells: np.ndarray):
+    """(distinct, row_id): the first raster row of each distinct row content,
+    ascending, and for every row the place of its content in ``distinct``.
+
+    Rows are keyed by their ``np.packbits`` bytes, so equal keys are equal
+    rows.  The rows are packed in one pass, and each key is sliced from the
+    packed bytes as it is looked up, so only the keys of distinct rows are
+    held at once.
+    """
+    packed = np.packbits(cells, axis=1)
+    n = packed.shape[1]
+    flat = packed.tobytes()
+    first = {}
+    source = [first.setdefault(flat[i * n : (i + 1) * n], i) for i in range(len(cells))]
+    return np.unique(source, return_inverse=True)
+
+
 def _power_spectrum(A: GridSet, qmax: int) -> np.ndarray:
     """|FFT(cells)|^2 at the frequencies (a, q) of the half plane with
     min(a, S - a) <= qmax and q <= min(qmax, S/2).
@@ -170,24 +189,32 @@ def _power_spectrum(A: GridSet, qmax: int) -> np.ndarray:
     The kept rows a come in ascending order: all S of them when 2 qmax + 1
     >= S, else a <= qmax and then a >= S - qmax (``_p2_rows`` maps a row to
     its place).  The 1-D transforms of numpy's 2-D real FFT, so the kept
-    entries equal its own bit for bit: a real FFT along each row, run
-    SPECTRUM_FFT_BLOCK rows at a time and cut to the kept columns, then a
-    complex FFT down SPECTRUM_FFT_BLOCK of those columns at a time, whose
-    kept rows are squared straight into the compact result.
+    entries equal its own bit for bit: a real FFT along each distinct raster
+    row, run SPECTRUM_FFT_BLOCK rows at a time and cut to the kept columns
+    into a table with one row per distinct row (FFT pruning, Markel 1971:
+    only the outputs read and only the distinct inputs), then a complex FFT
+    down SPECTRUM_FFT_BLOCK of those columns at a time, each block's S rows
+    gathered from the table (the table itself when every row is distinct),
+    whose kept rows are squared straight into the compact result.  Beside
+    the result, memory is the table, (distinct rows) x (kept columns)
+    complex, and one gathered block of S rows with its transform.
     """
     S = A.side
     width = min(qmax, S // 2) + 1
     lo = min(qmax, S - 1) + 1  # rows 0 <= a < lo, then the rows a >= hi
     hi = max(S - qmax, lo)
     step = SPECTRUM_FFT_BLOCK
-    rows = np.empty((S, width), dtype=np.complex128)
-    for i in range(0, S, step):
+    distinct, row_id = _distinct_rows(A.cells)
+    table = np.empty((distinct.size, width), dtype=np.complex128)
+    for i in range(0, distinct.size, step):
         block = slice(i, i + step)
-        rows[block] = np.fft.rfft(A.cells[block].astype(np.float64), axis=1)[:, :width]
+        table[block] = np.fft.rfft(A.cells[distinct[block]].astype(np.float64), axis=1)[:, :width]
     P2 = np.empty((lo + S - hi, width))
     for j in range(0, width, step):
         cols = slice(j, j + step)
-        transform = np.fft.fft(rows[:, cols], axis=0)
+        rows = table[:, cols] if distinct.size == S else table[row_id, cols]
+        transform = np.fft.fft(rows, axis=0)
+        del rows  # before the next block is gathered
         np.abs(transform[:lo], out=P2[:lo, cols])
         np.abs(transform[hi:], out=P2[lo:, cols])
         del transform  # before the next block's transform is made
@@ -318,9 +345,10 @@ def spectrum(A: GridSet, cutoff_m: int) -> Spectrum:
     That half of the disk a^2 + b^2 <= cutoff_m is walked row by row in
     bounded blocks (``_walk_disk``), so memory is the kappa array,
     8 (cutoff_m + 1) bytes, one block of SPECTRUM_BLOCK points, and the
-    S x W complex row transform, W = min(isqrt(cutoff_m), S/2) + 1 (S = NK),
-    plus the power P2 of its min(2 isqrt(cutoff_m) + 1, S) rows the walk
-    reads and one block of SPECTRUM_FFT_BLOCK rows or columns.  Cutoffs
+    D x W complex row transform of the D distinct raster rows (D <= S = NK),
+    W = min(isqrt(cutoff_m), S/2) + 1, plus the power P2 of its
+    min(2 isqrt(cutoff_m) + 1, S) rows the walk reads and one block of
+    SPECTRUM_FFT_BLOCK rows, or of as many columns gathered to S rows.  Cutoffs
     above MAX_CUTOFF_M raise WorkBudgetError before anything is allocated,
     as do cutoffs with cutoff_m * (NK)^2 above DEFAULT_WORK_BUDGET.
     """

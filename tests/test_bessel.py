@@ -127,6 +127,11 @@ def _blocked_inputs():
         "2-D": wide,
         "strided": wide[::3, 1::2],
         "transposed": wide.T,
+        # whole blocks below SERIES_CUTOFF, then whole blocks above it
+        "midpoint only": rng.uniform(0.0, 15.0, 2 * B + 3),
+        "midpoint then hankel": np.concatenate(
+            [np.linspace(0.0, 14.9, 2 * B), np.linspace(15.0, 500.0, B + 5)]
+        ),
     })
     return cases
 
@@ -146,6 +151,18 @@ def test_blocked_values_bitwise_equal_the_whole_array(name):
 def test_blocked_values_check_the_last_block(bad):
     x = np.full(3 * bessel.VALUES_BLOCK + 7, 20.0)
     x[-1] = bad
+    with pytest.raises(DomainError):
+        bessel.j0_values(x)
+
+
+@pytest.mark.parametrize("block", ["middle", "last"])
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+@pytest.mark.parametrize("fill", [5.0, 20.0])
+def test_blocked_values_check_every_block(block, bad, fill):
+    # blocks of arguments all below SERIES_CUTOFF (fill 5) or all above it
+    B = bessel.VALUES_BLOCK
+    x = np.full(3 * B + 7, fill)
+    x[B + B // 2 if block == "middle" else -1] = bad
     with pytest.raises(DomainError):
         bessel.j0_values(x)
 

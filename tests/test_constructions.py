@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from udsets import constructions
 from udsets.constructions import (
     HEX_DISK_DENSITY,
     Disk,
@@ -120,3 +121,78 @@ def test_raster_unit_distance_mass_within_rigor():
     spec = spectrum(rep.grid, 12_000)
     ev = pair_correlation(spec, 1.0)
     assert abs(ev.value) <= ev.rigor_bound
+
+
+def _mark_block_nonzero(cells, center, block, beta, h_dil, N, S):
+    """Reference: the inclusion rule marked cell by cell through np.nonzero
+    and a scatter of the gathered indices."""
+    tortoise = isinstance(block, constructions.Tortoise)
+    radius = (1.0 - beta) * (block.disk_radius if tortoise else block.radius)
+    R = (1.0 - beta) * block.max_extent + 2.0 * h_dil
+    js = np.arange(math.floor((center[0] - R) * N), math.ceil((center[0] + R) * N) + 1)
+    ks = np.arange(math.floor((center[1] - R) * N), math.ceil((center[1] + R) * N) + 1)
+    cx = ((js + 0.5) / N - center[0])[:, None]
+    cy = ((ks + 0.5) / N - center[1])[None, :]
+    dxa = np.abs(cx) + h_dil
+    dya = np.abs(cy) + h_dil
+    inside = dxa * dxa + dya * dya < radius * radius
+    if tortoise:
+        apothem = (1.0 - beta) * block.hex_height / 2.0
+        for nx, ny in constructions._HEX_NORMALS:
+            reach = h_dil * (abs(nx) + abs(ny))
+            inside &= np.abs(cx * nx + cy * ny) + reach < apothem
+    jj, kk = np.nonzero(inside)
+    cells[js[jj] % S, ks[kk] % S] = True
+
+
+class _RecordingCells(np.ndarray):
+    """A cell array that keeps the index of every write into it."""
+
+    def __setitem__(self, index, value):
+        self.writes.append(index)
+        super().__setitem__(index, value)
+
+
+def _mark_both(block, N, K, beta, centers, start):
+    """Mark every center into a copy of ``start`` with _mark_block and with
+    the reference; returns both arrays and the windows _mark_block wrote."""
+    S = N * K
+    h_dil = 1.0 / (2.0 * N * (1.0 - beta))
+    got = start.copy().view(_RecordingCells)
+    got.writes = []
+    want = start.copy()
+    for center in centers:
+        constructions._mark_block(got, center, block, beta, h_dil, N, S)
+        _mark_block_nonzero(want, center, block, beta, h_dil, N, S)
+    return got.view(np.ndarray), want, got.writes
+
+
+@pytest.mark.parametrize(
+    "name, N, K, beta",
+    [
+        ("disk", 128, 38, 0.006),
+        ("disk", 128, 8, 0.01),
+        ("croft", 128, 8, 0.01),
+        ("croft", 16, 3, 0.2),
+    ],
+)
+def test_windowed_marking_equals_the_nonzero_rule(name, N, K, beta):
+    pattern = hex_disk_packing() if name == "disk" else croft_tortoise(optimize_croft()[0])
+    S = N * K
+    # blocks across the x seam, the y seam and both, beside the embedding's own
+    seams = [(0.01, K / 2), (K / 2, K - 0.02), (0.0, 0.0), (K - 0.01, 0.03), (K - 1e-9, K - 1e-9)]
+    centers = np.concatenate([embed_pattern(pattern, K, beta).centers(K), seams])
+    start = np.zeros((S, S), dtype=bool)
+    start[::7, ::5] = True  # marking ORs into what is already there
+    got, want, windows = _mark_both(pattern.block, N, K, beta, centers, start)
+    assert np.array_equal(got, want)
+    assert np.array_equal(
+        got, _mark_both(pattern.block, N, K, beta, centers, np.zeros_like(start))[1] | start
+    )
+    assert len(windows) == len(centers)
+    for rows, cols in windows:
+        for side in (rows.ravel(), cols.ravel()):
+            # a window side is at most N + 4 <= S cells, so np.ix_ never
+            # sees one cell twice
+            assert side.size <= N + 4 <= S
+            assert np.unique(side).size == side.size
