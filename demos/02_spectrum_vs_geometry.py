@@ -29,7 +29,8 @@ def main():
           f"tail mass {spec.tail_mass:.2e}")
     kappa0 = spec.entries[0]
     print(f"kappa(0) = {kappa0:.9f} vs density^2 = {A.density**2:.9f}")
-    print(f"sum kappa + tail = {float(spec.kappas.sum()) + spec.tail_mass:.12f} "
+    total = float(spec.kappas.sum()) + spec.tail_mass + spec.omitted_mass
+    print(f"sum kappa + tail + omitted ({spec.omitted_mass:.1e}) = {total:.12f} "
           f"vs density = {A.density:.12f}")
 
     print("\n   r     spectral f(r)   rigor       direct oracle   |diff|")

@@ -151,7 +151,8 @@ def cmd_paircorr(args) -> int:
     csv_path = out / "paircorr.csv"
     gridio.write_paircorr_csv(csv_path, rows, spec.density)
     _manifest(out, "paircorr", args, [], [csv_path])
-    print(f"wrote {csv_path} ({len(rows)} rows, density {spec.density:.6f})")
+    print(f"wrote {csv_path} ({len(rows)} rows, density {spec.density:.6f}, "
+          f"{len(spec.ms)} kappa terms kept, mass {spec.omitted_mass:.1e} left out)")
     return EXIT_OK
 
 

@@ -793,10 +793,10 @@ def kappa_constraint_audit(
 
     dens = S.density
     kappa0 = float(S.kappas[S.ms == 0][0]) if np.any(S.ms == 0) else 0.0
-    total = float(S.kappas.sum()) + S.tail_mass
+    total = float(S.kappas.sum()) + S.tail_mass + S.omitted_mass
     items = [
         agreement("D: kappa(0) = density^2", kappa0, dens * dens, 1e-9),
-        agreement("F2: sum kappa + tail = density", total, dens, 1e-9),
+        agreement("F2: sum kappa + tail + omitted = density", total, dens, 1e-9),
     ]
     if gridset is not None:
         directs = pair_correlation_direct(gridset, np.asarray(r_probes, dtype=float))

@@ -98,7 +98,8 @@ def test_c02_spectral_identities():
         spec = spectrum_auto(A, r_min=0.25, tail_target=2e-4)
         kappa0 = spec.kappas[spec.ms == 0][0]
         assert abs(kappa0 - A.density**2) <= 1e-9
-        assert abs(float(spec.kappas.sum()) + spec.tail_mass - A.density) <= 1e-9
+        total = float(spec.kappas.sum()) + spec.tail_mass + spec.omitted_mass
+        assert abs(total - A.density) <= 1e-9
         for r in probes:
             ev = pair_correlation(spec, r)
             direct = pair_correlation_direct(A, r)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def test_construct_and_paircorr_roundtrip(tmp_path):
+def test_construct_and_paircorr_roundtrip(tmp_path, capsys):
     out = tmp_path / "c"
     assert run("construct", "hexdisk", "--n", 32, "--k", 8, "--out", out) == 0
     stats = json.loads((out / "hexdisk_N32_K8.stats.json").read_text())
@@ -33,6 +34,12 @@ def test_construct_and_paircorr_roundtrip(tmp_path):
         "--cutoff-m", 4000, "--out", pc,
     )
     assert code == 0
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    assert re.fullmatch(
+        r"wrote \S+paircorr\.csv \(5 rows, density \d\.\d{6}, \d+ kappa terms kept, "
+        r"mass \d\.\de[+-]\d\d left out\)",
+        summary,
+    ), summary
     lines = (pc / "paircorr.csv").read_text().strip().splitlines()
     assert lines[0] == "r,fcirc,rigor_bound,s,delta_sq"
     assert len(lines) == 6

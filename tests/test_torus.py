@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracle_bessel import j0_oracle
 from udsets import torus
 from udsets.bessel import J0_ABS_ERROR, j0_combination, j0_envelope, j0_values
 from udsets.constructions import hex_disk_packing, rasterize
@@ -64,7 +65,7 @@ def direct_fourier_mass(A, cutoff_m):
     return out
 
 
-def meshgrid_spectrum(A, cutoff_m, half_plane=True):
+def meshgrid_terms(A, cutoff_m, half_plane=True):
     """Reference spectrum: lattice points of the (2 isqrt(cutoff_m) + 1)^2
     meshgrid at once, summed by ``np.bincount`` in row-major order.
 
@@ -72,7 +73,8 @@ def meshgrid_spectrum(A, cutoff_m, half_plane=True):
     power: the points ``spectrum`` walks, in its order, so the two agree bit
     for bit.  Without it, the whole disk with each point's own power, as
     ``spectrum`` summed it before it walked one point of each pair +-xi; the
-    two sums then differ by rounding alone.  Returns (ms, kappas, tail_mass).
+    two sums then differ by rounding alone.  Returns every nonzero term,
+    (ms, kappas, tail_mass).
     """
     S = A.side
     P2 = np.abs(np.fft.rfft2(A.cells.astype(np.float64))) ** 2
@@ -110,10 +112,38 @@ def meshgrid_spectrum(A, cutoff_m, half_plane=True):
     return ms, kappas, max(tail, 0.0)
 
 
-def assert_same_spectrum(spec, ms, kappas, tail_mass):
+def kept_terms(ms, kappas):
+    """The keep rule on every nonzero term: (kept ms, kept kappas,
+    omitted_mass).  kappa(0) and each kappa >= tau = OMIT_BUDGET / len(ms)
+    stay; the rest are summed in chunks of SPECTRUM_BLOCK nonzero terms, as
+    ``spectrum`` sums them, and the sum is rounded up for its own error."""
+    if ms.size == 0:
+        return ms, kappas, 0.0
+    keep = (kappas >= torus.OMIT_BUDGET / ms.size) | (ms == 0)
+    step = torus.SPECTRUM_BLOCK
+    omitted = sum(
+        float(kappas[i : i + step][~keep[i : i + step]].sum()) for i in range(0, ms.size, step)
+    )
+    n = int(np.count_nonzero(~keep))
+    if n:
+        gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+        omitted = math.nextafter(omitted * (1.0 + 2.0 * gamma), math.inf)
+    return ms[keep], kappas[keep], omitted
+
+
+def meshgrid_spectrum(A, cutoff_m):
+    """The half-plane meshgrid reference after the keep rule: (ms, kappas,
+    tail_mass, omitted_mass), as ``assert_same_spectrum`` takes them."""
+    ms, kappas, tail = meshgrid_terms(A, cutoff_m)
+    ms, kappas, omitted = kept_terms(ms, kappas)
+    return ms, kappas, tail, omitted
+
+
+def assert_same_spectrum(spec, ms, kappas, tail_mass, omitted_mass):
     assert np.array_equal(spec.ms, ms)
     assert np.array_equal(spec.kappas.view(np.int64), kappas.view(np.int64))
     assert spec.tail_mass == tail_mass
+    assert spec.omitted_mass == omitted_mass
 
 
 WALK_CASES = [
@@ -138,12 +168,17 @@ def test_row_walk_bitwise_equals_meshgrid_oracle(N, K, cutoff):
 @pytest.mark.parametrize("N, K, cutoff", WALK_CASES)
 def test_half_plane_walk_matches_the_whole_disk(N, K, cutoff):
     # one point of each pair +-xi, doubled, against every point: the same
-    # buckets, with sums reordered by the pairing
+    # buckets, with sums reordered by the pairing; a term the keep rule keeps
+    # on one side only lies within that reordering of tau
     A = random_gridset(N, K, p=0.4, seed=N * K + cutoff)
     spec = spectrum(A, cutoff)
-    ms, kappas, tail = meshgrid_spectrum(A, cutoff, half_plane=False)
-    assert np.array_equal(spec.ms, ms)
-    assert np.all(np.abs(spec.kappas - kappas) <= 4e-15 * kappas)
+    ms, kappas, tail = meshgrid_terms(A, cutoff, half_plane=False)
+    kept = np.isin(ms, spec.ms)
+    assert np.count_nonzero(kept) == spec.ms.size
+    assert np.all(np.abs(spec.kappas - kappas[kept]) <= 4e-15 * kappas[kept])
+    tau = torus.OMIT_BUDGET / ms.size
+    one_side = kept != ((kappas >= tau) | (ms == 0))
+    assert np.all(np.abs(kappas[one_side] - tau) <= 4e-15 * tau)
     assert abs(spec.tail_mass - tail) <= 1e-15
 
 
@@ -187,7 +222,7 @@ def test_spectrum_auto_bitwise_equals_spectrum_at_its_cutoff():
         auto = spectrum_auto(A, r_min=0.25, tail_target=2e-4)
         assert auto.cutoff_m >= 4 * 4 * 4096
         direct = spectrum(A, auto.cutoff_m)
-        assert_same_spectrum(auto, direct.ms, direct.kappas, direct.tail_mass)
+        assert_same_spectrum(auto, direct.ms, direct.kappas, direct.tail_mass, direct.omitted_mass)
 
 
 def test_spectrum_auto_prunes_to_its_largest_reachable_cutoff(monkeypatch):
@@ -211,7 +246,7 @@ def test_spectrum_auto_prunes_to_its_largest_reachable_cutoff(monkeypatch):
     direct = spectrum(A, auto.cutoff_m)
     # rows min(a, 100 - a) <= 32: 65 of the 100
     assert shapes == [(65, 33), (65, 33)]
-    assert_same_spectrum(auto, direct.ms, direct.kappas, direct.tail_mass)
+    assert_same_spectrum(auto, direct.ms, direct.kappas, direct.tail_mass, direct.omitted_mass)
 
 
 @pytest.mark.parametrize(
@@ -290,6 +325,24 @@ def test_spectrum_transforms_only_the_walked_columns():
     finally:
         tracemalloc.stop()
     assert peak < 56 * 2**20
+
+
+def test_spectrum_leaves_out_small_kappa_in_place():
+    # a deep spectrum's peak is the kappa array (16 MiB at 2^21) beside its
+    # nonzero entries; with numpy 2.4.6 it reads 22.91 MiB before the keep
+    # rule and 23.47 MiB with the kept entries compacted in place.  Copying
+    # them out instead left this peak alone but raised the benchmark's peak
+    # RSS on such spectra by 5-11 %, past its bound
+    A = random_gridset(16, 8, seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spec = spectrum(A, 2**21)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < spec.omitted_mass <= torus.OMIT_BUDGET
+    assert peak < 24 * 2**20
 
 
 def test_spectrum_of_a_raster_transforms_each_distinct_row_once():
@@ -383,13 +436,33 @@ def test_density_trivials():
 
 
 def test_spectrum_full_set():
-    spec = spectrum(GridSet.full(2, 4), cutoff_m=50)
-    assert spec.entries[0] == pytest.approx(1.0, abs=1e-12)
+    # every kappa(m > 0) of the full set is FFT noise, about 1e-32 here: the
+    # keep rule leaves them all out, and f stays 1
+    spec = spectrum(GridSet.full(3, 5), cutoff_m=500)
+    assert spec.entries == {0: 1.0}
     assert spec.tail_mass <= 1e-12
-    others = [v for m, v in spec.entries.items() if m > 0]
-    assert all(abs(v) <= 1e-12 for v in others)
+    assert 0.0 < spec.omitted_mass <= 1e-30
     ev = pair_correlation(spec, 1.234)
-    assert ev.value == pytest.approx(1.0, abs=1e-9)
+    assert ev.value == 1.0
+
+
+def test_spectrum_of_the_empty_set_has_no_terms():
+    spec = spectrum(GridSet.empty(3, 4), cutoff_m=500)
+    assert spec.ms.size == spec.kappas.size == 0
+    assert (spec.tail_mass, spec.omitted_mass, spec.density) == (0.0, 0.0, 0.0)
+
+
+def test_spectrum_always_keeps_kappa0(monkeypatch):
+    # a budget that puts tau above every kappa leaves out all but kappa(0);
+    # Plancherel still closes with the left-out mass
+    A = random_gridset(3, 4, p=0.4, seed=2)
+    full = spectrum(A, 2000)
+    monkeypatch.setattr(torus, "OMIT_BUDGET", 1e6)
+    spec = spectrum(A, 2000)
+    assert spec.entries == {0: A.density**2}
+    assert spec.tail_mass == full.tail_mass
+    assert spec.omitted_mass >= float(full.kappas[1:].sum())
+    assert spec.omitted_mass == pytest.approx(float(full.kappas[1:].sum()), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -402,9 +475,8 @@ def test_spectrum_against_direct_fourier_oracle(seed):
         got = spec.entries.get(m, 0.0)
         assert got == pytest.approx(v, abs=1e-11)
     assert spec.entries[0] == pytest.approx(A.density**2, abs=1e-9)
-    assert float(spec.kappas.sum()) + spec.tail_mass == pytest.approx(
-        A.density, abs=1e-9
-    )
+    total = float(spec.kappas.sum()) + spec.tail_mass + spec.omitted_mass
+    assert total == pytest.approx(A.density, abs=1e-9)
 
 
 def test_plancherel_and_kappa0_random_sets():
@@ -414,9 +486,8 @@ def test_plancherel_and_kappa0_random_sets():
         A = random_gridset(N, K, p=0.3 + 0.05 * seed, seed=seed)
         spec = spectrum(A, 2000)
         assert spec.entries[0] == pytest.approx(A.density**2, abs=1e-9)
-        assert float(spec.kappas.sum()) + spec.tail_mass == pytest.approx(
-            A.density, abs=1e-9
-        )
+        total = float(spec.kappas.sum()) + spec.tail_mass + spec.omitted_mass
+        assert total == pytest.approx(A.density, abs=1e-9)
         assert np.all(spec.kappas >= 0)
 
 
@@ -585,14 +656,16 @@ def test_direct_vs_spectral_cross_oracle():
 
 def one_term_closed_form(spec, r):
     """f(r) and its rigor bound written out for the single term J0(r t):
-    truncation, J0 error, the rounding of the dot product with kappa
-    (gamma_n sum kappa max|J0|, n = len(ms)) and FFT slack."""
+    truncation, the left-out mass (|J0| <= 1), J0 error, the rounding of the
+    dot product with kappa (gamma_n sum kappa max|J0|, n = len(ms)) and FFT
+    slack."""
     xi = (2.0 * math.pi / spec.K) * np.sqrt(np.asarray(spec.ms, dtype=float))
     value = float(j0_values(r * xi) @ spec.kappas)
     arg = r * (2.0 * math.pi / spec.K) * math.sqrt(spec.cutoff_m)
     nu = len(spec.ms) * 2.0**-53
     rigor = (
         spec.tail_mass * j0_envelope(arg)
+        + spec.omitted_mass  # times max |J0| = 1
         + J0_ABS_ERROR * float(spec.kappas.sum())
         + nu / (1.0 - nu) * float(spec.kappas.sum()) * (1.0 + J0_ABS_ERROR)
         + torus.SPECTRUM_FFT_SLACK
@@ -623,12 +696,43 @@ def test_pair_profile_charges_the_dot_product_with_kappa():
     for const in (1e6, 1e9):
         value, rigor = torus._pair_profile(S, const, (1.0,), (1.0,))
         dot = nu / (1.0 - nu) * kappa_sum * (const + 1.0 + J0_ABS_ERROR)
-        assert rigor == pytest.approx(J0_ABS_ERROR * kappa_sum + dot + torus.SPECTRUM_FFT_SLACK)
+        omitted = S.omitted_mass * (const + 1.0)
+        want = omitted + J0_ABS_ERROR * kappa_sum + dot + torus.SPECTRUM_FFT_SLACK
+        assert rigor == pytest.approx(want)
         profile = j0_combination((1.0,), (1.0,), S.frequency(S.ms), const)
         exact = sum(Fraction(a) * Fraction(k) for a, k in zip(profile.tolist(), S.kappas.tolist()))
         err = abs(Fraction(value) - exact)
         assert err <= dot
     assert err > rigor - dot  # without the charge, 1e9 would not be covered
+
+
+def test_pair_correlation_charges_the_left_out_mass(monkeypatch):
+    # kappa(2) planted just under tau on a half-torus stripe, whose kappa
+    # off the squares m = a^2 are FFT noise near 1e-33: at small r, J0(r
+    # xi_2) is near 1, so leaving kappa(2) out moves f by nearly tau.  The
+    # budget is raised to 1e-6 so that tau stands above the 1e-10 FFT slack
+    # every rigor bound carries.  The exact sum runs over the walked terms,
+    # so the Spectrum is given no tail mass
+    monkeypatch.setattr(torus, "OMIT_BUDGET", 1e-6)
+    cells = np.zeros((10, 10), dtype=bool)
+    cells[:5] = True
+    A = GridSet(5, 2, cells)
+    cutoff = 500
+    kappa = np.zeros(cutoff + 1)
+    torus._walk_disk(A, torus._power_spectrum(A, math.isqrt(cutoff)), kappa, -1, cutoff)
+    kappa[[0, 2]] = 1.0  # kappa(0) = density^2 in _finish; any kappa(2) > 0, to count it
+    kappa[2] = 0.999 * torus.OMIT_BUDGET / np.count_nonzero(kappa)
+    spec = replace(torus._finish(A, kappa, cutoff), tail_mass=0.0)
+    assert 2 not in spec.entries and 1 in spec.entries
+    assert spec.omitted_mass >= kappa[2]
+    ms = np.flatnonzero(kappa)
+    xis = spec.frequency(ms).tolist()
+    for r in (0.05, 0.2):
+        ev = pair_correlation(spec, r)
+        exact = sum(Fraction(k) * Fraction(j0_oracle(r * xi)) for k, xi in zip(kappa[ms], xis))
+        gap = abs(Fraction(ev.value) - exact)
+        assert gap <= ev.rigor_bound
+        assert gap > ev.rigor_bound - spec.omitted_mass  # uncovered without the charge
 
 
 def test_single_cell_vs_direct():
