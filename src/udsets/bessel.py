@@ -44,20 +44,39 @@ returned ``abs_error_bound`` stays below 1e-12 on [0, 2^26]; tests check it
 against exact-rational, ``decimal`` and ``mpmath`` oracles.  The vectorized
 ``j0_values`` charges that flat bound, ``J0_ABS_ERROR``, so it rejects
 arguments above ``FLAT_BOUND_MAX_ARG`` = 2^26.
-It checks the whole array first, then evaluates it in blocks of
-``VALUES_BLOCK`` arguments in cache-sized buffers: a block entirely at or
-above the cutoff runs the Hankel branch in place, and the midpoint rule runs
-in place on the arguments of any other block below the cutoff.  The
-operations and their order are those of the whole-array evaluation, and an
-argument sums its own n(x) Hankel terms in whatever block it lands, so every
-value is the same float64.  No value or bound depends on the platform's
-``longdouble``.
+It evaluates the array in blocks of ``VALUES_BLOCK`` arguments in
+cache-sized buffers, and checks each block's domain before it evaluates
+it: a block entirely at or above the cutoff runs the Hankel branch in
+place, and the midpoint rule runs in place on the arguments of any other
+block below the cutoff.  The operations and their order are those of the
+whole-array evaluation, and an argument sums its own n(x) Hankel terms in
+whatever block it lands, so every value is the same float64.  No value or
+bound depends on the platform's ``longdouble``.
+
+The blocks of a call of 4 blocks or more are shared out between the
+threads of a pool, one per CPU the process may run on (its affinity where
+the platform has one), while the calling thread waits.  Each worker pops
+the next block off a shared queue and writes only that block's slice of
+the output, in buffers of its own; numpy releases the GIL inside the array
+operations, so the workers run at once.  A value does not depend on the
+thread that computes it, so the output keeps every bit whatever the number
+of CPUs.  Each worker is pinned to a CPU of its own: left to the scheduler,
+threads that hand the GIL to each other hundreds of times per call were
+often all woken on one CPU of a 2-vCPU VM, and a third thread, the caller,
+taking blocks too made a call slower, not faster.  The pool is made at the
+first call that needs it, keeps the CPUs the process had then, and is
+dropped in a fork child.  The calling thread waits for every worker of its
+call before it returns or raises.  Calls of fewer blocks, calls on one CPU
+and calls made from a pool worker run on the calling thread alone.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,18 +371,45 @@ def j0_values(x) -> np.ndarray:
     block that straddles the cutoff gathers its arguments below it into
     preallocated buffers for the midpoint rule, and sends the rest to the
     Hankel branch.  Every value is the same float64 as on the whole array at
-    once, and as for its argument alone.
+    once, and as for its argument alone.  A call of 4 blocks or more shares
+    them out between the workers of a pool (``_workers``).
     """
     x = np.asarray(x, dtype=float)
     flat = np.ascontiguousarray(x).reshape(-1)
     out = np.empty_like(flat)
-    buf = np.empty((4, min(flat.size, VALUES_BLOCK)))
-    for lo in range(0, flat.size, VALUES_BLOCK):
+    starts = deque(range(0, flat.size, VALUES_BLOCK))
+    workers = _workers(len(starts))
+    # the buffers come from the calling thread, whose heap reuses them
+    bufs = np.empty((max(workers, 1), 4, min(flat.size, VALUES_BLOCK)))
+    if workers:
+        futures = [_pool().submit(_values_blocks, flat, out, starts, buf) for buf in bufs]
+        for f in futures:  # every worker is done before any error is raised
+            f.exception()
+        for f in futures:
+            f.result()
+    else:
+        _values_blocks(flat, out, starts, bufs[0])
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _values_blocks(flat, out, starts, buf):
+    """J0 of the blocks of ``flat`` that begin at the offsets it pops off
+    the deque ``starts``, into the same slices of ``out``, in the 4-row
+    buffer ``buf``, until ``starts`` is empty.  Threads may share
+    ``starts``, each with a buffer of its own: deque pops are atomic, so
+    each block is taken once.  A block outside the domain empties
+    ``starts``, so the other threads stop too."""
+    while True:
+        try:
+            lo = starts.popleft()
+        except IndexError:
+            return
         xb = flat[lo : lo + VALUES_BLOCK]
         ob = out[lo : lo + VALUES_BLOCK]
         least, most = xb.min(), xb.max()
         # min and max propagate NaN, which then fails both comparisons
         if not (least >= 0.0 and most <= FLAT_BOUND_MAX_ARG):
+            starts.clear()
             raise DomainError("array arguments must lie in [0, 2**26]")
         if most < SERIES_CUTOFF:
             _midpoint(xb, ob, buf[0, : xb.size])
@@ -382,7 +428,67 @@ def j0_values(x) -> np.ndarray:
         vals = np.empty(xl.size)
         _asymptotic(xl, xl.min(), most, vals, buf[:, : xl.size])
         ob[big] = vals
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+# The pool of j0_values: one worker per CPU, made at the first call that
+# shares its blocks, and dropped in a fork child, whose copy of it would
+# have no threads behind it.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+_IN_WORKER = threading.local()
+
+
+def _cpus():
+    """The CPUs this process may run on: its affinity, where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def _workers(blocks):
+    """Pool workers that take the blocks of a call while the calling thread
+    waits: one per CPU, at most one per 2 blocks.  None, so the calling
+    thread takes every block, for calls of under 4 blocks, on one CPU, and
+    in a pool worker, so that no worker waits on the pool it runs in."""
+    if blocks < 4 or getattr(_IN_WORKER, "flag", False):
+        return 0
+    cpus = len(_cpus())
+    return 0 if cpus == 1 else min(cpus, blocks // 2)
+
+
+def _start_worker(cpus):
+    """Marks a new pool thread as a worker and pins it, and only it, to the
+    next CPU of ``cpus``; a CPU it may no longer run on leaves it unpinned."""
+    _IN_WORKER.flag = True
+    if hasattr(os, "sched_setaffinity"):
+        try:
+            os.sched_setaffinity(0, {cpus.popleft()})
+        except OSError:
+            pass
+
+
+def _pool():
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            cpus = _cpus()
+            _POOL = ThreadPoolExecutor(
+                len(cpus), "udsets-j0", initializer=_start_worker, initargs=(deque(cpus),)
+            )
+        return _POOL
+
+
+def _drop_pool():
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ timeout.
 ``--config FILE`` supplies a JSON object whose entries override the parsed
 flags.  Each entry goes through its subcommand's own option, type and
 choices included; an unknown key or a rejected value is an input error.
-All kernels here are single-threaded and deterministic.
+All kernels here are deterministic: J0 on large arrays runs on a pool of
+one thread per CPU, and every output keeps its bits whatever the number of
+CPUs or BLAS threads.
 """
 
 from __future__ import annotations

@@ -42,6 +42,10 @@ counts of ``udgraph``, which read it at the graph's neighbor offsets.
 
 The spectral path produces certified `PairCorrEval`s; the direct path is the
 exact cross-validation oracle.  Both are deterministic given their inputs.
+f(r) and the profile values, sums of kappa(m) P(|xi_m|), are added by
+numpy's own pairwise sum, never by BLAS, and J0 keeps every bit on any
+number of threads, so their floats depend neither on the BLAS thread count
+nor on the CPUs the process may run on.
 """
 
 from __future__ import annotations
@@ -340,8 +344,10 @@ def _finish(A: GridSet, kappa_by_m: np.ndarray, cutoff_m: int) -> Spectrum:
     gamma_n), rounded one ulp up.  The kept entries move to the front of
     the nonzero arrays in place, SPECTRUM_BLOCK at a time: copying the kept
     entries out while the full arrays live raised the peak RSS of a deep
-    spectrum by 5-11 %.  kappa_by_m is read, never pruned: spectrum_auto
-    grows it across escalations.
+    spectrum by 5-11 %.  Only when at most half of them stay are they copied
+    out of the nonzero arrays, so a sparse Spectrum does not pin the full
+    ones.  kappa_by_m is read, never pruned: spectrum_auto grows it across
+    escalations.
     """
     dens = A.density
     kappa_by_m[0] = dens * dens  # closed form; the FFT DC term equals it to 1 ulp
@@ -372,7 +378,11 @@ def _finish(A: GridSet, kappa_by_m: np.ndarray, cutoff_m: int) -> Spectrum:
     if dropped:
         nu = dropped * 2.0**-53
         omitted = math.nextafter(omitted * (1.0 + 2.0 * nu / (1.0 - nu)), math.inf)
-    return Spectrum(A.K, ms[:kept], kappas[:kept], int(cutoff_m), tail, omitted, dens)
+    if 2 * kept <= ms.size:  # views of the few kept would pin the full arrays
+        ms, kappas = ms[:kept].copy(), kappas[:kept].copy()
+    else:
+        ms, kappas = ms[:kept], kappas[:kept]
+    return Spectrum(A.K, ms, kappas, int(cutoff_m), tail, omitted, dens)
 
 
 def spectrum(A: GridSet, cutoff_m: int) -> Spectrum:
@@ -444,7 +454,9 @@ def _dot_error(n: int, kappa_sum: float, const: float, coeffs) -> float:
     kappa >= 0: gamma_n sum_m kappa(m) |P(|xi_m|)|, gamma_n = n u / (1 - n u)
     and u = 2^-53, in any summation order (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., 2002, section 3.1), with each value
-    |P| <= |const| + sum |c_i| (1 + J0_ABS_ERROR)."""
+    |P| <= |const| + sum |c_i| (1 + J0_ABS_ERROR).  ``_pair_profile`` sums
+    the products with numpy's pairwise ``np.add.reduce``, whose order no
+    thread count changes; the bound would hold for any other order too."""
     nu = n * 2.0**-53
     values = abs(const) + float(np.abs(coeffs).sum()) * (1.0 + J0_ABS_ERROR)
     return nu / (1.0 - nu) * kappa_sum * values
@@ -456,7 +468,9 @@ def _pair_profile(S: Spectrum, const: float, radii, coeffs):
     |xi_cut|), the left-out mass |P| <= |const| + sum |c_i| (|J0| <= 1),
     only the J0 terms carry Bessel error (J0(0) = 1 is exact), and the dot
     product with kappa is charged its rounding (``_dot_error``)."""
-    value = float(j0_combination(radii, coeffs, S.frequency(S.ms), const) @ S.kappas)
+    vals = j0_combination(radii, coeffs, S.frequency(S.ms), const)
+    vals *= S.kappas
+    value = float(np.add.reduce(vals))  # numpy's pairwise sum, not BLAS
     args = [r * (2.0 * math.pi / S.K) * math.sqrt(S.cutoff_m) for r in radii]
     osc = sum(abs(c) * (j0_envelope(a) if a > 0 else 1.0) for a, c in zip(args, coeffs))
     kappa_sum = float(S.kappas.sum())

@@ -1,8 +1,16 @@
 """Bessel evaluator versus the exact-rational series oracle."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
+from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -165,6 +173,185 @@ def test_blocked_values_check_every_block(block, bad, fill):
     x[B + B // 2 if block == "middle" else -1] = bad
     with pytest.raises(DomainError):
         bessel.j0_values(x)
+
+
+# ---------------------------------------------------------------------------
+# the pool: the blocks of one call shared between threads
+# ---------------------------------------------------------------------------
+
+def _pool_inputs(seed=11):
+    """9 B + 5 arguments, 10 blocks: whole midpoint blocks, whole Hankel
+    blocks and blocks that straddle SERIES_CUTOFF."""
+    B = bessel.VALUES_BLOCK
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 40.0, 9 * B + 5)
+    x[: 2 * B] = rng.uniform(0.0, 15.0, 2 * B)
+    x[5 * B : 7 * B] = rng.uniform(15.0, 1e6, 2 * B)
+    return x
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def _run(script):
+    """Runs ``script`` in a fresh interpreter on this checkout's udsets and
+    returns its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_workers_one_per_cpu_from_4_blocks_and_none_in_a_worker():
+    n = len(bessel._cpus())
+    assert [bessel._workers(b) for b in (0, 1, 3)] == [0, 0, 0]
+    assert bessel._workers(4) == (0 if n == 1 else 2)
+    assert bessel._workers(27) == (0 if n == 1 else min(n, 13))
+    assert bessel._pool().submit(bessel._workers, 27).result(timeout=60) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_each_pool_worker_runs_on_a_cpu_of_its_own():
+    # n tasks that wait for each other take all n workers of the pool
+    cpus = bessel._cpus()
+    meet = threading.Barrier(len(cpus), timeout=60)
+
+    def affinity():
+        meet.wait()
+        return frozenset(os.sched_getaffinity(0))
+
+    futures = [bessel._pool().submit(affinity) for _ in cpus]
+    pins = [f.result(timeout=60) for f in futures]
+    assert sorted(pins, key=sorted) == [{c} for c in cpus]
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2, 3])
+def test_pooled_values_bitwise_equal_the_whole_array(monkeypatch, workers):
+    monkeypatch.setattr(bessel, "_workers", lambda blocks: workers)
+    x = _pool_inputs()
+    assert _same_bits(bessel.j0_values(x), values_whole_array(x))
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_pooled_values_raise_from_a_workers_block(monkeypatch, where, bad):
+    monkeypatch.setattr(bessel, "_workers", lambda blocks: 2)
+    x = _pool_inputs()
+    x[0 if where == "first" else -1] = bad
+    with pytest.raises(DomainError):
+        bessel.j0_values(x)
+    x = _pool_inputs()  # and the pool serves the next call
+    assert _same_bits(bessel.j0_values(x), values_whole_array(x))
+
+
+def test_pooled_values_raise_only_once_every_worker_is_done(monkeypatch):
+    # the first worker fails on the first block at once; the second, which
+    # starts 50 ms later, is done before the error is raised
+    real = bessel._values_blocks
+    started, done = [], []
+
+    def values_blocks(flat, out, starts, buf):
+        started.append(True)
+        try:
+            if len(started) > 1:
+                time.sleep(0.05)
+            return real(flat, out, starts, buf)
+        finally:
+            done.append(True)
+
+    monkeypatch.setattr(bessel, "_workers", lambda blocks: 2)
+    monkeypatch.setattr(bessel, "_values_blocks", values_blocks)
+    x = _pool_inputs()
+    x[0] = -1.0
+    with pytest.raises(DomainError):
+        bessel.j0_values(x)
+    assert len(done) == 2
+
+
+def test_concurrent_callers_each_get_serial_bits(monkeypatch):
+    # 4 callers, 6 workers each on the pool, more threads than CPUs,
+    # switching threads every 10 us: each call takes every block once
+    class Starts(deque):
+        def popleft(self):
+            lo = super().popleft()
+            self.taken.append(lo)
+            return lo
+
+    calls = []
+
+    def starts(blocks):
+        calls.append(Starts(blocks))
+        calls[-1].taken = []
+        return calls[-1]
+
+    monkeypatch.setattr(bessel, "deque", starts)
+    monkeypatch.setattr(bessel, "_workers", lambda blocks: 6)
+    inputs = [_pool_inputs(seed) for seed in range(4)]
+    got = [None] * len(inputs)
+    start = threading.Barrier(len(inputs), timeout=60)
+
+    def call(k):
+        start.wait()
+        got[k] = bessel.j0_values(inputs[k])
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(len(inputs))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    blocks = list(range(0, inputs[0].size, bessel.VALUES_BLOCK))
+    assert [sorted(c.taken) for c in calls] == [blocks] * len(inputs)
+    monkeypatch.setattr(bessel, "_workers", lambda blocks: 0)
+    for x, values in zip(inputs, got):
+        assert values is not None and _same_bits(values, bessel.j0_values(x))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_does_not_wait_on_its_parents_pool():
+    # the child inherits no pool threads; it must not queue work for them,
+    # and dies of SIGALRM if it does
+    out = _run("""
+        import os
+        import signal
+        import numpy as np
+        from udsets import bessel
+        bessel._workers = lambda blocks: 2
+        x = np.linspace(0.0, 100.0, 4 * bessel.VALUES_BLOCK)
+        want = bessel.j0_values(x)  # starts the pool
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)
+            os._exit(0 if np.array_equal(bessel.j0_values(x), want) else 3)
+        print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """)
+    assert out == "0"
+
+
+def test_small_calls_start_no_thread():
+    # the builtin certificate and a small spectrum's f(r) evaluate J0 in
+    # calls of under 4 blocks, so they never start the pool, whatever the
+    # number of CPUs
+    out = _run("""
+        import threading
+        from udsets import bessel, witness
+        from udsets.registry import builtin_registry
+        from udsets.torus import pair_correlation, random_gridset, spectrum
+        bessel._cpus = lambda: list(range(64))
+        witness.certify_bound(builtin_registry())
+        pair_correlation(spectrum(random_gridset(4, 4, seed=0), 4000), 1.0)
+        print(threading.active_count(), bessel._POOL)
+    """)
+    assert out == "1 None"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from oracle_bessel import j0_oracle
-from udsets import torus
+from udsets import bessel, torus
 from udsets.bessel import J0_ABS_ERROR, j0_combination, j0_envelope, j0_values
 from udsets.constructions import hex_disk_packing, rasterize
 from udsets.errors import DegenerateSetError, DomainError, SchemaError, WorkBudgetError
@@ -363,6 +363,54 @@ def test_spectrum_of_a_raster_transforms_each_distinct_row_once():
     assert peak < 20 * 2**20
 
 
+def test_a_sparse_spectrum_does_not_pin_the_full_arrays(disk38):
+    # 4,854 of the 55,141 nonzero kappa of the 4864^2 hexdisk raster stay;
+    # views of them once kept both 55,141-entry arrays alive
+    spec = spectrum(disk38.grid, 240_000)
+    assert len(spec.ms) == 4854
+    assert spec.ms.base is None and spec.kappas.base is None
+    # a deep spectrum keeps almost every term, and its views: a copy would
+    # raise the peak beside the full arrays
+    deep = spectrum(random_gridset(16, 8, seed=3), 2**18)
+    assert 2 * len(deep.ms) > deep.ms.base.size
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_pair_profile_bits_do_not_depend_on_blas_or_worker_threads():
+    # f(r) and a registry profile on a spectrum of 59,736 terms, 4 blocks of
+    # j0_values: the same bits with OpenBLAS on one thread or its default,
+    # and with the process pinned to one CPU or free on all of them
+    script = textwrap.dedent(
+        """
+        import os, sys
+        os.sched_setaffinity(0, {int(c) for c in sys.argv[1].split(",")})
+        from udsets.registry import builtin_registry, constraint_rhs_check
+        from udsets.torus import pair_correlation, random_gridset, spectrum
+        S = spectrum(random_gridset(16, 8, seed=3), 2**18)
+        vals = [pair_correlation(S, r).value for r in (0.5, 1.0, 1.7)]
+        vals.append(constraint_rhs_check(S, builtin_registry().t_graphs[0]).lhs)
+        print(len(S.ms), *(v.hex() for v in vals))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = dict(os.environ)
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    base.pop("OPENBLAS_NUM_THREADS", None)
+    cpus = sorted(os.sched_getaffinity(0))
+    outs = set()
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        for affinity in (cpus[:1], cpus):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, ",".join(map(str, affinity))],
+                env=dict(base, **blas), capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout.strip())
+    assert len(outs) == 1
+    terms, *_ = outs.pop().split()
+    assert int(terms) > 3 * bessel.VALUES_BLOCK
+
+
 def test_pair_counts_check_integrality_in_place():
     # 1024^2 counts take 8 MiB; the check once held two more such arrays
     # (32 MiB traced peak), now the peak is the inverse FFT's, 20 MiB
@@ -660,7 +708,9 @@ def one_term_closed_form(spec, r):
     dot product with kappa (gamma_n sum kappa max|J0|, n = len(ms)) and FFT
     slack."""
     xi = (2.0 * math.pi / spec.K) * np.sqrt(np.asarray(spec.ms, dtype=float))
-    value = float(j0_values(r * xi) @ spec.kappas)
+    vals = j0_values(r * xi)
+    vals *= spec.kappas
+    value = float(np.add.reduce(vals))
     arg = r * (2.0 * math.pi / spec.K) * math.sqrt(spec.cutoff_m)
     nu = len(spec.ms) * 2.0**-53
     rigor = (
