@@ -309,11 +309,13 @@ def _mark_block(cells, center, block: Disk | Tortoise, beta, h_dil, N, S):
     Tortoise, between each of the hexagon's three pairs of flat sides.
 
     The block's cells form a window of the torus, its rows and columns
-    taken mod S, and the window's mask is ORed into it in one write.  A
-    window side is jhi - jlo + 1 < 2 R N + 3 cells, with R N <= (1 - beta)
-    N / 2 + 1 / (1 - beta) <= N / 2 + 1 for N >= 16 (extent <= 1/2, h_dil
-    = 1 / (2 N (1 - beta))), so at most N + 4 cells: below S = NK for the
-    K >= 3 of every embedding, so no cell appears twice in a window."""
+    taken mod S, and the window's mask is ORed into it as at most four
+    rectangles of basic slices, split where its rows or its columns wrap
+    past S.  A window side is jhi - jlo + 1 < 2 R N + 3 cells, with R N <=
+    (1 - beta) N / 2 + 1 / (1 - beta) <= N / 2 + 1 for N >= 16 (extent <=
+    1/2, h_dil = 1 / (2 N (1 - beta))), so at most N + 4 cells: below S = NK
+    for the K >= 3 of every embedding, so no cell appears twice in a
+    window."""
     tortoise = isinstance(block, Tortoise)
     radius = (1.0 - beta) * (block.disk_radius if tortoise else block.radius)
     R = (1.0 - beta) * block.max_extent + 2.0 * h_dil
@@ -333,7 +335,19 @@ def _mark_block(cells, center, block: Disk | Tortoise, beta, h_dil, N, S):
         for nx, ny in _HEX_NORMALS:
             reach = h_dil * (abs(nx) + abs(ny))
             inside &= np.abs(cx * nx + cy * ny) + reach < apothem
-    cells[np.ix_(js % S, ks % S)] |= inside
+    for rows, mrows in _wrapped_spans(jlo, len(js), S):
+        for cols, mcols in _wrapped_spans(klo, len(ks), S):
+            cells[rows, cols] |= inside[mrows, mcols]
+
+
+def _wrapped_spans(lo, size, S):
+    """The torus indices lo, ..., lo + size - 1 mod S (size <= S) as at most
+    two (torus slice, window slice) pairs, split where the indices wrap."""
+    a = lo % S
+    if a + size <= S:
+        return [(slice(a, a + size), slice(0, size))]
+    cut = S - a
+    return [(slice(a, S), slice(0, cut)), (slice(0, size - cut), slice(cut, size))]
 
 
 def rasterize_report(

@@ -26,14 +26,23 @@ branch-and-bound solver accept any object with ``n_vertices`` and
 ``neighbors(v)``; ``SmallGraph`` wraps explicit adjacency lists for test
 geometry such as abstract unit-distance graphs.  Glauber keeps a count of
 occupied neighbors per vertex, so only a change of state reads a neighbor
-list; the exact solver prunes by the candidate popcount and then by a
-greedy clique cover of the candidates, which bounds their independence
-number from above.  Both give exactly the results of the plain loops.  scipy
-loads in the block decomposition, on first use: importing needs numpy alone.
+list; both samplers read their state through ``ndarray.data`` memoryviews,
+which give Python bools and ints rather than numpy scalars, and take an
+interior vertex's neighbors as flat + v inline.  The exact solver prunes by
+the candidate popcount and then by a greedy clique cover of the candidates,
+which bounds their independence number from above.  All three give exactly
+the results of the plain loops.
+
+The block decomposition merges its provisional components on whole arrays:
+segment reductions give their centres, radii and boundary cells, a bucket
+grid their candidate pairs, and flat or broadcast sweeps in bounded tiles
+the exact gaps of those pairs.  scipy loads in the block decomposition, on
+first use: importing needs numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -67,9 +76,10 @@ C1_EDGE_TO_S1 = 4.0 * np.pi * np.sqrt(2.0)
 
 MAX_EXACT_VERTICES = 2500
 
-# elements per bulk step of the Python-loop kernels: one chunk of a sampler's
-# walk, or one tile of cross cell pairs in the block merge
-_CHUNK = 1 << 16
+# elements per bulk step: at most one chunk of a sampler's walk, or one tile
+# of candidate pairs or of cross cell pairs in the block merge, whose
+# temporaries then stay near 1.5 MB
+_CHUNK = 1 << 15
 
 
 class SmallGraph:
@@ -263,26 +273,44 @@ def subset_stats(G: UDGraph, F) -> SubsetStats:
 # samplers
 # ---------------------------------------------------------------------------
 
+def _interior_path(G):
+    """(S, lo, hi, flat): a vertex v = j S + k with lo <= j, k < hi has the
+    neighbors flat + v, so a sampler's loop need not call ``neighbors``.
+    For a graph without neighbor tables no vertex qualifies (lo > hi)."""
+    if isinstance(G, UDGraph):
+        return G._tables[:4]
+    return 1, 1, 0, None
+
+
 def greedy_mis(G, seed: int) -> IndepSet:
     """Maximal independent set by uniformly random sequential insertion.
 
-    ``order`` is walked in chunks of ``_CHUNK``: within a chunk only the
-    vertices still unblocked at its start are visited, and each is checked
-    again at its turn, so this is the plain sequential walk with most of the
-    blocked vertices skipped in bulk.
+    ``order`` is walked in chunks: within a chunk only the vertices still
+    unblocked at its start are visited, and each is checked again at its
+    turn, so this is the plain sequential walk with most of the blocked
+    vertices skipped in bulk.  A visit that finds its vertex already blocked
+    is stale.  A walk makes about c of them in chunks of c (0.8-0.95 c on
+    G(40, 10) and G(100, 10)), and a chunk's bulk step costs about 50 such
+    visits (1.2 us against 27 ns on a 2-vCPU Xeon VM), so c = 7 sqrt(n)
+    minimises 50 n / c + c.
     """
     n = G.n_vertices
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     members = np.zeros(n, dtype=bool)
     blocked = np.zeros(n, dtype=bool)
-    for start in range(0, n, _CHUNK):
-        chunk = order[start : start + _CHUNK]
+    is_member, is_blocked = members.data, blocked.data
+    S, lo, hi, flat = _interior_path(G)
+    neighbors = G.neighbors
+    step = max(min(_CHUNK, 7 * math.isqrt(n)), 1)
+    for start in range(0, n, step):
+        chunk = order[start : start + step]
         for v in chunk[~blocked[chunk]].tolist():
-            if not blocked[v]:
-                members[v] = True
-                blocked[v] = True
-                blocked[G.neighbors(v)] = True
+            if not is_blocked[v]:
+                is_member[v] = True
+                is_blocked[v] = True
+                j, k = divmod(v, S)
+                blocked[flat + v if lo <= j < hi and lo <= k < hi else neighbors(v)] = True
     return IndepSet(G, members)
 
 
@@ -295,6 +323,8 @@ def glauber_chain(G, steps: int, seed: int, record_every: int | None = None):
     ``busy[v]`` counts the occupied neighbors of v, so a step reads two
     entries and fetches a neighbor list only when v changes state (neighbor
     lists are duplicate-free, so the fancy-indexed update is exact).
+    Snapshots are taken between runs of record_every steps, so the steps
+    themselves run in one plain loop.
     Returns (final members, list of thinned snapshots).
     """
     if steps < 1:
@@ -303,26 +333,36 @@ def glauber_chain(G, steps: int, seed: int, record_every: int | None = None):
     rng = np.random.default_rng(seed)
     occ = np.zeros(n, dtype=bool)
     busy = np.zeros(n, dtype=np.int64)
+    is_occ, n_busy = occ.data, busy.data
+    S, lo, hi, flat = _interior_path(G)
+    neighbors = G.neighbors
     snapshots = []
     verts = rng.integers(0, n, size=steps)
     coins = rng.random(steps)
+
+    def run(vs, ups):
+        for v, up in zip(vs, ups):
+            if up:
+                if not is_occ[v] and not n_busy[v]:
+                    is_occ[v] = True
+                    j, k = divmod(v, S)
+                    busy[flat + v if lo <= j < hi and lo <= k < hi else neighbors(v)] += 1
+            elif is_occ[v]:
+                is_occ[v] = False
+                j, k = divmod(v, S)
+                busy[flat + v if lo <= j < hi and lo <= k < hi else neighbors(v)] -= 1
+
+    every = abs(record_every or 0)  # snapshots after the steps i with i % record_every == 0
     for start in range(0, steps, _CHUNK):
         stop = min(start + _CHUNK, steps)
-        chunk = zip(
-            range(start + 1, stop + 1),
-            verts[start:stop].tolist(),
-            (coins[start:stop] < 0.5).tolist(),
-        )
-        for i, v, up in chunk:
-            if up:
-                if not occ[v] and busy[v] == 0:
-                    occ[v] = True
-                    busy[G.neighbors(v)] += 1
-            elif occ[v]:
-                occ[v] = False
-                busy[G.neighbors(v)] -= 1
-            if record_every and i % record_every == 0:
-                snapshots.append(occ.copy())
+        vs = verts[start:stop].tolist()
+        ups = (coins[start:stop] < 0.5).tolist()
+        done = 0
+        for i in range(start + every - start % every, stop + 1, every) if every else ():
+            run(vs[done : i - start], ups[done : i - start])
+            snapshots.append(occ.copy())
+            done = i - start
+        run(vs[done:], ups[done:])
     return occ, snapshots
 
 
@@ -458,46 +498,205 @@ class BlockReport:
     min_separation: float
 
 
-def _wrapped_delta(a, b, S):
-    return (a[:, None] - b[None, :] + S // 2) % S - S // 2
+def _axis_terms(S):
+    """Per-axis squared dmax and dmin terms, indexed by an index difference + S.
 
-
-def _cross_min_d2(j1, k1, j2, k2, S):
-    """Per cell of set 2, the min over set 1 of squared dmax and of dmin.
-
-    Cell units: index offsets (dj, dk) give dmax^2 = (dj+1)^2 + (dk+1)^2 and
-    dmin^2 = max(dj-1, 0)^2 + max(dk-1, 0)^2, exact integers.
+    Cell units: entry x, for the wrapped offset w = |(x - S + S // 2) % S -
+    S // 2|, holds (w + 1)^2 and max(w - 1, 0)^2, so cells with index
+    differences (dj, dk) have dmax^2 = hi[dj + S] + hi[dk + S] and dmin^2 =
+    lo[dj + S] + lo[dk + S], exact integers.  int32 holds every such sum
+    while 2 (S // 2 + 1)^2 < 2^31.
     """
-    dj = np.abs(_wrapped_delta(j1, j2, S))
-    dk = np.abs(_wrapped_delta(k1, k2, S))
-    dmax2 = (dj + 1) ** 2 + (dk + 1) ** 2
-    dmin2 = np.maximum(dj - 1, 0) ** 2 + np.maximum(dk - 1, 0) ** 2
-    return dmax2.min(axis=0), dmin2.min(axis=0)
+    w = np.abs((np.arange(-S, S) + S // 2) % S - S // 2)
+    dtype = np.int32 if 2 * (S // 2 + 1) ** 2 < 2**31 else np.int64
+    return ((w + 1) ** 2).astype(dtype), (np.maximum(w - 1, 0) ** 2).astype(dtype)
 
 
-def _gap_d2(b1, parts, S):
+def _gap_d2(b1, parts, terms):
     """Min squared dmax and dmin over cross cell pairs of b1 and each of parts.
 
-    The partners' cells are laid end to end and swept in tiles of at most
-    ``_CHUNK`` cross pairs (a tall b1 is split over its rows); per-partner
-    minima are then segment minima of the per-cell ones.
+    ``terms`` is ``_axis_terms(S)``.  The partners' cells are laid end to end
+    and swept in broadcast tiles of at most ``_CHUNK`` cross pairs (a tall b1
+    is split over its rows); per-partner minima are then segment minima of
+    the per-cell ones.
     """
-    j1, k1 = b1
+    hi_t, lo_t = terms
+    S = len(hi_t) // 2
+    j1, k1 = b1[0] + S, b1[1] + S
     j2 = np.concatenate([p[0] for p in parts])
     k2 = np.concatenate([p[1] for p in parts])
     rows = min(len(j1), _CHUNK)
     cols = max(_CHUNK // rows, 1)
-    hi2 = np.empty(len(j2), dtype=np.int64)
-    lo2 = np.empty(len(j2), dtype=np.int64)
+    hi2 = np.empty(len(j2), dtype=hi_t.dtype)
+    lo2 = np.empty(len(j2), dtype=lo_t.dtype)
     for c in range(0, len(j2), cols):
         sl = slice(c, c + cols)
-        hi2[sl], lo2[sl] = _cross_min_d2(j1[:rows], k1[:rows], j2[sl], k2[sl], S)
-        for r in range(rows, len(j1), rows):
-            hi, lo = _cross_min_d2(j1[r : r + rows], k1[r : r + rows], j2[sl], k2[sl], S)
-            np.minimum(hi2[sl], hi, out=hi2[sl])
-            np.minimum(lo2[sl], lo, out=lo2[sl])
+        for r in range(0, len(j1), rows):
+            dj = j1[r : r + rows, None] - j2[None, sl]
+            dk = k1[r : r + rows, None] - k2[None, sl]
+            hi = (hi_t[dj] + hi_t[dk]).min(axis=0)
+            lo = (lo_t[dj] + lo_t[dk]).min(axis=0)
+            if r:
+                np.minimum(hi2[sl], hi, out=hi2[sl])
+                np.minimum(lo2[sl], lo, out=lo2[sl])
+            else:
+                hi2[sl], lo2[sl] = hi, lo
     starts = np.cumsum([0] + [len(p[0]) for p in parts[:-1]])
     return np.minimum.reduceat(hi2, starts), np.minimum.reduceat(lo2, starts)
+
+
+def _ranges(lo, size):
+    """The index ranges lo[r] : lo[r] + size[r], laid end to end."""
+    ends = np.cumsum(size)
+    if not len(ends) or not ends[-1]:
+        return np.zeros(0, dtype=np.intp)
+    return np.arange(ends[-1]) + np.repeat(lo - (ends - size), size)
+
+
+def _tiles(sizes):
+    """Runs of consecutive items, each of total size at most ``_CHUNK`` unless
+    one item alone is larger: run t holds items cuts[t] : cuts[t + 1]."""
+    ends = np.cumsum(sizes)
+    cuts = [0]
+    while cuts[-1] < len(ends):
+        base = int(ends[cuts[-1] - 1]) if cuts[-1] else 0
+        cut = int(np.searchsorted(ends, base + _CHUNK, "right"))
+        cuts.append(max(cut, cuts[-1] + 1))
+    return cuts
+
+
+def _pair_gap_d2(cj, ck, start, count, first, second, terms):
+    """Min squared dmax and dmin over the cross cell pairs of each list pair.
+
+    List c holds the cells (cj, ck)[start[c] : start[c] + count[c]], and pair
+    q joins lists first[q] and second[q]; ``terms`` is ``_axis_terms(S)``.
+    The cross pairs of all list pairs are laid end to end, a row per cell of
+    the first list, and swept in one flat pass per tile of whole list pairs
+    of at most ``_CHUNK`` cross pairs (a larger list pair is a tile alone).
+    """
+    hi_t, lo_t = terms
+    S = len(hi_t) // 2
+    hi2 = np.empty(len(first), dtype=hi_t.dtype)
+    lo2 = np.empty(len(first), dtype=lo_t.dtype)
+    m, n = count[first], count[second]
+    size = m * n
+    cuts = _tiles(size)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        rows = _ranges(start[first[a:b]], m[a:b])  # the first-list cell of each row
+        width = np.repeat(n[a:b], m[a:b])
+        other = _ranges(np.repeat(start[second[a:b]], m[a:b]), width)
+        dj = np.repeat(cj[rows] + S, width) - cj[other]
+        dk = np.repeat(ck[rows] + S, width) - ck[other]
+        seg = np.cumsum(size[a:b]) - size[a:b]
+        hi2[a:b] = np.minimum.reduceat(hi_t[dj] + hi_t[dk], seg)
+        lo2[a:b] = np.minimum.reduceat(lo_t[dj] + lo_t[dk], seg)
+    return hi2, lo2
+
+
+def _pair_gaps(bj, bk, bstart, bcount, first, second, S):
+    """Min squared dmax and dmin over the boundary cells of each component pair.
+
+    A pair whose cross cell pairs fit a ``_CHUNK`` tile joins the flat sweep
+    of ``_pair_gap_d2``; the others go to ``_gap_d2``'s broadcast tiles,
+    one call per first component.
+    """
+    terms = _axis_terms(S)
+    hi2 = np.empty(len(first), dtype=terms[0].dtype)
+    lo2 = np.empty(len(first), dtype=terms[1].dtype)
+    small = bcount[first] * bcount[second] <= _CHUNK
+    hi2[small], lo2[small] = _pair_gap_d2(
+        bj, bk, bstart, bcount, first[small], second[small], terms
+    )
+    big = np.flatnonzero(~small)
+    big = big[np.argsort(first[big], kind="stable")]
+
+    def cells(c):
+        return bj[bstart[c] : bstart[c] + bcount[c]], bk[bstart[c] : bstart[c] + bcount[c]]
+
+    for q in np.split(big, np.flatnonzero(np.diff(first[big])) + 1) if len(big) else ():
+        hi2[q], lo2[q] = _gap_d2(cells(first[q[0]]), [cells(p) for p in second[q]], terms)
+    return hi2, lo2
+
+
+def _near_pairs(cj, ck, radius, N, S):
+    """Component pairs (i, p), i < p, that pass the centre filter.
+
+    A pair passes when its wrapped centre distance is at most radius[i] +
+    radius[p] + N + 2 cells, so at most 2 max(radius) + N + 2.  Candidates
+    come from nb x nb torus buckets of side S / nb >= 2 max(radius) + N + 3
+    (the extra cell absorbs rounding), which puts every passing pair in one
+    bucket or two 8-adjacent ones; each bucket meets itself and a forward
+    half of its neighbors, so no pair is generated twice.  With fewer than
+    3 buckets per axis one bucket holds every component.  Candidates are
+    generated and filtered in tiles of about ``_CHUNK``.
+    """
+    L = len(cj)
+    nb = int(S // (2.0 * radius.max() + N + 3))
+    if nb < 3:
+        nb = 1
+    bj = np.minimum((cj % S) * nb // S, nb - 1).astype(np.intp)
+    bk = np.minimum((ck % S) * nb // S, nb - 1).astype(np.intp)
+    bucket = bj * nb + bk
+    members = np.argsort(bucket, kind="stable").astype(np.int32)
+    size = np.bincount(bucket, minlength=nb * nb)
+    bstart = np.cumsum(size) - size
+    pos = np.empty(L, dtype=np.intp)
+    pos[members] = np.arange(L)
+    # one index range of ``members`` per (component, stencil slot)
+    lo, cnt = [pos + 1], [bstart[bucket] + size[bucket] - pos - 1]
+    if nb >= 3:
+        for oj, ok in ((0, 1), (1, -1), (1, 0), (1, 1)):
+            nbr = (bj + oj) % nb * nb + (bk + ok) % nb
+            lo.append(bstart[nbr])
+            cnt.append(size[nbr])
+    lo, cnt = np.stack(lo, axis=1).ravel(), np.stack(cnt, axis=1).ravel()
+    owner = np.repeat(np.arange(L, dtype=np.int32), len(lo) // L)
+    empty = np.zeros(0, dtype=np.int32)
+    firsts, seconds = [empty], [empty]
+    cuts = _tiles(cnt)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        x = np.repeat(owner[a:b], cnt[a:b])
+        y = members[_ranges(lo[a:b], cnt[a:b])]
+        i, p = np.minimum(x, y), np.maximum(x, y)
+        dj = (cj[i] - cj[p] + S / 2) % S - S / 2
+        dk = (ck[i] - ck[p] + S / 2) % S - S / 2
+        near = np.hypot(dj, dk) <= radius[i] + radius[p] + N + 2
+        firsts.append(i[near])
+        seconds.append(p[near])
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
+def _component_shapes(js, ks, inverse, counts, onb, S):
+    """Centre, radius and boundary cells of each provisional component.
+
+    With the cells grouped by component, each in increasing cell order, every
+    value is a segment reduction: the offsets wrap-recentred on the
+    component's first cell, their mean (the centre, relative to that cell),
+    the radius max |offset - mean| + 1, and the boundary cells, or all cells
+    of a component that has none.  Returns the centres' j and k, the radii
+    and the boundary cells laid end to end as (j, k, start, count).
+    """
+    order = np.argsort(inverse, kind="stable")
+    starts = np.cumsum(counts) - counts
+    j, k = js[order], ks[order]
+    jc = (j - np.repeat(j[starts], counts) + S // 2) % S - S // 2
+    kc = (k - np.repeat(k[starts], counts) + S // 2) % S - S // 2
+    mean_j = np.add.reduceat(jc, starts) / counts
+    mean_k = np.add.reduceat(kc, starts) / counts
+    spread = np.hypot(jc - np.repeat(mean_j, counts), kc - np.repeat(mean_k, counts))
+    radius = np.maximum.reduceat(spread, starts) + 1.0
+    on = onb[order]
+    on |= np.repeat(~np.logical_or.reduceat(on, starts), counts)
+    bcount = np.add.reduceat(on, starts, dtype=np.intp)
+    return (
+        j[starts] + mean_j,
+        k[starts] + mean_k,
+        radius,
+        j[on].astype(np.int32),
+        k[on].astype(np.int32),
+        np.cumsum(bcount) - bcount,
+        bcount,
+    )
 
 
 def _component_diameter(j, k, boundary, N, S):
@@ -545,6 +744,13 @@ def block_decomposition(A) -> BlockReport:
 
     Valid block structure additionally demands every block have diameter < 1
     and distinct blocks be separated by min distance > 1.
+
+    Provisional components, 8-connected and merged across the torus seams,
+    are merged where their closest cell pair has dmax < 1.  The merge works
+    on whole arrays: ``_component_shapes`` reduces the cells grouped by
+    component, ``_near_pairs`` finds the pairs near enough to measure, and
+    ``_pair_gaps`` measures their exact min dmax and min dmin over boundary
+    cells.
     """
     if isinstance(A, IndepSet):
         A = A.to_gridset()
@@ -581,53 +787,29 @@ def block_decomposition(A) -> BlockReport:
             for j in np.nonzero(col_pairs)[0]:
                 union(int(lab[j, -1]), int(lab[(j + shift) % S, 0]))
         roots = np.array([find(x) for x in range(n_lab + 1)])[lab[js, ks]]
+        del lab
+        # provisional components, indexed 0..L-1 in increasing root order
+        counts = np.bincount(roots)
+        inverse = (np.cumsum(counts > 0) - 1)[roots]
+        counts = counts[counts > 0]
+        del roots
     else:
-        roots = np.arange(len(js))
+        inverse = np.arange(len(js))
+        counts = np.ones(len(js), dtype=np.intp)
 
-    # provisional components, indexed 0..L-1 in increasing root order; each
-    # lists its cells in increasing cell order
-    inverse = np.unique(roots, return_inverse=True)[1]
-    comp = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    L = len(comp)
-
-    # merge provisional components whose closest cell pair has dmax < 1,
-    # using boundary cells to keep the pair products small
     onb = _boundary_cells(grid)[js, ks]
-    cj, ck, radius = np.empty(L), np.empty(L), np.empty(L)
-    bound_of = []
-    for i, idx in enumerate(comp):
-        j, k = js[idx], ks[idx]
-        jc = (j - j[0] + S // 2) % S - S // 2
-        kc = (k - k[0] + S // 2) % S - S // 2
-        cj[i], ck[i] = j[0] + jc.mean(), k[0] + kc.mean()
-        radius[i] = np.hypot(jc - jc.mean(), kc - kc.mean()).max() + 1.0
-        b = onb[idx]
-        bound_of.append((j[b], k[b]) if b.any() else (j, k))
+    cj, ck, radius, *boundary = _component_shapes(js, ks, inverse, counts, onb, S)
+    first, second = _near_pairs(cj, ck, radius, N, S)
+    hi2, lo2 = _pair_gaps(*boundary, first, second, S)
+    del boundary
+    dmax_min = np.sqrt(hi2.astype(np.float64)) / N
+    dmin_min = np.sqrt(lo2.astype(np.float64)) / N
 
-    # candidate pairs (i < p) by a centre-distance filter, then their exact
-    # min dmax and min dmin from boundary cells
-    empty = np.zeros(0, dtype=np.int64)
-    first, second, hi2, lo2 = [empty], [empty], [empty], [empty]
-    for i in range(L - 1):
-        dj = (cj[i] - cj[i + 1 :] + S / 2) % S - S / 2
-        dk = (ck[i] - ck[i + 1 :] + S / 2) % S - S / 2
-        far = np.hypot(dj, dk) > radius[i] + radius[i + 1 :] + N + 2
-        partners = i + 1 + np.flatnonzero(~far)
-        if len(partners):
-            hi, lo = _gap_d2(bound_of[i], [bound_of[p] for p in partners], S)
-            first.append(np.full(len(partners), i))
-            second.append(partners)
-            hi2.append(hi)
-            lo2.append(lo)
-    first, second = np.concatenate(first), np.concatenate(second)
-    dmax_min = np.sqrt(np.concatenate(hi2)) / N
-    dmin_min = np.sqrt(np.concatenate(lo2)) / N
-
-    parent = list(range(L))
+    parent = list(range(len(counts)))
     merge = dmax_min < 1.0
     for i, p in zip(first[merge].tolist(), second[merge].tolist()):
         union(i, p)
-    final = np.array([find(i) for i in range(L)])
+    final = np.array([find(i) for i in range(len(counts))])
 
     # blocks in increasing root order; each lists its components' cells in
     # component order

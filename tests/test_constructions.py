@@ -155,16 +155,19 @@ class _RecordingCells(np.ndarray):
 
 def _mark_both(block, N, K, beta, centers, start):
     """Mark every center into a copy of ``start`` with _mark_block and with
-    the reference; returns both arrays and the windows _mark_block wrote."""
+    the reference; returns both arrays and, per center, the indices of the
+    writes _mark_block made."""
     S = N * K
     h_dil = 1.0 / (2.0 * N * (1.0 - beta))
     got = start.copy().view(_RecordingCells)
-    got.writes = []
     want = start.copy()
+    windows = []
     for center in centers:
+        got.writes = []
         constructions._mark_block(got, center, block, beta, h_dil, N, S)
+        windows.append(got.writes)
         _mark_block_nonzero(want, center, block, beta, h_dil, N, S)
-    return got.view(np.ndarray), want, got.writes
+    return got.view(np.ndarray), want, windows
 
 
 @pytest.mark.parametrize(
@@ -190,9 +193,19 @@ def test_windowed_marking_equals_the_nonzero_rule(name, N, K, beta):
         got, _mark_both(pattern.block, N, K, beta, centers, np.zeros_like(start))[1] | start
     )
     assert len(windows) == len(centers)
-    for rows, cols in windows:
-        for side in (rows.ravel(), cols.ravel()):
-            # a window side is at most N + 4 <= S cells, so np.ix_ never
-            # sees one cell twice
-            assert side.size <= N + 4 <= S
-            assert np.unique(side).size == side.size
+    wrapped = set()
+    for writes in windows:
+        # at most four rectangles of basic slices inside the torus; a window
+        # side is at most N + 4 <= S cells, so they never share a cell
+        assert 1 <= len(writes) <= 4
+        spans = []
+        for index in writes:
+            assert len(index) == 2 and all(type(x) is slice and x.step is None for x in index)
+            assert all(0 <= x.start < x.stop <= S for x in index)
+            spans.append(tuple((x.start, x.stop) for x in index))
+        row_spans, col_spans = ({sp[a] for sp in spans} for a in (0, 1))
+        assert len(spans) == len(row_spans) * len(col_spans)
+        for axis_spans in (row_spans, col_spans):
+            assert sum(b - a for a, b in axis_spans) <= N + 4 <= S
+        wrapped.add((len(row_spans), len(col_spans)))
+    assert {(1, 1), (2, 1), (1, 2), (2, 2)} <= wrapped  # the seam centers wrap

@@ -1,6 +1,7 @@
 """Unit-distance cell graph: exactness, samplers, search, block structure."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -597,12 +598,25 @@ def test_timeout_bound_is_the_root_clique_cover():
     assert exc.value.best.size <= cover
 
 
+def seam_raster():
+    """The N = 64 disk raster translated so one block's centre cell sits at
+    (0, 0): that block straddles both torus seams."""
+    A = rasterize(hex_disk_packing(), 64, 8, beta=0.01)
+    j, k = block_decomposition(A).blocks[5]
+    cells = np.roll(A.cells, (-int(np.median(j)), -int(np.median(k))), axis=(0, 1))
+    return GridSet(A.K, A.N, cells)
+
+
 def block_cases():
     G40, G8 = build(40, 10), build(8, 4)
     yield greedy_mis(G40, 2)
     yield greedy_mis(G8, 1)
     yield greedy_mis(G8, 4)
     yield rasterize(hex_disk_packing(), 64, 8, beta=0.01)
+    yield seam_raster()
+    # K = 3: S = 3 N < 3 (N + 5) <= 3 (2 max radius + N + 3), so fewer than
+    # 3 centre buckets per axis and every component pair is a candidate
+    yield greedy_mis(build(16, 3), 7)
     for p, seed in ((0.05, 1), (0.2, 2), (0.5, 3)):
         yield random_gridset(16, 4, p=p, seed=seed)
         yield random_gridset(2, 5, p=p, seed=seed)  # N < 3: every cell alone
@@ -611,6 +625,17 @@ def block_cases():
 def test_block_decomposition_matches_pairwise_oracle():
     for A in block_cases():
         assert_reports_equal(block_decomposition(A), block_oracle(A))
+
+
+def test_seam_raster_blocks_straddle_both_seams():
+    A = seam_raster()
+    S = A.side
+    rep = block_decomposition(A)
+    assert rep.has_block_structure and rep.n_blocks == 16
+    straddle = [
+        {0, S - 1} <= set(j.tolist()) and {0, S - 1} <= set(k.tolist()) for j, k in rep.blocks
+    ]
+    assert sum(straddle) == 1
 
 
 def test_small_chunks_keep_every_output(monkeypatch):
@@ -622,7 +647,12 @@ def test_small_chunks_keep_every_output(monkeypatch):
     want_occ, want_snaps = glauber_oracle(G, 2_000, 3, record_every=3)
     assert np.array_equal(occ, want_occ)
     assert all(np.array_equal(a, b) for a, b in zip(snaps, want_snaps))
-    for A in (greedy_mis(build(8, 4), 1), rasterize(hex_disk_packing(), 16, 4, beta=0.01)):
+    # greedy_mis(build(4, 12), 1) has 4 centre buckets per axis, the others one
+    for A in (
+        greedy_mis(build(8, 4), 1),
+        greedy_mis(build(4, 12), 1),
+        rasterize(hex_disk_packing(), 16, 4, beta=0.01),
+    ):
         assert_reports_equal(block_decomposition(A), block_oracle(A))
 
 
@@ -639,24 +669,66 @@ def test_component_diameter_from_boundary_cells():
     assert interior_seen
 
 
+def direct_gap_d2(b1, b2, S):
+    """Min squared dmax and dmin over every cross cell pair, by broadcasting."""
+    dj = np.abs((b1[0][:, None] - b2[0][None, :] + S // 2) % S - S // 2)
+    dk = np.abs((b1[1][:, None] - b2[1][None, :] + S // 2) % S - S // 2)
+    return (
+        ((dj + 1) ** 2 + (dk + 1) ** 2).min(),
+        (np.maximum(dj - 1, 0) ** 2 + np.maximum(dk - 1, 0) ** 2).min(),
+    )
+
+
 @pytest.mark.parametrize("chunk", [1, 5, 64, 1 << 16])
 def test_gap_tiles_match_direct_minima(monkeypatch, chunk):
+    # both kernels of the block merge: the broadcast tiles of one cell list
+    # against its partners, and the flat sweep over many list pairs
     monkeypatch.setattr(udgraph, "_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
-    S = 40
 
-    def cells(m):
+    def cells(m, S):
         return rng.integers(0, S, m), rng.integers(0, S, m)
 
-    for _ in range(20):
-        b1 = cells(int(rng.integers(1, 40)))
-        parts = [cells(int(rng.integers(1, 30))) for _ in range(int(rng.integers(1, 6)))]
-        hi2, lo2 = udgraph._gap_d2(b1, parts, S)
-        for p, hi, lo in zip(parts, hi2, lo2):
-            dj = np.abs((b1[0][:, None] - p[0][None, :] + S // 2) % S - S // 2)
-            dk = np.abs((b1[1][:, None] - p[1][None, :] + S // 2) % S - S // 2)
-            assert hi == ((dj + 1) ** 2 + (dk + 1) ** 2).min()
-            assert lo == (np.maximum(dj - 1, 0) ** 2 + np.maximum(dk - 1, 0) ** 2).min()
+    for S in (40, 41, 7):
+        terms = udgraph._axis_terms(S)
+        for _ in range(20):
+            b1 = cells(int(rng.integers(1, 40)), S)
+            parts = [cells(int(rng.integers(1, 30)), S) for _ in range(int(rng.integers(1, 6)))]
+            hi2, lo2 = udgraph._gap_d2(b1, parts, terms)
+            assert [(hi, lo) for hi, lo in zip(hi2, lo2)] == [direct_gap_d2(b1, p, S) for p in parts]
+
+            lists = [b1] + parts
+            count = np.array([len(c[0]) for c in lists])
+            start = np.cumsum(count) - count
+            cj, ck = (np.concatenate([c[x] for c in lists]).astype(np.int32) for x in (0, 1))
+            first = rng.integers(0, len(lists), 12)
+            second = rng.integers(0, len(lists), 12)
+            hi2, lo2 = udgraph._pair_gap_d2(cj, ck, start, count, first, second, terms)
+            assert [(hi, lo) for hi, lo in zip(hi2, lo2)] == [
+                direct_gap_d2(lists[f], lists[p], S) for f, p in zip(first, second)
+            ]
+
+
+@pytest.mark.parametrize(
+    "case, former_peak_mb",
+    [("disk N=128 K=8", 19.77), ("greedy N=40 K=10", 3.14)],
+)
+def test_block_decomposition_peak_memory(case, former_peak_mb):
+    # tracemalloc peaks of the per-component merge loop that the tiled merge
+    # replaced (numpy 2.4.6); a 1 MB margin still catches candidate pairs or
+    # cross cell pairs generated untiled (over 6 MB on the greedy set)
+    if case.startswith("disk"):
+        A = rasterize(hex_disk_packing(), 128, 8, beta=0.01)
+    else:
+        A = greedy_mis(build(40, 10), 2)
+    block_decomposition(A)  # imports scipy's modules outside the measurement
+    tracemalloc.start()
+    try:
+        block_decomposition(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (former_peak_mb + 1.0) * 1e6, peak
 
 
 @pytest.mark.parametrize("far,measured", [((0, 8), True), ((5, 7), False)])
