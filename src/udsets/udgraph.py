@@ -33,11 +33,12 @@ the candidate popcount and then by a greedy clique cover of the candidates,
 which bounds their independence number from above.  All three give exactly
 the results of the plain loops.
 
-The block decomposition merges its provisional components on whole arrays:
-segment reductions give their centres, radii and boundary cells, a bucket
-grid their candidate pairs, and flat or broadcast sweeps in bounded tiles
-the exact gaps of those pairs.  scipy loads in the block decomposition, on
-first use: importing needs numpy alone.
+The block decomposition runs on numpy alone.  Its provisional components
+are those of the rows' runs of cells, joined by hook and jump; it merges
+them on whole arrays: segment reductions give their centres, radii and
+boundary cells, a bucket grid their candidate pairs, and flat or broadcast
+sweeps in bounded tiles the exact gaps of those pairs.  A block's diameter
+comes from a monotone chain over its corner rows' ends, in exact integers.
 """
 
 from __future__ import annotations
@@ -699,14 +700,32 @@ def _component_shapes(js, ks, inverse, counts, onb, S):
     )
 
 
+def _hull_chain(ts, ks, turn):
+    """Vertices of the lower (turn 1) or upper (turn -1) hull chain of the
+    points (ts[i], ks[i]), ts increasing: Andrew's monotone chain."""
+    chain = []
+    for t, k in zip(ts.tolist(), ks.tolist()):
+        while len(chain) > 1:
+            (t0, k0), (t1, k1) = chain[-2], chain[-1]
+            if turn * ((t1 - t0) * (k - k0) - (k1 - k0) * (t - t0)) > 0:
+                break
+            chain.pop()
+        chain.append((t, k))
+    return chain
+
+
 def _component_diameter(j, k, boundary, N, S):
     """Exact diameter of a cell union (length units), wrap-recentered.
 
-    ``boundary`` flags the cells with an edge-neighbor outside the union; the
-    others have all four edge-neighbors inside it, so each of their corners
-    is the midpoint of two corners of the union and cannot be extreme.  Only
-    a union covering the whole torus lacks boundary cells, and the span test
-    returns before the hull for it.
+    The diameter is attained at two vertices of the hull of the cells'
+    corners, and only the two end corners of a corner row can be one.  Those
+    come from the first and last cell of a cell row, which ``boundary``
+    flags: their row neighbor lies outside the union.  Corner row t meets
+    cell rows t - 1 and t; the monotone chain keeps the hull vertices among
+    the row ends, and the largest squared distance between them is taken in
+    tiles of at most ``_CHUNK`` pairs, in exact integers.  Only a union
+    covering the whole torus lacks boundary cells, and the span test returns
+    before the hull for it.
     """
     if len(j) == 1:
         return np.sqrt(2.0) / N
@@ -715,21 +734,72 @@ def _component_diameter(j, k, boundary, N, S):
     span = max(jc.max() - jc.min(), kc.max() - kc.min())
     if span + 1 >= S // 2:
         return float("inf")  # wraps around; certainly not diameter < 1
-    # corner extremes: the diameter over a union of cells is attained at
-    # corners, i.e. over (dj+1, dk+1) combinations of index differences
-    from scipy.spatial import ConvexHull
-
-    pts = np.column_stack([jc[boundary], kc[boundary]]).astype(float)
-    corners = np.concatenate(
-        [pts + np.array(c) for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    )
-    if len(corners) > 8:
-        hull = ConvexHull(corners)
-        corners = corners[hull.vertices]
-    d2 = np.max(
-        np.sum((corners[:, None, :] - corners[None, :, :]) ** 2, axis=-1)
-    )
+    rows = jc.max() - jc.min() + 1
+    lo, hi = np.full(rows + 1, S), np.full(rows + 1, -S)
+    row = jc[boundary] - jc.min()
+    np.minimum.at(lo[1:], row, kc[boundary])
+    np.maximum.at(hi[1:], row, kc[boundary] + 1)
+    lo[:-1] = np.minimum(lo[:-1], lo[1:])
+    hi[:-1] = np.maximum(hi[:-1], hi[1:])
+    ts = np.flatnonzero(lo < hi)
+    hull = np.array(_hull_chain(ts, lo[ts], 1) + _hull_chain(ts, hi[ts], -1))
+    d2, h = 0, len(hull)
+    for c in range(0, h * h, _CHUNK):
+        a, b = np.divmod(np.arange(c, min(c + _CHUNK, h * h)), h)
+        diff = hull[a] - hull[b]
+        d2 = max(d2, int((diff * diff).sum(axis=1).max()))
     return float(np.sqrt(d2)) / N
+
+
+def _least_members(n, a, b):
+    """The least member of each item's component: items range(n), edges (a, b).
+
+    Hook and jump (Shiloach and Vishkin 1982): the larger root of each edge
+    between two trees points at the least root across from it, then every
+    pointer jumps to its root.  Pointers only decrease, so the trees stay
+    acyclic and each root is its tree's least member; an edge inside a tree
+    stays there and is dropped.
+    """
+    lab = np.arange(n)
+    while len(a):
+        ra, rb = lab[a], lab[b]
+        out = ra != rb
+        a, b, ra, rb = a[out], b[out], ra[out], rb[out]
+        np.minimum.at(lab, np.maximum(ra, rb), np.minimum(ra, rb))
+        jumped = lab[lab]
+        while not np.array_equal(jumped, lab):
+            lab, jumped = jumped, jumped[jumped]
+    return lab
+
+
+def _run_components(grid):
+    """Cell count and component of each run of occupied cells in a row.
+
+    Runs are in row-major order, and each component, 8-connected on the
+    torus, is named by its least run.  A run of cells c0 .. c1 - 1 in row j
+    has the keys j (S + 1) + c0 and + c1, the positions of its two steps in
+    the padded rows, so one ``searchsorted`` each finds the runs of row
+    (j - 1) mod S whose columns come within one of it; a run ending at
+    column S - 1 also meets a run starting at column 0 in rows j - 1, j and
+    j + 1.
+    """
+    S = grid.shape[1]
+    step = np.flatnonzero(np.diff(grid, axis=1, prepend=False, append=False))
+    start, end = step[0::2], step[1::2]
+    row, c0 = np.divmod(start, S + 1)
+    c1 = end - row * (S + 1)
+    above = (row - 1) % S * (S + 1)
+    lo = np.searchsorted(end, above + c0)
+    count = np.searchsorted(start, above + c1, "right") - lo
+    a, b = [np.repeat(np.arange(len(start)), count)], [_ranges(lo, count)]
+    first, last = np.flatnonzero(c0 == 0), np.flatnonzero(c1 == S)
+    at0 = np.full(S, -1)
+    at0[row[first]] = first
+    for d in (-1, 0, 1):
+        other = at0[(row[last] + d) % S]
+        a.append(last[other >= 0])
+        b.append(other[other >= 0])
+    return _least_members(len(start), np.concatenate(a), np.concatenate(b)), c1 - c0
 
 
 def _boundary_cells(grid):
@@ -761,38 +831,14 @@ def block_decomposition(A) -> BlockReport:
     if not grid.any():
         return BlockReport([], True, 0, 0.0, float("inf"))
 
-    # union-find whose roots are component minima; each use sizes ``parent``
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
     js, ks = np.nonzero(grid)
     if N >= 3:
-        # 8-adjacent cells always satisfy dmax < 1; label then torus-merge
-        from scipy import ndimage
-        lab, n_lab = ndimage.label(grid, structure=np.ones((3, 3), dtype=int))
-        parent = list(range(n_lab + 1))
-        for shift in (-1, 0, 1):
-            row_pairs = grid[-1, :] & np.roll(grid[0, :], -shift)
-            for k in np.nonzero(row_pairs)[0]:
-                union(int(lab[-1, k]), int(lab[0, (k + shift) % S]))
-            col_pairs = grid[:, -1] & np.roll(grid[:, 0], -shift)
-            for j in np.nonzero(col_pairs)[0]:
-                union(int(lab[j, -1]), int(lab[(j + shift) % S, 0]))
-        roots = np.array([find(x) for x in range(n_lab + 1)])[lab[js, ks]]
-        del lab
-        # provisional components, indexed 0..L-1 in increasing root order
-        counts = np.bincount(roots)
-        inverse = (np.cumsum(counts > 0) - 1)[roots]
-        counts = counts[counts > 0]
-        del roots
+        # 8-adjacent cells always satisfy dmax < 1: components of the runs,
+        # each numbered by its least run, so by its first cell in row order
+        least, size = _run_components(grid)
+        comp = (np.cumsum(least == np.arange(len(least))) - 1)[least]
+        inverse = np.repeat(comp, size)  # js, ks list the runs' cells in run order
+        counts = np.bincount(inverse)
     else:
         inverse = np.arange(len(js))
         counts = np.ones(len(js), dtype=np.intp)
@@ -805,11 +851,8 @@ def block_decomposition(A) -> BlockReport:
     dmax_min = np.sqrt(hi2.astype(np.float64)) / N
     dmin_min = np.sqrt(lo2.astype(np.float64)) / N
 
-    parent = list(range(len(counts)))
     merge = dmax_min < 1.0
-    for i, p in zip(first[merge].tolist(), second[merge].tolist()):
-        union(i, p)
-    final = np.array([find(i) for i in range(len(counts))])
+    final = _least_members(len(counts), first[merge], second[merge])
 
     # blocks in increasing root order; each lists its components' cells in
     # component order

@@ -445,6 +445,32 @@ def boundary_oracle(grid):
     return grid & ~interior
 
 
+def find_oracle(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def union_oracle(parent, x, y):
+    rx, ry = find_oracle(parent, x), find_oracle(parent, y)
+    if rx != ry:
+        parent[max(rx, ry)] = min(rx, ry)
+
+
+def torus_label_oracle(grid):
+    """Per cell of np.nonzero(grid), the least scipy label of its 8-connected
+    component on the torus: the seams are merged one cell pair at a time."""
+    S = len(grid)
+    lab, n_lab = ndimage.label(grid, structure=np.ones((3, 3), dtype=int))
+    parent = list(range(n_lab + 1))
+    for shift in (-1, 0, 1):
+        for k in np.nonzero(grid[-1, :] & np.roll(grid[0, :], -shift))[0]:
+            union_oracle(parent, int(lab[-1, k]), int(lab[0, (k + shift) % S]))
+        for j in np.nonzero(grid[:, -1] & np.roll(grid[:, 0], -shift))[0]:
+            union_oracle(parent, int(lab[j, -1]), int(lab[(j + shift) % S, 0]))
+    return np.array([find_oracle(parent, int(lab[j, k])) for j, k in zip(*np.nonzero(grid))])
+
+
 def block_oracle(A):
     """Block merge over every pair of provisional components, one at a time."""
     if isinstance(A, IndepSet):
@@ -453,30 +479,9 @@ def block_oracle(A):
     grid = A.cells
     if not grid.any():
         return BlockReport([], True, 0, 0.0, float("inf"))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
     js, ks = np.nonzero(grid)
-    if N >= 3:
-        lab, n_lab = ndimage.label(grid, structure=np.ones((3, 3), dtype=int))
-        parent = list(range(n_lab + 1))
-        for shift in (-1, 0, 1):
-            for k in np.nonzero(grid[-1, :] & np.roll(grid[0, :], -shift))[0]:
-                union(int(lab[-1, k]), int(lab[0, (k + shift) % S]))
-            for j in np.nonzero(grid[:, -1] & np.roll(grid[:, 0], -shift))[0]:
-                union(int(lab[j, -1]), int(lab[(j + shift) % S, 0]))
-        roots = np.array([find(int(lab[j, k])) for j, k in zip(js, ks)])
-    else:
-        roots = np.arange(len(js))
-        parent = list(range(len(js) + 1))
+    roots = torus_label_oracle(grid) if N >= 3 else np.arange(len(js))
+    parent = list(range(max(roots) + 1))
     comp = {}
     for idx, r in enumerate(roots):
         comp.setdefault(int(r), []).append(idx)
@@ -506,15 +511,15 @@ def block_oracle(A):
             gap = (float(np.sqrt(dmax2.min())) / N, float(np.sqrt(dmin2.min())) / N)
             pair_gap[(r1, r2)] = gap
             if gap[0] < 1.0:
-                union(r1, r2)
+                union_oracle(parent, r1, r2)
     final = {}
     for r in labels:
-        final.setdefault(find(r), []).extend(comp[r])
+        final.setdefault(find_oracle(parent, r), []).extend(comp[r])
     blocks = [(js[np.array(final[r])], ks[np.array(final[r])]) for r in sorted(final)]
     max_diam = max(diameter_oracle(j, k, N, S) for j, k in blocks)
     min_sep = float("inf")
     for (r1, r2), (_, dmin) in pair_gap.items():
-        if find(r1) != find(r2):
+        if find_oracle(parent, r1) != find_oracle(parent, r2):
             min_sep = min(min_sep, dmin)
     ok = max_diam < 1.0 and min_sep > 1.0
     return BlockReport(blocks, bool(ok), len(blocks), max_diam, min_sep)
@@ -622,9 +627,75 @@ def block_cases():
         yield random_gridset(2, 5, p=p, seed=seed)  # N < 3: every cell alone
 
 
+def spiral(S):
+    """A one-cell-wide spiral from (1, 1) inwards, its arms two cells apart."""
+    cells = np.zeros((S, S), dtype=bool)
+    j = k = 1
+    cells[j, k] = True
+    lengths = [S - 3] + [n for n in range(S - 3, 0, -2) for _ in (0, 1)]
+    for (dj, dk), n in zip(itertools.cycle(((0, 1), (1, 0), (0, -1), (-1, 0))), lengths):
+        for _ in range(n):
+            j, k = j + dj, k + dk
+            cells[j, k] = True
+    return cells
+
+
+def seam_cases():
+    """Sets whose components the torus seams join in every way."""
+    S = 16
+    corner = np.zeros((S, S), dtype=bool)
+    # two L-shapes joined only through the corner diagonal (0, 0) ~ (S - 1, S - 1)
+    corner[0, :3] = corner[:3, 0] = corner[-1, -3:] = corner[-3:, -1] = True
+    corner[8, 8] = True
+    yield GridSet(4, 4, corner)
+    for axis in (0, 1):
+        cells = random_gridset(8, 4, p=0.05, seed=5).cells.copy()
+        cells[(5, slice(None)) if axis == 0 else (slice(None), 7)] = True  # a full row or column
+        yield GridSet(4, 8, cells)
+    for N, K in ((4, 4), (5, 3)):  # at odd S the checkerboard's colours meet at the seams
+        jj, kk = np.indices((N * K, N * K))
+        yield GridSet(K, N, (jj + kk) % 2 == 0)
+    for p, seed in ((0.3, 1), (0.5, 2), (0.8, 3)):
+        yield random_gridset(3, 1, p=p, seed=seed)  # S = 3: rows j - 1 and j + 1 are adjacent
+    yield GridSet(4, 8, np.roll(spiral(32), (16, 11), axis=(0, 1)))  # across both seams
+
+
 def test_block_decomposition_matches_pairwise_oracle():
-    for A in block_cases():
+    for A in itertools.chain(block_cases(), seam_cases()):
         assert_reports_equal(block_decomposition(A), block_oracle(A))
+
+
+def test_run_components_match_torus_labelling():
+    # the merge joins components that touch, so a labelling that split one
+    # could still give the oracle's blocks; compare the labels themselves
+    for A in itertools.chain(block_cases(), seam_cases()):
+        grid = A.to_gridset().cells if isinstance(A, IndepSet) else A.cells
+        least, size = udgraph._run_components(grid)
+        got = np.unique(np.repeat(least, size), return_inverse=True)[1]
+        want = np.unique(torus_label_oracle(grid), return_inverse=True)[1]
+        assert np.array_equal(got, want)
+
+
+def bit_reversal_path(bits):
+    """Edges of a path whose i-th item is i with its bits reversed: hooking
+    to the least root halves the roots per round, so it takes bits rounds."""
+    ids = np.array([int(f"{i:0{bits}b}"[::-1], 2) for i in range(1 << bits)])
+    return ids[:-1], ids[1:]
+
+
+def test_least_members_match_union_find():
+    rng = np.random.default_rng(8)
+    graphs = [(1 << 10, *bit_reversal_path(10)), (5, np.zeros(0, int), np.zeros(0, int))]
+    for _ in range(20):
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(0, 2 * n))
+        graphs.append((n, rng.integers(0, n, m), rng.integers(0, n, m)))
+    for n, a, b in graphs:
+        parent = list(range(n))
+        for x, y in zip(a.tolist(), b.tolist()):
+            union_oracle(parent, x, y)
+        want = [find_oracle(parent, x) for x in range(n)]
+        assert udgraph._least_members(n, a, b).tolist() == want
 
 
 def test_seam_raster_blocks_straddle_both_seams():
@@ -667,6 +738,69 @@ def test_component_diameter_from_boundary_cells():
             assert type(got) is type(want) and got == want
             interior_seen |= not onb[j, k].all()
     assert interior_seen
+
+
+def diameter_cases(rng, S):
+    """Cell sets: random blobs (some across the seams), single rows and
+    columns, solid and gappy, and the widest spans left finite."""
+    jj, kk = np.indices((S, S))
+    for _ in range(30):
+        cells = np.zeros((S, S), dtype=bool)
+        centre = rng.integers(0, S, 2)
+        for _ in range(int(rng.integers(1, 4))):
+            cj, ck = centre + rng.integers(-6, 7, 2)
+            dj = (jj - cj + S // 2) % S - S // 2
+            dk = (kk - ck + S // 2) % S - S // 2
+            cells |= dj * dj + dk * dk <= rng.uniform(0.3, 7.0) ** 2
+        yield cells
+    for cols in (slice(10, 30), slice(3, 40, 3), slice(S - 5, S)):
+        line = np.zeros((S, S), dtype=bool)
+        line[5, cols] = True
+        yield line
+        yield line.T
+    for span in (S // 2 - 2, S // 2 - 1):  # the first finite, the second not
+        cells = np.zeros((S, S), dtype=bool)
+        cells[[0, span], 3] = True
+        yield cells
+        yield cells.T
+        cells = np.zeros((S, S), dtype=bool)
+        cells[np.arange(span + 1), (np.arange(span + 1) % 5 + S - 2) % S] = True
+        yield cells
+
+
+def test_component_diameter_matches_corner_oracle():
+    rng = np.random.default_rng(29)
+    finite = infinite = 0
+    for N, S in ((8, 64), (3, 33)):
+        for cells in diameter_cases(rng, S):
+            j, k = np.nonzero(cells)
+            order = rng.permutation(len(j))  # a block lists its cells in component order
+            j, k = j[order], k[order]
+            got = udgraph._component_diameter(j, k, boundary_oracle(cells)[j, k], N, S)
+            want = diameter_oracle(j, k, N, S)
+            assert type(got) is type(want) and got == want
+            finite += np.isfinite(got)
+            infinite += not np.isfinite(got)
+    assert finite and infinite
+
+
+def test_component_diameter_tiles_its_pairs(monkeypatch):
+    # the boundary of a disk of radius S / 4 - 1: its 56 hull vertices make
+    # 3,136 pairs, and with 64 pairs to a tile the peak stays near what the
+    # 356 cells' own arrays take (about 215 kB when the pairs are untiled)
+    monkeypatch.setattr(udgraph, "_CHUNK", 64)
+    N, S = 8, 256
+    jj, kk = np.indices((S, S))
+    ring = boundary_oracle((jj - S // 2) ** 2 + (kk - S // 2) ** 2 <= (S // 4 - 1) ** 2)
+    j, k = np.nonzero(ring)
+    tracemalloc.start()
+    try:
+        got = udgraph._component_diameter(j, k, np.ones(len(j), dtype=bool), N, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == diameter_oracle(j, k, N, S)
+    assert peak <= 100 * (len(j) + udgraph._CHUNK), peak
 
 
 def direct_gap_d2(b1, b2, S):
@@ -721,7 +855,7 @@ def test_block_decomposition_peak_memory(case, former_peak_mb):
         A = rasterize(hex_disk_packing(), 128, 8, beta=0.01)
     else:
         A = greedy_mis(build(40, 10), 2)
-    block_decomposition(A)  # imports scipy's modules outside the measurement
+    block_decomposition(A)  # a first call outside the measurement
     tracemalloc.start()
     try:
         block_decomposition(A)
