@@ -2,18 +2,31 @@
 
 Solves   find / minimize c.x   subject to  A x <= b,  x >= 0.
 
-The witness-search LP is small (a dozen variables, a few hundred to a few
-thousand grid rows), so a dense tableau is fine.  All arithmetic runs in numpy
-longdouble (x87 80-bit where numpy has it), so runs are deterministic and the
-accumulated pivot error stays orders of magnitude below the slack the caller
-reserves.  Nothing downstream trusts the solver: certificates are re-verified
-independently.
+The variables are x (ids 0..n-1), the phase-1 artificial x0 (id n) and one
+slack per row (ids n+1..n+m).  The witness-search LP has a dozen variables
+and a few hundred to a few thousand grid rows, so the tableau is kept
+condensed (V. Chvatal, Linear Programming, Freeman 1983, ch. 2-3): one row
+per basic variable plus the objective row, one column per nonbasic variable
+plus the rhs, column-major since pivots and ratio tests read columns.  That
+is (m + 1) x (n + 2) entries where a dense tableau, with a column for every
+variable, holds (m + 1) x (n + m + 2), m of them the slack identity block.
+``basis[i]`` is the id of row i's variable and ``nonbasic[j]`` that of
+column j.
+
+Every pivot is bitwise the dense one.  A basic variable's dense column is
+a unit vector, so at a pivot the leaving variable's column e_row takes the
+entering column's slot and goes through the dense update of a unit column;
+the entering column, which the dense pivot re-zeroes, is dropped.  All
+arithmetic runs in numpy longdouble (x87 80-bit where numpy has it), so runs
+are deterministic and the accumulated pivot error stays orders of magnitude
+below the slack the caller reserves.  Nothing downstream trusts the solver:
+certificates are re-verified independently.
 
 Pivots follow Bland's rule (R. G. Bland, Math. Oper. Res. 2 (1977) 103-107)
-with a tolerance tol: the entering column is the first whose reduced cost is
-below -tol; among the rows whose entry in that column exceeds tol, the leaving
-row is the one of least basic index whose ratio rhs / entry is within tol of
-the least ratio.
+with a tolerance tol: the entering variable is the one of least id whose
+reduced cost is below -tol; among the rows whose entry in that column
+exceeds tol, the leaving row is the one of least basic id whose ratio
+rhs / entry is within tol of the least ratio.
 
 Infeasibility is a first-class result: phase 1 ends with a Farkas-style
 multiplier vector y >= 0 with y.A >= 0 and y.b < 0, which is returned (and
@@ -43,66 +56,62 @@ class SimplexResult:
     iterations: int = 0
 
 
-def _pivot(T, basis, row, col):
+def _pivot(T, basis, nonbasic, row, col):
+    """Swap nonbasic column ``col`` with basic row ``row``."""
+    piv = T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    # the leaving variable's column, e_row, takes the entering one's slot
+    T[:, col] = 0.0
+    T[row, col] = 1.0
     # only the pivot row's nonzero columns change, as x - c * 0 is x; its zeros
     # are not divided either, since a negative pivot would leave them -0.0
     # where the update over every column made them +0.0 again
-    nz = np.flatnonzero(T[row])
-    piv = T[row, col]
-    T[row, nz] /= piv
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T[:, nz] -= np.outer(colvals, T[row, nz])
-    # re-zero the pivot column explicitly to stop error creep
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
+    prow = T[row]
+    nz = prow.nonzero()[0]
+    prow[nz] /= piv
+    for j in nz:  # one contiguous column at a time: fancy-indexed blocks cost more
+        T[:, j] -= colvals * prow[j]
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
-def _bland_iterate(T, basis, tol):
+def _bland_iterate(T, basis, nonbasic, tol):
     """Minimize the last row's objective; returns (status, iterations)."""
     m = T.shape[0] - 1
+    costs, rhs, below = T[-1, :-1], T[:m, -1], -tol
     for it in range(_MAX_ITER):
-        entering = np.flatnonzero(T[-1, :-1] < -tol)
+        entering = (costs < below).nonzero()[0]
         if entering.size == 0:
             return "optimal", it
-        enter = entering[0]
-        rows = np.flatnonzero(T[:m, enter] > tol)
+        enter = entering[nonbasic[entering].argmin()]
+        column = T[:m, enter]
+        rows = (column > tol).nonzero()[0]
         if rows.size == 0:
             return "unbounded", it
-        ratios = T[rows, -1] / T[rows, enter]
+        ratios = rhs[rows] / column[rows]
         ties = rows[ratios <= ratios.min() + tol]
-        _pivot(T, basis, ties[np.argmin(basis[ties])], enter)
+        _pivot(T, basis, nonbasic, ties[basis[ties].argmin()], enter)
     return "iteration_limit", _MAX_ITER
 
 
 def _tableau(A, b):
-    """The starting tableau and its basis, the slacks.
+    """The starting tableau, its basis (the slacks) and its nonbasic ids.
 
-    Columns: x (n), artificial x0 (1), slacks (m), rhs (1); rows: m +
-    objective.  The slack block is the identity, written on its diagonal.
+    Columns: x (n), artificial x0 (1), rhs (1); rows: m + objective.
     """
     m, n = A.shape
-    T = np.zeros((m + 1, n + 1 + m + 1), dtype=_LD)
+    T = np.zeros((m + 1, n + 2), dtype=_LD, order="F")
     T[:m, :n] = A
     T[:m, n] = -1.0  # artificial column
-    basis = np.arange(n + 1, n + 1 + m)
-    T[np.arange(m), basis] = 1.0
     T[:m, -1] = b
-    return T, basis
+    return T, np.arange(n + 1, n + 1 + m), np.arange(n + 1)
 
 
-def _price_out(T, basis, n):
-    """Zero the objective row's entries in the basic columns, row by row.
-
-    Only a column <= n can have a cost: the objective row is zero beyond
-    x and x0, and subtracting a basis row leaves it zero in every other
-    basic column, since ``_pivot`` keeps basic columns exact unit vectors.
-    """
-    for i in np.flatnonzero(basis <= n):
-        bj = basis[i]
-        if T[-1, bj] != 0:
-            T[-1, :] -= T[-1, bj] * T[i, :]
+def _price_out(T, basis, cost):
+    """Subtract from the objective row each basic row times its variable's
+    cost, row by row: the dense tableau's pricing of its basic columns."""
+    for i in np.flatnonzero(cost[basis] != 0):
+        T[-1, :] -= cost[basis[i]] * T[i, :]
 
 
 def solve_lp(A_ub, b_ub, objective=None):
@@ -118,7 +127,7 @@ def solve_lp(A_ub, b_ub, objective=None):
     m, n = A.shape
     c = np.zeros(n, dtype=_LD) if objective is None else np.asarray(objective, dtype=_LD)
 
-    T, basis = _tableau(A, b)
+    T, basis, nonbasic = _tableau(A, b)
 
     scale = max(1.0, float(np.abs(A).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
     tol = _LD(_TOL) * _LD(scale)
@@ -128,15 +137,17 @@ def solve_lp(A_ub, b_ub, objective=None):
         # phase 1: minimize x0
         T[-1, n] = 1.0
         worst = int(np.argmin(T[:m, -1]))
-        _pivot(T, basis, worst, n)
-        status, it = _bland_iterate(T, basis, tol)
+        _pivot(T, basis, nonbasic, worst, n)
+        status, it = _bland_iterate(T, basis, nonbasic, tol)
         total_iters += it
         if status != "optimal":
             return SimplexResult(status, None, None, iterations=total_iters)
         if -T[-1, -1] > 1e-10 * scale:  # last-row rhs carries -z
-            # infeasible; phase-1 duals live in the slack columns of the
-            # objective row, certificate y >= 0, yA >= 0, yb < 0
-            y = np.asarray(T[-1, n + 1 : n + 1 + m], dtype=float)
+            # infeasible; phase-1 duals are the reduced costs of the slacks
+            # (0 for a basic one), certificate y >= 0, yA >= 0, yb < 0
+            slack = nonbasic > n
+            y = np.zeros(m)
+            y[nonbasic[slack] - (n + 1)] = T[-1, :-1][slack]
             y[np.abs(y) < 1e-14] = 0.0
             Af = np.asarray(A, dtype=float)
             bf = np.asarray(b, dtype=float)
@@ -149,19 +160,20 @@ def solve_lp(A_ub, b_ub, objective=None):
                 "infeasible", None, None, farkas=y, farkas_valid=ok, iterations=total_iters
             )
         if n in basis:
-            # x0 basic at zero: pivot it out on any eligible column
+            # x0 basic at zero: pivot it out on the eligible column of least id
             row = int(np.flatnonzero(basis == n)[0])
             cols = np.flatnonzero(np.abs(T[row, :-1]) > tol)
-            cols = cols[cols != n]
             if cols.size:
-                _pivot(T, basis, row, cols[0])
+                _pivot(T, basis, nonbasic, row, cols[np.argmin(nonbasic[cols])])
 
-    # phase 2
-    T[-1, :] = 0.0
-    T[-1, :n] = c
-    T[-1, n] = _LD(1e30)  # keep the artificial column out of the basis
-    _price_out(T, basis, n)
-    status, it = _bland_iterate(T, basis, tol)
+    # phase 2: costs c, 1e30 on x0 to keep it out of the basis, 0 on slacks
+    cost = np.zeros(n + 1 + m, dtype=_LD)
+    cost[:n] = c
+    cost[n] = _LD(1e30)
+    T[-1, :-1] = cost[nonbasic]
+    T[-1, -1] = 0.0
+    _price_out(T, basis, cost)
+    status, it = _bland_iterate(T, basis, nonbasic, tol)
     total_iters += it
     if status != "optimal":
         return SimplexResult(status, None, None, iterations=total_iters)

@@ -116,7 +116,9 @@ class UDGraph:
     R <= j, k < S - R is interior, no offset wraps there, and its neighbors
     are v + flat.  Any other vertex reads two wrap tables over x in
     [-R, S + R), (x mod S) S for rows and x mod S for columns, at
-    sj + R + j and sk + R + k.  Both branches give exactly the values of
+    sj + R in the row table's view from entry j on and at sk + R in the
+    column table's view from entry k on, so the index arrays are not
+    shifted per call.  Both branches give exactly the values of
     ``((j + dj) % S) S + (k + dk) % S`` in ``offsets`` order, as a new int64
     array the caller may modify.
     """
@@ -150,7 +152,7 @@ class UDGraph:
         j, k = divmod(v, S)
         if lo <= j < hi and lo <= k < hi:
             return flat + v
-        return rows.take(rj + j) + cols.take(rk + k)
+        return rows[j:].take(rj) + cols[k:].take(rk)
 
 
 def _neighbor_tables(S: int, offsets: np.ndarray) -> tuple:

@@ -1,9 +1,12 @@
 """Unit checks for the 80-bit simplex on small LPs with known answers, its
-pivot rule against a sequential scan kept as an oracle, its pivot update
-against the dense one it restricts, and its tableau set-up against the dense
-one it replaced."""
+pivot rule against a sequential scan kept as an oracle, and the condensed
+tableau against the dense one it replaced (``oracle_simplex``): each pivot,
+each phase's starting tableau and each solve's result, bit for bit."""
+
+import tracemalloc
 
 import numpy as np
+import oracle_simplex
 import pytest
 
 from udsets import simplex, witness
@@ -87,11 +90,13 @@ def test_determinism():
 
 
 # ---------------------------------------------------------------------------
-# the pivot rule against the sequential scan
+# the pivot rule against the sequential scan, the condensed tableau against
+# the dense one
 # ---------------------------------------------------------------------------
 
 def _scan_oracle(T, basis, tol):
-    """One step of the earlier pivot rule, a Python scan: (status, leave, enter).
+    """One step of the earlier pivot rule on a dense tableau, a Python scan:
+    (status, leave, enter).
 
     It compares each ratio with the best ratio so far, so its tie window can
     drift from the least ratio; ``_bland_iterate`` measures it from there.
@@ -122,8 +127,9 @@ def _scan_oracle(T, basis, tol):
 
 
 def _dense_pivot(T, basis, row, col):
-    """The pivot update over the whole tableau, one ``np.outer``: the oracle
-    for ``_pivot``, which touches only the pivot row's nonzero columns."""
+    """The pivot update over the whole dense tableau, one ``np.outer``: the
+    oracle for ``_pivot``, which touches only the pivot row's nonzero
+    columns of the condensed one."""
     piv = T[row, col]
     T[row, :] /= piv
     colvals = T[:, col].copy()
@@ -134,6 +140,17 @@ def _dense_pivot(T, basis, row, col):
     basis[row] = col
 
 
+def _dense_layout(T, basis, nonbasic):
+    """The dense tableau a condensed one stands for: its columns in the
+    slots of their variable ids, a unit column for each basic variable."""
+    m = T.shape[0] - 1
+    D = np.zeros((m + 1, T.shape[1] + m), dtype=T.dtype)
+    D[:, nonbasic] = T[:, :-1]
+    D[np.arange(m), basis] = 1.0
+    D[:, -1] = T[:, -1]
+    return D
+
+
 def _same_bits(a, b):
     """Equal values and equal signs of zero: -0.0 == 0.0 for array_equal."""
     if a is None or b is None:
@@ -141,44 +158,46 @@ def _same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def _assert_dense_solve_agrees(res, *args, **kwargs):
-    """Solve again with the dense pivot; x and the Farkas ray agree bitwise."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex, "_pivot", _dense_pivot)
-        dense = solve_lp(*args, **kwargs)
+def _assert_dense_solve_agrees(res, A, b, objective=None):
+    """The dense solver's result agrees bitwise: status, iterations,
+    objective, x, the Farkas ray with its signs of zero, and its check."""
+    dense = oracle_simplex.dense_solve_lp(A, b, objective=objective)
     assert (res.status, res.iterations, res.farkas_valid) == (
         dense.status, dense.iterations, dense.farkas_valid
     )
+    assert repr(res.objective) == repr(dense.objective)  # a float's repr is exact
     assert _same_bits(res.x, dense.x) and _same_bits(res.farkas, dense.farkas)
 
 
 @pytest.fixture
 def checked_pivots(monkeypatch):
     """Check every pivot ``_bland_iterate`` makes, and the status it ends
-    with, against the scan on the tableau it sees; ``["pivots"]`` counts
-    the pivots checked.  Every pivot, Bland's or not, leaves the whole
-    tableau bitwise as the dense pivot leaves a copy of it."""
+    with, against the scan on the dense tableau it stands for;
+    ``["pivots"]`` counts the pivots checked.  Every pivot, Bland's or not,
+    leaves the tableau, laid out dense, bitwise as the dense pivot leaves
+    the dense layout of a copy of it."""
     seen = {"tol": None, "pivots": 0}
     bland, pivot = simplex._bland_iterate, simplex._pivot
 
-    def checked_bland(T, basis, tol):
+    def checked_bland(T, basis, nonbasic, tol):
         seen["tol"] = tol
         try:
-            status, it = bland(T, basis, tol)
+            status, it = bland(T, basis, nonbasic, tol)
         finally:
             seen["tol"] = None
         if status != "iteration_limit":
-            assert _scan_oracle(T, basis, tol)[0] == status
+            assert _scan_oracle(_dense_layout(T, basis, nonbasic), basis, tol)[0] == status
         return status, it
 
-    def checked_pivot(T, basis, row, col):
+    def checked_pivot(T, basis, nonbasic, row, col):
+        dense, dense_basis = _dense_layout(T, basis, nonbasic), basis.copy()
         if seen["tol"] is not None:  # the phase-1 entry and x0 exit are not Bland's
-            assert _scan_oracle(T, basis, seen["tol"]) == (None, row, col)
+            assert _scan_oracle(dense, basis, seen["tol"]) == (None, row, nonbasic[col])
             seen["pivots"] += 1
-        dense, dense_basis = T.copy(), basis.copy()
-        _dense_pivot(dense, dense_basis, row, col)
-        pivot(T, basis, row, col)
-        assert _same_bits(T, dense) and np.array_equal(basis, dense_basis)
+        _dense_pivot(dense, dense_basis, row, nonbasic[col])
+        pivot(T, basis, nonbasic, row, col)
+        assert _same_bits(_dense_layout(T, basis, nonbasic), dense)
+        assert np.array_equal(basis, dense_basis)
 
     monkeypatch.setattr(simplex, "_bland_iterate", checked_bland)
     monkeypatch.setattr(simplex, "_pivot", checked_pivot)
@@ -186,8 +205,8 @@ def checked_pivots(monkeypatch):
 
 
 def _counting_solves(monkeypatch):
-    """Count each witness solve's iterations, and check its result against a
-    solve with the dense pivot."""
+    """Count each witness solve's iterations, and check its result against
+    the dense solver's."""
     iterations = []
 
     def counted(*args, **kwargs):
@@ -246,12 +265,59 @@ def test_random_lp_pivots_match_the_scan(checked_pivots):
     assert {"optimal", "infeasible", "unbounded"} <= statuses
 
 
+def _tiny_integer_lps():
+    """3,000 feasibility LPs of at most 6 rows and 4 columns, entries in
+    -1..1, rhs -1 or 0: phase 1 now and then ends with x0 basic at zero."""
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        A = rng.integers(-1, 2, size=(m, n)).astype(float)
+        yield A, rng.integers(-1, 1, size=m).astype(float)
+
+
+def test_x0_exit_matches_the_dense_solver(checked_pivots, monkeypatch):
+    """The x0 exit pivots on the eligible column of least variable id, as the
+    dense solver does; here that is often not the first eligible column."""
+    later_column = []
+    pivot = simplex._pivot
+
+    def recording(T, basis, nonbasic, row, col):
+        if checked_pivots["tol"] is None and basis[row] == T.shape[1] - 2:
+            later_column.append(col != np.flatnonzero(T[row, :-1])[0])
+        pivot(T, basis, nonbasic, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    for A, b in _tiny_integer_lps():
+        _assert_dense_solve_agrees(solve_lp(A, b), A, b)
+    assert sum(later_column) > 10
+
+
+def test_solve_lp_peak_memory():
+    """The condensed tableau of a 405 x 5 LP, the size of each certify_bound
+    solve, is O(m n): its traced peak is 0.12 MB, where the dense tableau's
+    was 2.9 MB."""
+    rng = np.random.default_rng(405)
+    A = rng.normal(size=(405, 5))
+    b = A @ rng.uniform(0.5, 1.0, size=5) + rng.uniform(0.0, 0.5, size=405)
+    objective = rng.normal(size=5)
+    assert np.any(b < 0)  # both phases run
+    solve_lp(A, b, objective=objective)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        res = solve_lp(A, b, objective=objective)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "optimal" and res.iterations > 0
+    assert peak < 0.5e6
+
+
 # ---------------------------------------------------------------------------
 # the tableau set-up against the dense one it replaced
 # ---------------------------------------------------------------------------
 
 def _eye_tableau(A, b):
-    """The earlier set-up: the slack block written as a dense ``np.eye``."""
+    """The earlier dense set-up: the slack block written as ``np.eye``."""
     m, n = A.shape
     T = np.zeros((m + 1, n + 1 + m + 1), dtype=np.longdouble)
     T[:m, :n] = A
@@ -262,38 +328,34 @@ def _eye_tableau(A, b):
 
 
 def _price_every_row(T, basis, n):
-    """The earlier phase-2 pricing: a pass over every basis row."""
+    """The earlier dense phase-2 pricing: a pass over every basis row."""
     for i, bj in enumerate(basis):
         if T[-1, bj] != 0:
             T[-1, :] -= T[-1, bj] * T[i, :]
 
 
-def _solve_seeing_tableaus(A, b, objective):
-    """solve_lp, and a copy of the tableau each phase starts from."""
-    seen, bland = [], simplex._bland_iterate
+def _assert_old_setup_agrees(A, b, objective):
+    """The dense solver with the earlier set-up gives the same result and, at
+    the start of each phase, the tableau the condensed one stands for."""
+    tableaus, old_tableaus = [], []
+    bland, old_bland = simplex._bland_iterate, oracle_simplex._bland_iterate
 
-    def copying(T, basis, tol):
-        seen.append(T.copy())
-        return bland(T, basis, tol)
+    def copying(T, basis, nonbasic, tol):
+        tableaus.append(_dense_layout(T, basis, nonbasic))
+        return bland(T, basis, nonbasic, tol)
+
+    def old_copying(T, basis, tol):
+        old_tableaus.append(T.copy())
+        return old_bland(T, basis, tol)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_bland_iterate", copying)
-        return solve_lp(A, b, objective=objective), seen
-
-
-def _assert_old_setup_agrees(A, b, objective):
-    """The dense set-up gives the same result and, at the start of each
-    phase, the same tableau bit for bit."""
-    res, tableaus = _solve_seeing_tableaus(A, b, objective)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex, "_tableau", _eye_tableau)
-        mp.setattr(simplex, "_price_out", _price_every_row)
-        old, old_tableaus = _solve_seeing_tableaus(A, b, objective)
-    assert (res.status, res.iterations, res.farkas_valid) == (
-        old.status, old.iterations, old.farkas_valid
-    )
-    assert _same_bits(res.x, old.x) and _same_bits(res.farkas, old.farkas)
-    assert len(tableaus) == len(old_tableaus)
+        mp.setattr(oracle_simplex, "_bland_iterate", old_copying)
+        mp.setattr(oracle_simplex, "_tableau", _eye_tableau)
+        mp.setattr(oracle_simplex, "_price_out", _price_every_row)
+        res = solve_lp(A, b, objective=objective)
+        _assert_dense_solve_agrees(res, A, b, objective=objective)
+    assert len(tableaus) == len(old_tableaus) > 0
     assert all(_same_bits(T, old_T) for T, old_T in zip(tableaus, old_tableaus))
     return res
 
@@ -334,8 +396,9 @@ _TOL = np.longdouble(2.0**-10)
 )
 def test_bland_leaving_row(monkeypatch, ratios, entries, basics, leave, scan_leave):
     m = len(ratios)
-    # columns: one that enters, the rhs; an eligible row's ratio is its rhs
-    T = np.zeros((m + 1, 2), dtype=np.longdouble)
+    # columns: one that enters (variable 0), the rhs; an eligible row's ratio
+    # is its rhs.  The same array is the dense tableau the scan reads.
+    T = np.zeros((m + 1, 2), dtype=np.longdouble, order="F")
     T[:m, 0] = entries
     T[:m, -1] = ratios
     T[-1, 0] = -1.0
@@ -343,24 +406,42 @@ def test_bland_leaving_row(monkeypatch, ratios, entries, basics, leave, scan_lea
     assert _scan_oracle(T, basis, _TOL) == (None, scan_leave, 0)
     pivots = []
 
-    def record(T, basis, row, col):
+    def record(T, basis, nonbasic, row, col):
         pivots.append((int(row), int(col)))
         T[-1, :] = 0.0  # optimal after one pivot
 
     monkeypatch.setattr(simplex, "_pivot", record)
-    assert simplex._bland_iterate(T, basis, _TOL) == ("optimal", 1)
+    assert simplex._bland_iterate(T, basis, np.array([0]), _TOL) == ("optimal", 1)
     assert pivots == [(leave, 0)]
 
 
-def test_bland_entering_column_and_exits():
+def test_bland_entering_column_and_exits(monkeypatch):
     tol = _TOL
-    T = np.zeros((3, 4), dtype=np.longdouble)
+    T = np.zeros((3, 4), dtype=np.longdouble, order="F")
     T[-1, :3] = [-0.5 * float(tol), -2.0, -1.0]  # column 0 is within tol of 0
     T[:2, 1] = [-1.0, 0.0]  # column 1 has no positive entry
-    basis = np.array([0, 3])
-    assert simplex._bland_iterate(T, basis, tol) == ("unbounded", 0)
+    basis, nonbasic = np.array([0, 3]), np.array([1, 2, 4])
+    assert simplex._bland_iterate(T, basis, nonbasic, tol) == ("unbounded", 0)
     T[-1, 1] = 0.0
     T[:2, 2] = [1.0, 2.0]
     T[:2, -1] = [4.0, 2.0]
-    assert simplex._bland_iterate(T, basis, tol) == ("optimal", 1)
-    assert basis.tolist() == [0, 2]
+    assert simplex._bland_iterate(T, basis, nonbasic, tol) == ("optimal", 1)
+    assert basis.tolist() == [0, 4] and nonbasic.tolist() == [1, 2, 3]
+
+    # columns out of id order: the least id enters, not the first column
+    # nor the least reduced cost
+    T = np.zeros((3, 4), dtype=np.longdouble, order="F")
+    T[-1, :3] = [-3.0, -1.0, -2.0]
+    T[:2, :3] = 1.0
+    T[:2, -1] = [4.0, 2.0]
+    pivots = []
+
+    def record(T, basis, nonbasic, row, col):
+        pivots.append((int(row), int(col)))
+        T[-1, :] = 0.0  # optimal after one pivot
+
+    monkeypatch.setattr(simplex, "_pivot", record)
+    assert simplex._bland_iterate(T, np.array([0, 3]), np.array([6, 2, 4]), tol) == (
+        "optimal", 1
+    )
+    assert pivots == [(1, 1)]
