@@ -264,32 +264,54 @@ def _asymptotic(x, lo, hi, out, buf):
     the top coefficient of the argument with the most terms, and restarts
     every argument at its own top coefficient by multiplying its sums by 0
     instead of 1/x^2, so a value depends on x alone.  Arguments that all
-    take the same number of terms need no restart.  Then, with q = Q / x,
-    P cos(w) - q sin(w) = R cos(w + phi) for u = q / P = tan(phi) and
-    R = P sqrt(1 + u^2): one cosine of the phase x + (phi - pi/4), times
-    P sqrt((1 + u^2) 2 / (pi x)).  |u| < 0.009 (see ``_asymptotic_bound``),
-    so phi is atan's alternating series to u^7.  P^2 + q^2 is never formed,
-    so no intermediate grows past P itself.  ``buf`` holds four scratch rows
-    of x's length; every operation is in place in them.
+    take the same number of terms need no restart.  Ascending arguments,
+    such as a spectrum's frequencies, need none either: their term counts
+    fall in contiguous bands, each band starts at its own top coefficient,
+    and each Horner step runs on the prefix of the arguments that take it.
+    Every argument then meets the operations of the restart, which turns
+    its sums into a_k exactly, so each value keeps its bits.  Then, with
+    q = Q / x, P cos(w) - q sin(w) = R cos(w + phi) for u = q / P =
+    tan(phi) and R = P sqrt(1 + u^2): one cosine of the phase
+    x + (phi - pi/4), times P sqrt((1 + u^2) 2 / (pi x)).  |u| < 0.009
+    (see ``_asymptotic_bound``), so phi is atan's alternating series to
+    u^7.  P^2 + q^2 is never formed, so no intermediate grows past P
+    itself.  ``buf`` holds four scratch rows of x's length; every operation
+    is in place in them.
     """
     z, p, q, t = buf
     most, fewest = _hankel_terms(lo), _hankel_terms(hi)
     np.multiply(x, x, out=t)
     np.divide(1.0, t, out=z)
-    p.fill(_P[most - 1])
-    q.fill(_Q[most - 1])
-    for k in range(most - 2, -1, -1):
-        step = z
-        if k + 1 >= fewest:
-            # arguments with k + 1 or fewer terms restart at a_k: their
-            # sums times 0 plus a_k are a_k exactly
-            np.less(x, _HANKEL_FROM[k], out=t)
-            t *= z
-            step = t
-        p *= step
-        p += _P[k]
-        q *= step
-        q += _Q[k]
+    if most > fewest and not np.less(x[1:], x[:-1], out=t[1:]).any():
+        # ascending arguments: band n of those with n terms starts at its
+        # own top coefficient, and step k runs on the prefix x < x_{k+1}
+        # alone, the arguments with more than k + 1 terms
+        cut = np.searchsorted(x, _HANKEL_FROM).tolist()
+        ends = [x.size, *cut, 0]  # band n is x[ends[n] : ends[n - 1]]
+        for n in range(fewest, most + 1):
+            p[ends[n] : ends[n - 1]] = _P[n - 1]
+            q[ends[n] : ends[n - 1]] = _Q[n - 1]
+        for k in range(most - 2, -1, -1):
+            ph, qh, zh = p[: cut[k]], q[: cut[k]], z[: cut[k]]
+            ph *= zh
+            ph += _P[k]
+            qh *= zh
+            qh += _Q[k]
+    else:
+        p.fill(_P[most - 1])
+        q.fill(_Q[most - 1])
+        for k in range(most - 2, -1, -1):
+            step = z
+            if k + 1 >= fewest:
+                # arguments with k + 1 or fewer terms restart at a_k: their
+                # sums times 0 plus a_k are a_k exactly
+                np.less(x, _HANKEL_FROM[k], out=t)
+                t *= z
+                step = t
+            p *= step
+            p += _P[k]
+            q *= step
+            q += _Q[k]
     np.multiply(x, p, out=t)
     np.divide(q, t, out=q)  # u = Q / (x P)
     np.multiply(q, q, out=z)  # u^2

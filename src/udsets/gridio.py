@@ -175,6 +175,8 @@ def load_gridset(path) -> GridSet:
     N, K = doc["N"], doc["K"]
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (N, K)):
         raise SchemaError(f"gridset N and K must be integers, got {N!r} and {K!r}")
+    if N < 1 or K < 1:
+        raise SchemaError(f"gridset N and K must be >= 1, got {N} and {K}")
     if (N * K) ** 2 > MAX_GRIDSET_CELLS:
         raise SchemaError(
             f"gridset of (N*K)^2 = {(N * K) ** 2} cells exceeds MAX_GRIDSET_CELLS = "

@@ -18,14 +18,16 @@ Two independent pipelines compute the pair correlation f(r):
   only the columns |q| <= isqrt(cutoff) of the half-plane transform, so only
   those are transformed, and only its rows a with min(a, S - a) <=
   isqrt(cutoff) keep their power (FFT pruning, Markel 1971); a raster row
-  that repeats an earlier one is not transformed again.  Memory is
-  O(cutoff) for kappa, the (distinct rows) x (min(isqrt(cutoff), S/2) + 1)
-  complex row transform, one gathered block of S rows, the power of the
-  kept rows and one bounded block of the walk; cutoffs stop at
-  MAX_CUTOFF_M = 2^26.
+  that repeats an earlier one is not transformed again, and rows that
+  repeat with a period P < S, as a lattice raster's do, are transformed
+  down one period, whose DFT gives every nonzero row of the whole one.
+  Memory is O(cutoff) for kappa, the (distinct rows) x (min(isqrt(cutoff),
+  S/2) + 1) complex row transform, one gathered block of S (or P) rows,
+  the power of the kept rows and one bounded block of the walk; cutoffs
+  stop at MAX_CUTOFF_M = 2^26.
   ``spectrum_auto`` grows the cutoff by walking only the new annulus.  A
   Spectrum keeps kappa(0) and the kappa(m) >= tau = OMIT_BUDGET / (number of
-  nonzero kappa) only, so f(r) evaluates J0 where the mass is: of the 55,141
+  nonzero kappa) only, so f(r) evaluates J0 where the mass is: of the 9,493
   nonzero kappa of the 4864^2 hex-disk raster at cutoff 240,000, 4,854
   stay.  The mass left out, below OMIT_BUDGET, is recorded as omitted_mass
   and charged to every f(r) and profile at |J0| <= 1.
@@ -196,22 +198,39 @@ def _distinct_rows(cells: np.ndarray):
     return np.unique(source, return_inverse=True)
 
 
+def _row_period(row_id: np.ndarray, n_distinct: int) -> int:
+    """The least P dividing S = len(row_id) with row_id[j] = row_id[j mod P]
+    for every j; S when the rows repeat with no shorter period.  A period
+    holds every distinct row, so no P below n_distinct is tried."""
+    S = row_id.size
+    for P in range(n_distinct, S):
+        if S % P == 0 and (row_id.reshape(-1, P) == row_id[:P]).all():
+            return P
+    return S
+
+
 def _power_spectrum(A: GridSet, qmax: int) -> np.ndarray:
     """|FFT(cells)|^2 at the frequencies (a, q) of the half plane with
     min(a, S - a) <= qmax and q <= min(qmax, S/2).
 
     The kept rows a come in ascending order: all S of them when 2 qmax + 1
     >= S, else a <= qmax and then a >= S - qmax (``_p2_rows`` maps a row to
-    its place).  The 1-D transforms of numpy's 2-D real FFT, so the kept
-    entries equal its own bit for bit: a real FFT along each distinct raster
-    row, run SPECTRUM_FFT_BLOCK rows at a time and cut to the kept columns
-    into a table with one row per distinct row (FFT pruning, Markel 1971:
-    only the outputs read and only the distinct inputs), then a complex FFT
-    down SPECTRUM_FFT_BLOCK of those columns at a time, each block's S rows
-    gathered from the table (the table itself when every row is distinct),
-    whose kept rows are squared straight into the compact result.  Beside
-    the result, memory is the table, (distinct rows) x (kept columns)
-    complex, and one gathered block of S rows with its transform.
+    its place).  The 1-D transforms of numpy's 2-D real FFT: a real FFT
+    along each distinct raster row, run SPECTRUM_FFT_BLOCK rows at a time
+    and cut to the kept columns into a table with one row per distinct row
+    (FFT pruning, Markel 1971: only the outputs read and only the distinct
+    inputs), then a complex FFT down SPECTRUM_FFT_BLOCK of those columns at
+    a time, each block's rows gathered from the table (the table itself
+    when every row is distinct), whose kept rows are squared straight into
+    the compact result.  When the rows repeat with a period P < S
+    (``_row_period``), as a lattice raster's do, that FFT runs down one
+    period: the DFT of an S-periodic sequence of period P is S/P times the
+    DFT of one period at the rows a = (S/P) a' and exactly 0 at every other
+    row.  So the kept entries equal numpy's 2-D real FFT bit for bit when
+    the rows have no shorter period, and its exact values, up to roundoff,
+    when they have.  Beside the result, memory is the table, (distinct
+    rows) x (kept columns) complex, and one gathered block of P rows with
+    its transform.
     """
     S = A.side
     width = min(qmax, S // 2) + 1
@@ -219,18 +238,24 @@ def _power_spectrum(A: GridSet, qmax: int) -> np.ndarray:
     hi = max(S - qmax, lo)
     step = SPECTRUM_FFT_BLOCK
     distinct, row_id = _distinct_rows(A.cells)
+    period = _row_period(row_id, distinct.size)
+    reps = S // period
+    # rows a' of one period's transform that land on the kept rows a = reps a'
+    lo_p, hi_p = -(-lo // reps), -(-hi // reps)
     table = np.empty((distinct.size, width), dtype=np.complex128)
     for i in range(0, distinct.size, step):
         block = slice(i, i + step)
         table[block] = np.fft.rfft(A.cells[distinct[block]].astype(np.float64), axis=1)[:, :width]
-    P2 = np.empty((lo + S - hi, width))
+    P2 = np.zeros((lo + S - hi, width))  # rows a that reps does not divide stay 0
     for j in range(0, width, step):
         cols = slice(j, j + step)
-        rows = table[:, cols] if distinct.size == S else table[row_id, cols]
+        rows = table[:, cols] if distinct.size == S else table[row_id[:period], cols]
         transform = np.fft.fft(rows, axis=0)
         del rows  # before the next block is gathered
-        np.abs(transform[:lo], out=P2[:lo, cols])
-        np.abs(transform[hi:], out=P2[lo:, cols])
+        if reps > 1:
+            transform *= reps
+        np.abs(transform[:lo_p], out=P2[:lo:reps, cols])
+        np.abs(transform[hi_p:], out=P2[lo + reps * hi_p - hi :: reps, cols])
         del transform  # before the next block's transform is made
     return np.square(P2, out=P2)
 
@@ -405,7 +430,8 @@ def spectrum(A: GridSet, cutoff_m: int) -> Spectrum:
     D x W complex row transform of the D distinct raster rows (D <= S = NK),
     W = min(isqrt(cutoff_m), S/2) + 1, plus the power P2 of its
     min(2 isqrt(cutoff_m) + 1, S) rows the walk reads and one block of
-    SPECTRUM_FFT_BLOCK rows, or of as many columns gathered to S rows.  Cutoffs
+    SPECTRUM_FFT_BLOCK rows, or of as many columns gathered to S rows (P
+    for rows of period P, ``_power_spectrum``).  Cutoffs
     above MAX_CUTOFF_M raise WorkBudgetError before anything is allocated,
     as do cutoffs with cutoff_m * (NK)^2 above DEFAULT_WORK_BUDGET.
     """

@@ -423,6 +423,47 @@ def test_hankel_values_depend_on_the_argument_alone(monkeypatch, order, tables):
     assert np.array_equal(got.view(np.int64), values_whole_array(x).view(np.int64))
 
 
+def _sorted_horner_inputs():
+    """About 5 blocks of ascending arguments on [0, 2^26]: a block across
+    SERIES_CUTOFF, blocks of many term counts with every band edge and its
+    neighbours, and whole blocks of one term count (3, on [2963, 1.07e5))."""
+    B = bessel.VALUES_BLOCK
+    rng = np.random.default_rng(31)
+    x = np.concatenate([
+        [0.0, bessel.FLAT_BOUND_MAX_ARG],
+        _band_edges(),
+        np.linspace(0.0, 40.0, B),
+        np.exp(rng.uniform(math.log(15.0), math.log(bessel.FLAT_BOUND_MAX_ARG), 2 * B)),
+        rng.uniform(3000.0, 1e5, 2 * B),
+    ])
+    return np.sort(x)
+
+
+@pytest.mark.parametrize("tables", ["module", "growing"])
+@pytest.mark.parametrize("workers", [0, 2])
+def test_sorted_horner_bitwise_equals_the_restart_path(monkeypatch, tables, workers):
+    # ascending blocks run Horner band by band on prefixes, shuffled ones
+    # restart every argument at its top coefficient; the same arguments must
+    # get the same bits either way, serially and on the pool.  Tables whose
+    # terms grow as 2^60k make a term summed or left out in error show
+    if tables == "growing":
+        grow = 2.0 ** (60 * np.arange(bessel.ASYMPTOTIC_TERMS))
+        monkeypatch.setattr(bessel, "_P", grow)
+        monkeypatch.setattr(bessel, "_Q", -grow)
+    monkeypatch.setattr(bessel, "_workers", lambda blocks: workers)
+    x = _sorted_horner_inputs()
+    B = bessel.VALUES_BLOCK
+    blocks = [x[i : i + B] for i in range(0, x.size, B)]
+    assert any(b[0] < bessel.SERIES_CUTOFF <= b[-1] for b in blocks)
+    terms = [(bessel._hankel_terms(b[-1]), bessel._hankel_terms(max(b[0], 15.0))) for b in blocks]
+    assert any(few == most for few, most in terms) and any(few < most for few, most in terms)
+    shuffle = np.random.default_rng(5).permutation(x.size)
+    ascending, shuffled = bessel.j0_values(x), bessel.j0_values(x[shuffle])
+    assert np.all(np.isfinite(ascending))
+    assert _same_bits(ascending[shuffle], shuffled)
+    assert _same_bits(ascending, values_whole_array(x))
+
+
 def test_hankel_bounds_hold_at_the_band_edges():
     for x in bessel._HANKEL_FROM[1:]:
         for y in (x, math.nextafter(x, 0.0)):
@@ -636,6 +677,23 @@ def test_hankel_branch_against_mpmath():
             phase = bessel.j0_envelope(x) * x * 2.0**-53
             uncharged += bool(err > ev.abs_error_bound - phase)
     assert uncharged > 1000
+
+
+def test_cos_is_within_one_ulp_on_j0s_domain():
+    # both J0 branches charge np.cos as accurate to 1 ulp: the midpoint rule
+    # takes cosines of x sin t in [0, 15), the Hankel branch of phases in
+    # [15 - pi/4, 2^26].  Measured against mpmath on arrays, as J0 calls it
+    rng = np.random.default_rng(6)
+    xs = np.concatenate([
+        rng.uniform(0.0, bessel.SERIES_CUTOFF, 2000),
+        np.exp(rng.uniform(math.log(14.0), math.log(bessel.FLAT_BOUND_MAX_ARG), 2000)),
+    ])
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x, c in zip(xs.tolist(), np.cos(xs).tolist()):
+            exact = mpmath.cos(mpmath.mpf(x))
+            worst = max(worst, float(abs(mpmath.mpf(c) - exact)) / math.ulp(float(exact)))
+    assert worst <= 1.0
 
 
 def _hankel_ratio(x):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from udsets import gridio
+from udsets.cli import main
 from udsets.errors import SchemaError
 from udsets.gridio import load_gridset, save_gridset
 from udsets.torus import GridSet, random_gridset
@@ -215,3 +216,20 @@ def test_load_gridset_refuses_more_cells_than_the_ceiling(monkeypatch, tmp_path)
         else:
             with pytest.raises(SchemaError, match="exceeds MAX_GRIDSET_CELLS"):
                 load_gridset(path)
+
+
+@pytest.mark.parametrize("field, value", [("K", -4), ("N", -16), ("K", 0), ("N", 0)])
+def test_load_gridset_refuses_a_side_below_one(tmp_path, field, value):
+    # with N or K negated the file still declares (N K)^2 cells, which its
+    # payload holds; the set once reached numpy's reshape, and paircorr
+    # exited 1 with a ValueError where every other malformed input exits 4
+    assert main(["construct", "hexdisk", "--n", "16", "--k", "4", "--out", str(tmp_path / "c")]) == 0
+    doc = json.loads((tmp_path / "c" / "hexdisk_N16_K4.gridset.json").read_text())
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="must be >= 1"):
+        load_gridset(bad)
+    out = tmp_path / "out"
+    assert main(["paircorr", "--set", str(bad), "--out", str(out)]) == 4
+    assert not out.exists()

@@ -267,18 +267,23 @@ def test_pruned_transform_bitwise_equals_the_full_one(monkeypatch, N, K, block):
 
 
 def _repeated_row_grids():
-    """Grids with repeated rows, named, with their count of distinct rows."""
+    """Grids with repeated rows, named, with their count of distinct rows and
+    the least period of their rows (the side when it has none shorter)."""
     rng = np.random.default_rng(11)
     hexdisk = rasterize(hex_disk_packing(), 16, 4, 0.01)
     row = rng.random(21) < 0.4
     pair = rng.random((2, 21)) < 0.4
     patterns = rng.random((6, 40)) < 0.4
     drawn = patterns[rng.integers(0, 6, 40)]  # repeats in no particular order
+    pair22 = rng.random((2, 22)) < 0.4
     return {
-        "hexdisk": (hexdisk, len(np.unique(hexdisk.cells, axis=0))),
-        "one row": (GridSet(21, 1, np.tile(row, (21, 1))), 1),
-        "two alternating rows": (GridSet(21, 1, pair[np.arange(21) % 2]), 2),
-        "six rows drawn": (GridSet(40, 1, drawn), len(np.unique(drawn, axis=0))),
+        # the lattice vector (2, 0) is 2N = 32 rows
+        "hexdisk": (hexdisk, len(np.unique(hexdisk.cells, axis=0)), 32),
+        "one row": (GridSet(21, 1, np.tile(row, (21, 1))), 1, 1),
+        # rows 20 and 0 are the same row: on an odd side they do not alternate
+        "two alternating rows": (GridSet(21, 1, pair[np.arange(21) % 2]), 2, 21),
+        "two alternating rows, even side": (GridSet(22, 1, pair22[np.arange(22) % 2]), 2, 2),
+        "six rows drawn": (GridSet(40, 1, drawn), len(np.unique(drawn, axis=0)), 40),
     }
 
 
@@ -286,11 +291,15 @@ def _repeated_row_grids():
 def test_pruned_transform_of_repeated_rows_bitwise_equals_the_full_one(monkeypatch, name):
     # blocks of 4 rows, so the table of distinct rows spans several of them
     monkeypatch.setattr(torus, "SPECTRUM_FFT_BLOCK", 4)
-    A, n_distinct = _repeated_row_grids()[name]
+    A, n_distinct, period = _repeated_row_grids()[name]
     distinct, row_id = torus._distinct_rows(A.cells)
     assert distinct.size == n_distinct < A.side
     assert np.array_equal(A.cells[distinct][row_id], A.cells)
-    assert_pruned_transform_equals_the_full_one(A)
+    assert torus._row_period(row_id, distinct.size) == period
+    if period == A.side:
+        assert_pruned_transform_equals_the_full_one(A)
+    else:
+        assert_periodic_transform_equals_reps_times_one_period(A, period)
 
 
 def assert_pruned_transform_equals_the_full_one(A):
@@ -308,6 +317,28 @@ def assert_pruned_transform_equals_the_full_one(A):
         # the walk's row map sends every kept row of the half plane to its place
         rows = torus._p2_rows(S, P2, np.array(kept, dtype=np.int64))
         assert rows.tolist() == list(range(len(kept)))
+
+
+def assert_periodic_transform_equals_reps_times_one_period(A, period):
+    """Rows of period P < S: the kept entries are those of S/P times numpy's
+    2-D real FFT of one period at the rows a = (S/P) a', bit for bit, and
+    exactly 0 at every other row; and they stay within SPECTRUM_FFT_SLACK,
+    as powers of the normalized indicator, of the full transform."""
+    S = A.side
+    reps = S // period
+    one = np.fft.rfft2(A.cells[:period].astype(np.float64))
+    periodic = np.zeros((S, S // 2 + 1))
+    periodic[::reps] = np.abs(reps * one) ** 2
+    full = np.abs(np.fft.rfft2(A.cells.astype(np.float64))) ** 2
+    for qmax in sorted({0, 1, 2, 5, S // 2 - 1, S // 2, S // 2 + 1, S - 1, S, 10 * S}):
+        P2 = torus._power_spectrum(A, qmax)
+        kept = np.array([a for a in range(S) if min(a, S - a) <= qmax])
+        width = min(qmax, S // 2) + 1
+        assert P2.shape == (len(kept), width), qmax
+        assert np.array_equal(P2.view(np.int64), periodic[kept, :width].view(np.int64)), qmax
+        assert not P2[kept % reps != 0].any(), qmax
+        slip = float(np.abs(P2 - full[kept, :width]).sum()) / float(S) ** 4
+        assert slip <= torus.SPECTRUM_FFT_SLACK, qmax
 
 
 def test_spectrum_transforms_only_the_walked_columns():
@@ -363,16 +394,42 @@ def test_spectrum_of_a_raster_transforms_each_distinct_row_once():
     assert peak < 20 * 2**20
 
 
-def test_a_sparse_spectrum_does_not_pin_the_full_arrays(disk38):
-    # 4,854 of the 55,141 nonzero kappa of the 4864^2 hexdisk raster stay;
+@pytest.fixture(scope="module")
+def disk38_spectra(disk38):
+    """The 4864^2 hexdisk raster's spectrum at cutoff 240,000 and that of its
+    transpose: its rows repeat with period 256, the transpose's do not."""
+    transposed = GridSet(disk38.grid.K, disk38.grid.N, disk38.grid.cells.T)
+    return spectrum(disk38.grid, 240_000), spectrum(transposed, 240_000)
+
+
+def test_a_sparse_spectrum_does_not_pin_the_full_arrays(disk38_spectra):
+    # the transposed hexdisk raster keeps 4,854 of its 55,141 nonzero kappa;
     # views of them once kept both 55,141-entry arrays alive
-    spec = spectrum(disk38.grid, 240_000)
-    assert len(spec.ms) == 4854
-    assert spec.ms.base is None and spec.kappas.base is None
+    disk, transposed = disk38_spectra
+    assert len(transposed.ms) == 4854
+    assert transposed.ms.base is None and transposed.kappas.base is None
+    # the raster itself, transformed down one period, has 9,493 nonzero
+    # kappa: the other 45,648 of the transpose are FFT roundoff.  Keeping
+    # over half of them, it keeps views
+    assert len(disk.ms) == 4854 and disk.ms.base.size == 9493
     # a deep spectrum keeps almost every term, and its views: a copy would
     # raise the peak beside the full arrays
     deep = spectrum(random_gridset(16, 8, seed=3), 2**18)
     assert 2 * len(deep.ms) > deep.ms.base.size
+
+
+def test_one_set_through_both_transform_paths(disk38, disk38_spectra):
+    # the raster takes the periodic path and its transpose the full one; the
+    # transpose is a symmetry of the square, so kappa and f(r) are the same
+    for cells, period in ((disk38.grid.cells, 256), (disk38.grid.cells.T, 4864)):
+        distinct, row_id = torus._distinct_rows(cells)
+        assert torus._row_period(row_id, distinct.size) == period
+    disk, transposed = disk38_spectra
+    assert np.array_equal(disk.ms, transposed.ms)
+    assert float(np.abs(disk.kappas - transposed.kappas).sum()) <= torus.SPECTRUM_FFT_SLACK
+    for r in (1.0, 2.0):
+        a, b = pair_correlation(disk, r), pair_correlation(transposed, r)
+        assert abs(a.value - b.value) <= min(a.rigor_bound, b.rigor_bound), r
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
