@@ -53,21 +53,31 @@ whole-array evaluation, and an argument sums its own n(x) Hankel terms in
 whatever block it lands, so every value is the same float64.  No value or
 bound depends on the platform's ``longdouble``.
 
+The pairing of a profile const + sum_i c_i J0(r_i t) with a spectrum's
+kappa, the kernel of every f(r) and registry profile, runs in the same
+blocks in one pass (``_j0_profile``): each block forms its frequencies t
+from the spectrum's integer m, takes each J0(r_i t) with the block code of
+``j0_values``, adds the combination in term order as ``j0_combination``
+does and multiplies it by kappa, in one block's buffers, straight into its
+slice of the output.  No whole-array frequency, argument or J0 column is
+made, and every term is the float64 of the whole-array pipeline.
+
 The blocks of a call of 4 blocks or more are shared out between the
 threads of a pool, one per CPU the process may run on (its affinity where
 the platform has one), while the calling thread waits.  Each worker pops
 the next block off a shared queue and writes only that block's slice of
-the output, in buffers of its own; numpy releases the GIL inside the array
-operations, so the workers run at once.  A value does not depend on the
-thread that computes it, so the output keeps every bit whatever the number
-of CPUs.  Each worker is pinned to a CPU of its own: left to the scheduler,
-threads that hand the GIL to each other hundreds of times per call were
-often all woken on one CPU of a 2-vCPU VM, and a third thread, the caller,
-taking blocks too made a call slower, not faster.  The pool is made at the
-first call that needs it, keeps the CPUs the process had then, and is
-dropped in a fork child.  The calling thread waits for every worker of its
-call before it returns or raises.  Calls of fewer blocks, calls on one CPU
-and calls made from a pool worker run on the calling thread alone.
+the output, in buffers the calling thread lends it; numpy releases the GIL
+inside the array operations, so the workers run at once.  A value does not
+depend on the thread that computes it, so the output keeps every bit
+whatever the number of CPUs.  Each worker is pinned to a CPU of its own:
+left to the scheduler, threads that hand the GIL to each other hundreds of
+times per call were often all woken on one CPU of a 2-vCPU VM, and a third
+thread, the caller, taking blocks too made a call slower, not faster.  The
+pool is made at the first call that needs it, keeps the CPUs the process
+had then, and is dropped in a fork child.  The calling thread waits for
+every worker of its call before it returns or raises.  Calls of fewer
+blocks, calls on one CPU and calls made from a pool worker run on the
+calling thread alone.
 """
 
 from __future__ import annotations
@@ -207,9 +217,11 @@ J0_ABS_ERROR = 1.0e-12
 # Largest argument of j0_values: the phase-rounding charge
 # sqrt(2x/pi) 2^-53 is 7.3e-13 here and 1.03e-12 at 2^27, past 1e-12.
 FLAT_BOUND_MAX_ARG = 2.0**26
-# arguments per block of j0_values: the Hankel branch's four
-# float64 buffers (512 KiB) stay in cache
-VALUES_BLOCK = 2**14
+# arguments per block of j0_values and _j0_profile: a worker's buffer is
+# 4 float64 rows (1 MiB) for j0_values and 7 (1.75 MiB) for _j0_profile.
+# 2^15 ran spectrum_deep's f(r) faster than 2^14; 2^16 raised the pass's
+# peak RSS by ~1.5 MB, 2^15 by ~0.3 MB (2 workers)
+VALUES_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -276,7 +288,7 @@ def _asymptotic(x, lo, hi, out, buf):
     (see ``_asymptotic_bound``), so phi is atan's alternating series to
     u^7.  P^2 + q^2 is never formed, so no intermediate grows past P
     itself.  ``buf`` holds four scratch rows of x's length; every operation
-    is in place in them.
+    is in place in them, and ``out`` may be ``x``.
     """
     z, p, q, t = buf
     most, fewest = _hankel_terms(lo), _hankel_terms(hi)
@@ -324,12 +336,12 @@ def _asymptotic(x, lo, hi, out, buf):
     t += q  # phi = u - u^3/3 + u^5/5 - u^7/7
     t -= 0.25 * math.pi
     t += x  # the phase, rounded once at x's scale
-    np.cos(t, out=out)
     z += 1.0
-    np.multiply(x, 0.5 * math.pi, out=t)
-    z /= t
+    np.multiply(x, 0.5 * math.pi, out=q)
+    z /= q
     np.sqrt(z, out=z)  # sqrt((1 + u^2) 2 / (pi x))
     z *= p
+    np.cos(t, out=out)  # x is read no more, so out may be x itself
     out *= z
 
 
@@ -386,70 +398,97 @@ def j0_envelope(x: float) -> float:
 def j0_values(x) -> np.ndarray:
     """Vectorized J0 on [0, 2**26]; absolute error <= J0_ABS_ERROR elementwise.
 
-    Runs in blocks of VALUES_BLOCK arguments.  Each block's minimum and
-    maximum are reduced once: they check its domain, and pick its branch.
-    A block wholly below SERIES_CUTOFF takes the midpoint rule, and one with
-    no argument below it the Hankel branch, in place in its output slice; a
-    block that straddles the cutoff gathers its arguments below it into
-    preallocated buffers for the midpoint rule, and sends the rest to the
-    Hankel branch.  Every value is the same float64 as on the whole array at
-    once, and as for its argument alone.  A call of 4 blocks or more shares
-    them out between the workers of a pool (``_workers``).
+    Runs in blocks of VALUES_BLOCK arguments (``_values_block``).  Every
+    value is the same float64 as on the whole array at once, and as for its
+    argument alone.  A call of 4 blocks or more shares them out between the
+    workers of a pool (``_run_blocks``).
     """
     x = np.asarray(x, dtype=float)
     flat = np.ascontiguousarray(x).reshape(-1)
     out = np.empty_like(flat)
-    starts = deque(range(0, flat.size, VALUES_BLOCK))
-    workers = _workers(len(starts))
-    # the buffers come from the calling thread, whose heap reuses them
-    bufs = np.empty((max(workers, 1), 4, min(flat.size, VALUES_BLOCK)))
-    if workers:
-        futures = [_pool().submit(_values_blocks, flat, out, starts, buf) for buf in bufs]
-        for f in futures:  # every worker is done before any error is raised
-            f.exception()
-        for f in futures:
-            f.result()
-    else:
-        _values_blocks(flat, out, starts, bufs[0])
+    _run_blocks(flat.size, 4, lambda starts, buf: _values_blocks(flat, out, starts, buf))
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _values_blocks(flat, out, starts, buf):
-    """J0 of the blocks of ``flat`` that begin at the offsets it pops off
-    the deque ``starts``, into the same slices of ``out``, in the 4-row
-    buffer ``buf``, until ``starts`` is empty.  Threads may share
-    ``starts``, each with a buffer of its own: deque pops are atomic, so
-    each block is taken once.  A block outside the domain empties
-    ``starts``, so the other threads stop too."""
+    """J0 of the blocks of ``flat`` that begin at the offsets taken off
+    ``starts`` (``_take_blocks``), into the same slices of ``out``, in the
+    4-row buffer ``buf``."""
+    B = VALUES_BLOCK
+    _take_blocks(starts, lambda lo: _values_block(flat[lo : lo + B], out[lo : lo + B], buf))
+
+
+def _values_block(xb, ob, buf):
+    """J0 of the block ``xb`` into ``ob``, in the 4-row buffer ``buf`` of
+    at least xb's length.  The block's minimum and maximum are reduced once:
+    they check its domain, and pick its branch.  A block wholly below
+    SERIES_CUTOFF takes the midpoint rule, and one with no argument below it
+    the Hankel branch, in place in ``ob``; a block that straddles the cutoff
+    gathers its arguments at or above it to the front of ``ob`` for the
+    Hankel branch, in place, and those below it into the buffer for the
+    midpoint rule, and scatters both.  So a block allocates no float array,
+    and a pool worker's heap does not grow by one.  The operations and their
+    order are those of the whole-array evaluation."""
+    least, most = xb.min(), xb.max()
+    # min and max propagate NaN, which then fails both comparisons
+    if not (least >= 0.0 and most <= FLAT_BOUND_MAX_ARG):
+        raise DomainError("array arguments must lie in [0, 2**26]")
+    if most < SERIES_CUTOFF:
+        _midpoint(xb, ob, buf[0, : xb.size])
+        return
+    if least >= SERIES_CUTOFF:
+        _asymptotic(xb, least, most, ob, buf[:, : xb.size])
+        return
+    big = xb >= SERIES_CUTOFF
+    n_big = np.count_nonzero(big)
+    xl, vals = ob[:n_big], buf[0, :n_big]
+    np.compress(big, xb, out=xl)
+    _asymptotic(xl, xl.min(), most, xl, buf[:, :n_big])
+    np.copyto(vals, xl)  # ob's front is scattered over next
+    ob[big] = vals
+    small = ~big
+    xs, vs, t = buf[:3, : xb.size - n_big]
+    np.compress(small, xb, out=xs)
+    _midpoint(xs, vs, t)
+    ob[small] = vs
+
+
+def _take_blocks(starts, block):
+    """Calls ``block(lo)`` for each offset ``lo`` it pops off the deque
+    ``starts``, until ``starts`` is empty.  Threads may share ``starts``:
+    deque pops are atomic, so each block is taken once.  A block that
+    raises empties ``starts``, so the other threads stop too."""
     while True:
         try:
             lo = starts.popleft()
         except IndexError:
             return
-        xb = flat[lo : lo + VALUES_BLOCK]
-        ob = out[lo : lo + VALUES_BLOCK]
-        least, most = xb.min(), xb.max()
-        # min and max propagate NaN, which then fails both comparisons
-        if not (least >= 0.0 and most <= FLAT_BOUND_MAX_ARG):
+        try:
+            block(lo)
+        except BaseException:
             starts.clear()
-            raise DomainError("array arguments must lie in [0, 2**26]")
-        if most < SERIES_CUTOFF:
-            _midpoint(xb, ob, buf[0, : xb.size])
-            continue
-        if least >= SERIES_CUTOFF:
-            _asymptotic(xb, least, most, ob, buf[:, : xb.size])
-            continue
-        small = xb < SERIES_CUTOFF
-        n_small = np.count_nonzero(small)
-        xs, vs, t = buf[:3, :n_small]
-        np.compress(small, xb, out=xs)
-        _midpoint(xs, vs, t)
-        ob[small] = vs
-        big = ~small
-        xl = xb[big]
-        vals = np.empty(xl.size)
-        _asymptotic(xl, xl.min(), most, vals, buf[:, : xl.size])
-        ob[big] = vals
+            raise
+
+
+def _run_blocks(size, rows, task):
+    """Runs ``task(starts, buf)`` over the blocks of VALUES_BLOCK of an
+    array of ``size``: ``starts`` is a deque of the blocks' offsets, and
+    ``buf`` a buffer of ``rows`` rows of one block's length.  The task runs
+    once on each pool worker (``_workers``), each with a buffer of its own,
+    or on the calling thread alone; it returns once every worker is done,
+    and raises the first worker's error."""
+    starts = deque(range(0, size, VALUES_BLOCK))
+    workers = _workers(len(starts))
+    # the buffers come from the calling thread, whose heap reuses them
+    bufs = np.empty((max(workers, 1), rows, min(size, VALUES_BLOCK)))
+    if workers:
+        futures = [_pool().submit(task, starts, buf) for buf in bufs]
+        for f in futures:  # every worker is done before any error is raised
+            f.exception()
+        for f in futures:
+            f.result()
+    else:
+        task(starts, bufs[0])
 
 
 # The pool of j0_values: one worker per CPU, made at the first call that
@@ -528,22 +567,70 @@ def j0_combination(radii, coeffs, t, const=0.0):
     return float(acc) if t.ndim == 0 else acc
 
 
-def _j0_sum(const, coeffs, columns, shape):
+def _j0_sum(const, coeffs, columns, shape, out=None, scratch=None):
     """const + sum_i coeffs[i] * columns[i] as a float64 array of ``shape``,
-    added in the given order: the combine step of ``j0_combination``, for
-    callers that already hold the J0 values of each term."""
+    added in the given order: the combine step of ``j0_combination`` and of
+    ``_j0_profile``, for callers that already hold the J0 values of each
+    term.  The sum goes into ``out`` when given, and each product after the
+    first into ``scratch``, which may be the column itself when the caller
+    does not keep it; else each goes into a new array."""
+    acc = np.empty(shape) if out is None else out
     if len(coeffs) == 0:
-        return np.full(shape, const, dtype=float)
+        acc.fill(const)
+        return acc
     # no zip: its reused result tuple would keep each term's column alive
     # while the next one is made, one array more at the peak
     columns = iter(columns)
-    # c_0 col_0 + const is const + c_0 col_0 exactly; the product goes into
-    # a new array, since callers may lend columns they keep
-    acc = np.multiply(coeffs[0], next(columns), out=np.empty(shape))
+    # c_0 col_0 + const is const + c_0 col_0 exactly; the first product goes
+    # into acc, since callers may lend columns they keep
+    np.multiply(coeffs[0], next(columns), out=acc)
     acc += const
     for c in coeffs[1:]:
-        acc += c * next(columns)
+        acc += np.multiply(c, next(columns), out=scratch)
     return acc
+
+
+def _j0_profile(ms, scale, kappas, const, radii, coeffs):
+    """kappas * (const + sum_i coeffs[i] J0(radii[i] t)) for t = scale *
+    sqrt(ms), ms an int64 array, as one new float64 array: the terms of a
+    profile's pairing with kappa, ready for one sum.
+
+    Runs in blocks of VALUES_BLOCK terms, on the pool for 4 blocks or more
+    (``_run_blocks``).  Each block forms its t as ``Spectrum.frequency``
+    does (float(m), its square root in place, times scale), then for each
+    radius in turn r t, its J0 (``_values_block``) and that column's product
+    into the block's output slice (``_j0_sum``), and multiplies the slice by
+    its kappas.  Every operation is the one the whole-array pipeline makes
+    on that element, so every value keeps its bits.  A worker's buffer holds
+    7 rows of one block: t, r t, the J0 column and J0's own 4 rows."""
+    out = np.empty(ms.size)
+    B = VALUES_BLOCK
+
+    def blocks(starts, buf):
+        _take_blocks(starts, lambda lo: _profile_block(
+            ms[lo : lo + B], kappas[lo : lo + B], out[lo : lo + B], scale, const, radii, coeffs, buf
+        ))
+
+    _run_blocks(ms.size, 7, blocks)
+    return out
+
+
+def _profile_block(ms, kappas, out, scale, const, radii, coeffs, buf):
+    """One block of ``_j0_profile``: ``ms``, ``kappas`` and ``out`` are
+    the block's slices, and ``buf`` 7 rows at least as long."""
+    t, rt, col = buf[:3, : ms.size]
+    np.copyto(t, ms)  # Spectrum.frequency's operations: float(m), sqrt, scale
+    np.sqrt(t, out=t)
+    t *= scale
+
+    def columns():  # J0(r t) of each radius in turn, in the one column row
+        for r in radii:
+            np.multiply(r, t, out=rt)
+            _values_block(rt, col, buf[3:])
+            yield col
+
+    _j0_sum(const, coeffs, columns(), out.shape, out=out, scratch=col)
+    out *= kappas
 
 
 def j0_combination_error(coeffs) -> float:

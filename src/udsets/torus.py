@@ -45,9 +45,11 @@ counts of ``udgraph``, which read it at the graph's neighbor offsets.
 The spectral path produces certified `PairCorrEval`s; the direct path is the
 exact cross-validation oracle.  Both are deterministic given their inputs.
 f(r) and the profile values, sums of kappa(m) P(|xi_m|), are added by
-numpy's own pairwise sum, never by BLAS, and J0 keeps every bit on any
-number of threads, so their floats depend neither on the BLAS thread count
-nor on the CPUs the process may run on.
+numpy's own pairwise sum, never by BLAS.  Their terms come from one blocked
+pass of ``bessel._j0_profile``, which forms |xi_m|, the J0 values, P and
+the product with kappa block by block, on J0's pool for large spectra, and
+keeps every bit on any number of threads; so their floats depend neither
+on the BLAS thread count nor on the CPUs the process may run on.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import J0_ABS_ERROR, j0_combination, j0_combination_error, j0_envelope
+from .bessel import J0_ABS_ERROR, _j0_profile, j0_combination_error, j0_envelope
 from .errors import DegenerateSetError, DomainError, WorkBudgetError
 
 __all__ = [
@@ -493,11 +495,16 @@ def _pair_profile(S: Spectrum, const: float, radii, coeffs):
     every r_i > 0: the tail mass meets |P| <= |const| + sum |c_i| env(r_i
     |xi_cut|), the left-out mass |P| <= |const| + sum |c_i| (|J0| <= 1),
     only the J0 terms carry Bessel error (J0(0) = 1 is exact), and the dot
-    product with kappa is charged its rounding (``_dot_error``)."""
-    vals = j0_combination(radii, coeffs, S.frequency(S.ms), const)
-    vals *= S.kappas
+    product with kappa is charged its rounding (``_dot_error``).
+
+    The terms kappa(m) P(|xi_m|) come from ``bessel._j0_profile`` in one
+    blocked pass, which forms |xi_m| with the operations of
+    ``Spectrum.frequency`` and P as ``j0_combination`` does; only their
+    sum runs over the whole array."""
+    step = 2.0 * math.pi / S.K
+    vals = _j0_profile(S.ms, step, S.kappas, const, radii, coeffs)
     value = float(np.add.reduce(vals))  # numpy's pairwise sum, not BLAS
-    args = [r * (2.0 * math.pi / S.K) * math.sqrt(S.cutoff_m) for r in radii]
+    args = [r * step * math.sqrt(S.cutoff_m) for r in radii]
     osc = sum(abs(c) * (j0_envelope(a) if a > 0 else 1.0) for a, c in zip(args, coeffs))
     kappa_sum = float(S.kappas.sum())
     rigor = (

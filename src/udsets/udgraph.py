@@ -220,8 +220,11 @@ class IndepSet:
         return self.size / self.graph.n_vertices
 
     def assert_independent(self):
+        """Raises AssertionError, also under ``python -O``, naming a member
+        with a neighbour in the set."""
         for v in np.nonzero(self.members)[0]:
-            assert not np.any(self.members[self.graph.neighbors(int(v))]), v
+            if np.any(self.members[self.graph.neighbors(int(v))]):
+                raise AssertionError(f"vertex {v} has a neighbour in the set")
 
     def to_gridset(self) -> GridSet:
         g = self.graph
@@ -256,7 +259,8 @@ def internal_edge_count(G: UDGraph, F) -> int:
     """Edges of G inside F: half the ordered pair counts at G's offsets."""
     counts = pair_counts(GridSet(G.K, G.N, _as_grid_bool(G, F)))
     total = int(counts[G.offsets[:, 0], G.offsets[:, 1]].sum())
-    assert total % 2 == 0
+    if total % 2:
+        raise AssertionError(f"odd ordered pair count {total} at the graph's offsets")
     return total // 2
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -21,6 +22,7 @@ from udsets.bessel import J0_ABS_ERROR, j0_combination, j0_envelope, j0_values
 from udsets.constructions import hex_disk_packing, rasterize
 from udsets.errors import DegenerateSetError, DomainError, SchemaError, WorkBudgetError
 from udsets.gridio import load_gridset, save_gridset
+from udsets.registry import builtin_registry
 from udsets.torus import (
     GridSet,
     checkerboard,
@@ -434,16 +436,17 @@ def test_one_set_through_both_transform_paths(disk38, disk38_spectra):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_pair_profile_bits_do_not_depend_on_blas_or_worker_threads():
-    # f(r) and a registry profile on a spectrum of 59,736 terms, 4 blocks of
-    # j0_values: the same bits with OpenBLAS on one thread or its default,
-    # and with the process pinned to one CPU or free on all of them
+    # f(r) and a registry profile on a spectrum of at least 4 blocks of the
+    # J0 kernel (59,736 terms at 2^14 per block): the same bits with
+    # OpenBLAS on one thread or its default, and with the process pinned to
+    # one CPU or free on all of them
     script = textwrap.dedent(
         """
         import os, sys
         os.sched_setaffinity(0, {int(c) for c in sys.argv[1].split(",")})
         from udsets.registry import builtin_registry, constraint_rhs_check
         from udsets.torus import pair_correlation, random_gridset, spectrum
-        S = spectrum(random_gridset(16, 8, seed=3), 2**18)
+        S = spectrum(random_gridset(16, 8, seed=3), int(sys.argv[2]))
         vals = [pair_correlation(S, r).value for r in (0.5, 1.0, 1.7)]
         vals.append(constraint_rhs_check(S, builtin_registry().t_graphs[0]).lhs)
         print(len(S.ms), *(v.hex() for v in vals))
@@ -454,11 +457,13 @@ def test_pair_profile_bits_do_not_depend_on_blas_or_worker_threads():
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
     base.pop("OPENBLAS_NUM_THREADS", None)
     cpus = sorted(os.sched_getaffinity(0))
+    # sums of two squares up to 16 B number over 3.5 B for B = 2^14 or 2^15
+    cutoff = 16 * bessel.VALUES_BLOCK
     outs = set()
     for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
         for affinity in (cpus[:1], cpus):
             proc = subprocess.run(
-                [sys.executable, "-c", script, ",".join(map(str, affinity))],
+                [sys.executable, "-c", script, ",".join(map(str, affinity)), str(cutoff)],
                 env=dict(base, **blas), capture_output=True, text=True, timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
@@ -466,6 +471,136 @@ def test_pair_profile_bits_do_not_depend_on_blas_or_worker_threads():
     assert len(outs) == 1
     terms, *_ = outs.pop().split()
     assert int(terms) > 3 * bessel.VALUES_BLOCK
+
+
+def whole_array_profile_terms(S, const, radii, coeffs):
+    """The terms kappa(m) P(|xi_m|) of ``_pair_profile`` from whole-array
+    pieces: ``Spectrum.frequency``, one ``j0_values`` per radius, ``_j0_sum``
+    and the product with kappa."""
+    t = S.frequency(S.ms)
+    vals = bessel._j0_sum(const, coeffs, [j0_values(r * t) for r in radii], t.shape)
+    vals *= S.kappas
+    return vals
+
+
+def assert_kernel_equals_whole_array(S, profile):
+    vals = bessel._j0_profile(S.ms, 2.0 * math.pi / S.K, S.kappas, *profile)
+    want = whole_array_profile_terms(S, *profile)
+    assert vals.view(np.int64).tolist() == want.view(np.int64).tolist()
+    value, _ = torus._pair_profile(S, *profile)
+    assert value == float(np.add.reduce(want))
+
+
+@pytest.fixture(scope="module")
+def pooled_spectrum():
+    """A spectrum of 4 blocks of the J0 kernel or more."""
+    S = spectrum(random_gridset(16, 8, seed=3), 16 * bessel.VALUES_BLOCK)
+    assert len(S.ms) > 3 * bessel.VALUES_BLOCK
+    return S
+
+
+def _spindle_profiles():
+    reg = builtin_registry()
+    return [g._profile for g in reg.graphs] + [p._profile for p in reg.ct_pairs]
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_profile_kernel_bitwise_equals_the_whole_array(monkeypatch, pooled_spectrum, disk128_spectrum, workers):
+    monkeypatch.setattr(bessel, "_workers", lambda blocks: workers)
+    S, B = pooled_spectrum, bessel.VALUES_BLOCK
+    # r t crosses SERIES_CUTOFF in the middle of block 1
+    xi = S.frequency(S.ms)
+    r_straddle = 15.0 / float(xi[B + B // 2])
+    assert (r_straddle * xi[B : 2 * B]).min() < bessel.SERIES_CUTOFF <= (r_straddle * xi[B : 2 * B]).max()
+    profiles = _spindle_profiles()
+    assert all(len(radii) > 1 for _, radii, _ in profiles) and any(c != 0.0 for c, _, _ in profiles)
+    for profile in [(0.0, (r,), (1.0,)) for r in (0.7, 1.0, r_straddle)] + profiles:
+        assert_kernel_equals_whole_array(S, profile)
+    # a raster's spectrum in one block
+    assert len(disk128_spectrum.ms) < B
+    for profile in [(0.0, (1.0,), (1.0,))] + profiles:
+        assert_kernel_equals_whole_array(disk128_spectrum, profile)
+
+
+def test_profile_kernel_on_the_empty_and_one_term_spectra():
+    empty = spectrum(GridSet.empty(3, 4), cutoff_m=500)
+    one = spectrum(GridSet.full(3, 5), cutoff_m=500)
+    assert len(empty.ms) == 0 and len(one.ms) == 1
+    for S in (empty, one):
+        for profile in [(0.0, (1.234,), (1.0,)), (0.5, (), ())] + _spindle_profiles():
+            assert_kernel_equals_whole_array(S, profile)
+    assert torus._pair_profile(empty, 0.0, (1.0,), (1.0,))[0] == 0.0
+
+
+def test_profile_kernel_forms_t_as_spectrum_frequency(monkeypatch, pooled_spectrum):
+    # at r = 1 each block's J0 argument is its t, which must be the bits of
+    # Spectrum.frequency
+    seen = []
+    real = bessel._values_block
+
+    def values_block(xb, ob, buf):
+        seen.append(xb.copy())
+        return real(xb, ob, buf)
+
+    monkeypatch.setattr(bessel, "_workers", lambda blocks: 0)
+    monkeypatch.setattr(bessel, "_values_block", values_block)
+    S = pooled_spectrum
+    bessel._j0_profile(S.ms, 2.0 * math.pi / S.K, S.kappas, 0.0, (1.0,), (1.0,))
+    assert len(seen) == -(-len(S.ms) // bessel.VALUES_BLOCK)
+    t = np.concatenate(seen)
+    assert t.view(np.int64).tolist() == S.frequency(S.ms).view(np.int64).tolist()
+
+
+def test_profile_kernel_raises_once_every_worker_is_done(monkeypatch, pooled_spectrum):
+    # r xi passes 2^26 in the last block only; the second worker starts
+    # 50 ms late, and is done before the error is raised
+    S, B = pooled_spectrum, bessel.VALUES_BLOCK
+    last = (len(S.ms) - 1) // B * B
+    xi = S.frequency(S.ms)
+    r = bessel.FLAT_BOUND_MAX_ARG / float(xi[-1]) * (1 + 1e-9)
+    assert r * xi[last - 1] <= bessel.FLAT_BOUND_MAX_ARG < r * xi[-1]
+    real_take, real_block = bessel._take_blocks, bessel._values_block
+    started, done, raised = [], [], []
+
+    def take_blocks(starts, block):
+        started.append(True)
+        try:
+            if len(started) > 1:
+                time.sleep(0.05)
+            return real_take(starts, block)
+        finally:
+            done.append(True)
+
+    def values_block(xb, ob, buf):
+        try:
+            return real_block(xb, ob, buf)
+        except DomainError:
+            raised.append(True)
+            raise
+
+    monkeypatch.setattr(bessel, "_workers", lambda blocks: 2)
+    monkeypatch.setattr(bessel, "_take_blocks", take_blocks)
+    monkeypatch.setattr(bessel, "_values_block", values_block)
+    with pytest.raises(DomainError):
+        pair_correlation(S, r)
+    assert len(done) == len(started) == 2 and len(raised) == 1
+    monkeypatch.undo()  # and the pool serves the next call
+    monkeypatch.setattr(bessel, "_workers", lambda blocks: 2)
+    assert_kernel_equals_whole_array(S, (0.0, (1.0,), (1.0,)))
+
+
+def test_complement_has_the_same_kappa_and_shifted_pair_correlation():
+    # 1 - 1_A has the Fourier coefficients -1_A^(xi) at xi != 0, so kappa(m > 0)
+    # is the same, and f_c(r) = (1 - d)^2 - d^2 + f(r) = 1 - 2d + f(r)
+    A = random_gridset(16, 8, seed=3)
+    C = GridSet(A.K, A.N, ~A.cells)
+    S, T = spectrum(A, 2**16), spectrum(C, 2**16)
+    assert S.ms.tolist() == T.ms.tolist()
+    assert S.kappas[1:].view(np.int64).tolist() == T.kappas[1:].view(np.int64).tolist()
+    d = A.density
+    for r in (0.7, 1.0, 1.96):
+        f, fc = pair_correlation(S, r).value, pair_correlation(T, r).value
+        assert abs(fc - (1.0 - 2.0 * d + f)) <= 1e-15, r
 
 
 def test_pair_counts_check_integrality_in_place():

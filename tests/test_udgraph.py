@@ -1,8 +1,13 @@
 """Unit-distance cell graph: exactness, samplers, search, block structure."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +226,43 @@ def test_greedy_maximal_and_deterministic():
             assert np.any(a.members[G.neighbors(v)])
     c = greedy_mis(G, seed=6)
     assert not np.array_equal(a.members, c.members)
+
+
+def test_independence_and_parity_checks_raise_under_python_O():
+    # both checks stay when asserts are compiled away: a set holding an
+    # edge, and a graph whose offset (1, 0) has no partner (5, 0), so one
+    # adjacent pair of cells counts once, an odd number of ordered pairs
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from udsets.udgraph import IndepSet, UDGraph, build, internal_edge_count
+        assert sys.flags.optimize
+        G = build(2, 3)
+        members = np.zeros(G.n_vertices, dtype=bool)
+        members[[0, G.neighbors(0)[0]]] = True
+        try:
+            IndepSet(G, members).assert_independent()
+        except AssertionError as e:
+            print("independent:", e)
+        one_way = UDGraph(2, 3, np.array([[1, 0]]))
+        pair = np.zeros((6, 6), dtype=bool)
+        pair[0, 0] = pair[1, 0] = True
+        try:
+            internal_edge_count(one_way, pair)
+        except AssertionError as e:
+            print("parity:", e)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["independent", "parity"], lines
+    assert "neighbour" in lines[0] and "odd" in lines[1]
 
 
 def test_greedy_on_edgeless_graph_takes_everything():
